@@ -18,17 +18,8 @@ from .errors import (
     TruncationExhausted,
     ZeroConstantTerm,
 )
-from .series import (
-    BiSeries,
-    UniSeries,
-    series_add,
-    series_delta,
-    series_eval_zero,
-    series_invert_unit,
-    series_mul,
-    series_ramify,
-)
-from .matrices import LaurentMatrix, SeriesMatrix, mat_det, mat_invert, mat_mul
+from .series import BiSeries, UniSeries
+from .matrices import LaurentMatrix, SeriesMatrix
 from .system import (
     GaugeTransform,
     LeadingData,
@@ -37,6 +28,7 @@ from .system import (
     check_compatible,
     check_integrability,
     leading_data,
+    require_integrable,
 )
 from .moser import (
     ReductionReport,
@@ -45,7 +37,6 @@ from .moser import (
     moser_rank,
     prepare_shearing,
     rank_reduce,
-    rank_reduce_algorithm1,
     reduce_subsystem_step,
     shearing_matrix,
     theta_poly,

@@ -30,13 +30,9 @@ from .errors import (
 )
 from .io import document_digest, parse_system, write_system
 from .moser import rank_reduce
-from .solutions import (
-    exponential_parts,
-    formal_fundamental,
-    katz_pair,
-    true_poincare_rank,
-)
-from .system import check_integrability
+from .series import INF_ORDER
+from .solutions import _katz_and_rank, exponential_parts, formal_fundamental
+from .system import PfaffianSystem, check_integrability, require_integrable
 
 EXIT_OK = 0
 EXIT_NOT_INTEGRABLE = 1
@@ -63,13 +59,15 @@ def _q_poly_str(terms: dict, var: str) -> str:
 
 
 def _load(args):
+    for flag, value in (("--trunc-x", args.trunc_x), ("--trunc-y", args.trunc_y)):
+        if value is not None and not 1 <= value < INF_ORDER:
+            raise ParseError(f"{flag} must satisfy 1 <= t < {INF_ORDER}, "
+                             f"got {value}", field=flag)
     sys_obj = parse_system(args.path)
-    if args.trunc_x or args.trunc_y:
+    if args.trunc_x is not None or args.trunc_y is not None:
         tx, ty = sys_obj.window
-        tx = args.trunc_x or tx
-        ty = args.trunc_y or ty
-        from .system import PfaffianSystem
-
+        tx = tx if args.trunc_x is None else args.trunc_x
+        ty = ty if args.trunc_y is None else args.trunc_y
         sys_obj = PfaffianSystem.make(
             sys_obj.n,
             sys_obj.p,
@@ -101,16 +99,12 @@ def _report_base(command, args, digest):
 
 
 def _fmt_window(window):
-    from .series import INF_ORDER
-
     if all(w >= INF_ORDER for w in window):
         return "exact (all orders)"
     return str(tuple(window))
 
 
 def _window_limited(window):
-    from .series import INF_ORDER
-
     return any(w < INF_ORDER for w in window)
 
 
@@ -216,8 +210,8 @@ def cmd_expparts(args):
 
 def cmd_katz(args):
     sys_obj, digest = _load(args)
-    k1, k2 = katz_pair(sys_obj)
-    g1, g2 = true_poincare_rank(sys_obj)
+    require_integrable(sys_obj)
+    (k1, k2), (g1, g2) = _katz_and_rank(sys_obj)
     report = _report_base("katz", args, digest)
     report["results"] = {
         "katz_x": _frac(k1),
@@ -320,9 +314,9 @@ def build_parser():
         p = sub.add_parser(name, help=help_)
         p.add_argument("path", help="system document (JSON)")
         p.add_argument("--trunc-x", type=int, default=None,
-                       help="override the x truncation order")
+                       help=f"override the x truncation order (1 <= t < {INF_ORDER})")
         p.add_argument("--trunc-y", type=int, default=None,
-                       help="override the y truncation order")
+                       help=f"override the y truncation order (1 <= t < {INF_ORDER})")
         p.add_argument("--report", default=None,
                        help="write a JSON report to this path")
         p.add_argument("--strict", action="store_true",

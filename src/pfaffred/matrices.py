@@ -284,14 +284,6 @@ def _det_expand(m, rows, col):
     return acc
 
 
-def mat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    return a * b
-
-
-def mat_det(a: SeriesMatrix) -> BiSeries:
-    return a.det()
-
-
 class LaurentMatrix:
     """x^(-px) y^(-py) times a series matrix.  Poles may be negative
     (meaning a net positive monomial factor); normalize() strips certified
@@ -303,10 +295,6 @@ class LaurentMatrix:
         self.series = series
         self.px = px
         self.py = py
-
-    @classmethod
-    def from_series(cls, series):
-        return cls(series, 0, 0)
 
     @property
     def n(self):
@@ -389,12 +377,6 @@ class LaurentMatrix:
 
     def __repr__(self):
         return f"x^-{self.px} y^-{self.py} * {self.series!r}"
-
-
-def mat_invert(t: SeriesMatrix | LaurentMatrix) -> LaurentMatrix:
-    if isinstance(t, SeriesMatrix):
-        t = LaurentMatrix.from_series(t)
-    return t.inverse()
 
 
 # -- elimination over the one-variable series ring ---------------------------

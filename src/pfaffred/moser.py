@@ -41,8 +41,8 @@ from .system import (
     GaugeTransform,
     PfaffianSystem,
     apply_gauge,
-    check_compatible,
     leading_data,
+    require_integrable,
 )
 
 
@@ -617,8 +617,9 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str):
         p_b = current.p if axis == "x" else current.q
         r_b = _subsystem_rank(current, axis)
         m_b = moser_rank(current, axis)
-        compat = check_compatible(current, g)
-        nxt = apply_gauge(current, g).to_system(strict=False)
+        res = apply_gauge(current, g)
+        compat = res.compatible_with(current)
+        nxt = res.to_system(strict=False)
         steps.append(
             ReductionStep(
                 axis=axis,
@@ -682,13 +683,12 @@ def rank_reduce(sys: PfaffianSystem):
     """Full rank reduction: the x-subsystem to Moser-irreducible form, then
     the y-subsystem.  Returns (gauge, system, report); the output Poincare
     rank is the true Poincare rank."""
-    from .system import check_integrability
+    require_integrable(sys)
+    return _rank_reduce(sys)
 
-    ok, window = check_integrability(sys)
-    if not ok:
-        raise IntegrabilityViolation(
-            "input system is not integrable within the window", window=window
-        )
+
+def _rank_reduce(sys: PfaffianSystem):
+    """rank_reduce on a system already certified integrable."""
     report = ReductionReport()
     gauge_total = None
     current = sys
@@ -705,8 +705,3 @@ def rank_reduce(sys: PfaffianSystem):
         "y": moser_rank(current, "y"),
     }
     return gauge_total, current, report
-
-
-def rank_reduce_algorithm1(sys: PfaffianSystem):
-    """Alias for the full reduction loop."""
-    return rank_reduce(sys)

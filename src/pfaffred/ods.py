@@ -419,16 +419,6 @@ class ExponentialPart:
     def key(self):
         return self.q_terms
 
-    def q_string(self, var: str) -> str:
-        if not self.q_terms:
-            return "0"
-        bits = []
-        for k, c in self.q_terms:
-            e = f"{var}^(-{k})" if k.denominator > 1 else (
-                f"{var}^-{k}" if k != 1 else f"{var}^-1")
-            bits.append(f"({c})*{e}")
-        return " + ".join(bits)
-
 
 def _gcd(a, b):
     while b:
@@ -531,9 +521,6 @@ class FirstKindSolution:
     phi: SeriesMatrix           # unit series factor
     exponent: tuple             # constant matrix Lambda over Q
     retained: tuple             # ((order, matrix), ...) resonant normal-form terms
-
-    def exponent_matrix(self):
-        return self.exponent
 
 
 def first_kind_fundamental_ods(ods: OdsSystem) -> FirstKindSolution:

@@ -1,4 +1,4 @@
-"""Univariate polynomials over Q: factorization and resonance probes.
+"""Univariate polynomials over Q: factorization and rational roots.
 
 Polynomials are lists of Fraction coefficients, low degree first.  The
 heavy lifting (irreducible factorization over Q) is delegated to sympy;
@@ -57,40 +57,3 @@ def rational_roots(coeffs):
             out.append((-fc[0], mult))
     return out
 
-
-def poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def poly_shift(coeffs, a: Fraction):
-    """Coefficients of p(t + a)."""
-    out = [Fraction(0)] * len(coeffs)
-    for c in reversed(coeffs):
-        # multiply accumulated by (t + a), then add c
-        carry = Fraction(0)
-        new = [Fraction(0)] * len(coeffs)
-        for i in range(len(out) - 1, 0, -1):
-            new[i] = out[i - 1]
-        for i in range(len(out)):
-            new[i] += out[i] * a
-        new[0] += c
-        out = new
-    return out
-
-
-def poly_gcd_degree(a, b) -> int:
-    """Degree of gcd over Q (0 means coprime)."""
-    pa, pb = _to_sympy([q(c) for c in a]), _to_sympy([q(c) for c in b])
-    return int(sympy.degree(sympy.gcd(pa, pb), _T) or 0)
-
-
-def integer_difference_possible(f, g, max_shift: int) -> bool:
-    """True if some root of f equals a root of g plus a nonzero integer k
-    with 1 <= k <= max_shift (used to pre-screen resonances)."""
-    for k in range(1, max_shift + 1):
-        if poly_gcd_degree(f, poly_shift(g, Fraction(-k))) > 0:
-            return True
-    return False

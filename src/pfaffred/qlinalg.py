@@ -212,30 +212,6 @@ def sylvester_solve(a, b, c):
     return tuple(tuple(sol[i * m + j] for j in range(m)) for i in range(n))
 
 
-def block_diag(*blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        k = len(b)
-        for i in range(k):
-            for j in range(k):
-                out[off + i][off + j] = b[i][j]
-        off += k
-    return qmat(out)
-
-
 def submatrix(a, rows, cols):
     return tuple(tuple(a[i][j] for j in cols) for i in rows)
 
-
-def hstack(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(ra + rb for ra, rb in zip(a, b))
-
-
-def vstack(a, b):
-    return tuple(a) + tuple(b)

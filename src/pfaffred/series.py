@@ -80,9 +80,6 @@ class BiSeries:
     def window(self):
         return (self.tx, self.ty)
 
-    def eff_window(self):
-        return (self._eff_tx(), self._eff_ty())
-
     # -- inspection --------------------------------------------------------
 
     def coeff(self, i, j) -> Fraction:
@@ -434,28 +431,3 @@ class UniSeries:
         return BiSeries({(0, i): c for i, c in self.coeffs.items()},
                         other_trunc, self.trunc, exact=self.exact)
 
-
-# Spec-named operation aliases (the module surface used by tests).
-
-def series_add(a: BiSeries, b: BiSeries) -> BiSeries:
-    return a + b
-
-
-def series_mul(a: BiSeries, b: BiSeries) -> BiSeries:
-    return a * b
-
-
-def series_invert_unit(a: BiSeries) -> BiSeries:
-    return a.invert()
-
-
-def series_delta(a: BiSeries, var: str) -> BiSeries:
-    return a.delta(var)
-
-
-def series_eval_zero(a: BiSeries, var: str) -> UniSeries:
-    return a.eval_zero(var)
-
-
-def series_ramify(a: UniSeries, s: int) -> UniSeries:
-    return a.ramify(s)

@@ -26,7 +26,7 @@ from .errors import (
     ReductionError,
 )
 from .matrices import LaurentMatrix, SeriesMatrix
-from .moser import rank_reduce
+from .moser import _rank_reduce
 from .ods import (
     _common_triangularize,
     _eigen_groups,
@@ -40,22 +40,16 @@ from .system import (
     GaugeTransform,
     PfaffianSystem,
     apply_gauge,
-    check_integrability,
+    require_integrable,
 )
 
-
-def _require_integrable(sys):
-    ok, window = check_integrability(sys)
-    if not ok:
-        raise IntegrabilityViolation(
-            "system is not integrable within the window", window=window
-        )
-    return window
+# Each public function below certifies its input once (require_integrable);
+# the underscored bodies take systems derived from a certified input.
 
 
 def exponential_parts(sys: PfaffianSystem):
     """Exponential parts of both axes, via the associated ODS."""
-    _require_integrable(sys)
+    require_integrable(sys)
     return (
         exponential_parts_ods(associated_ods(sys, "x")),
         exponential_parts_ods(associated_ods(sys, "y")),
@@ -64,31 +58,32 @@ def exponential_parts(sys: PfaffianSystem):
 
 def katz_pair(sys: PfaffianSystem):
     """(k1, k2): Katz invariants of the two associated ODS."""
-    _require_integrable(sys)
-    out = []
-    for axis in ("x", "y"):
-        ods = associated_ods(sys, axis)
-        _, reduced = moser_reduce_ods(ods)
-        out.append(katz_invariant_ods(reduced))
-    return tuple(out)
+    require_integrable(sys)
+    return _katz_and_rank(sys)[0]
 
 
 def true_poincare_rank(sys: PfaffianSystem):
     """True Poincare rank pair, read off the Moser-irreducible associated
     ODS; cross-checked against the Katz bound k <= rank <= k + 1."""
-    _require_integrable(sys)
-    out = []
+    require_integrable(sys)
+    return _katz_and_rank(sys)[1]
+
+
+def _katz_and_rank(sys: PfaffianSystem):
+    """((k1, k2), (rank1, rank2)) of a system already certified integrable,
+    from one Moser reduction of each associated ODS."""
+    katz, ranks = [], []
     for axis in ("x", "y"):
-        ods = associated_ods(sys, axis)
-        _, reduced = moser_reduce_ods(ods)
+        _, reduced = moser_reduce_ods(associated_ods(sys, axis))
         rank = reduced.p
         kappa = katz_invariant_ods(reduced)
         if not (kappa <= rank <= kappa + 1):
             raise ReductionError(
                 f"true rank {rank} violates the Katz bound for {kappa}"
             )
-        out.append(rank)
-    return tuple(out)
+        katz.append(kappa)
+        ranks.append(rank)
+    return tuple(katz), tuple(ranks)
 
 
 # -- bivariate splitting ----------------------------------------------------------
@@ -128,7 +123,11 @@ def bivariate_splitting(sys: PfaffianSystem, positive_pole_only=False):
     through Sylvester equations on the splitting axis.  Both transformed
     subsystems are certified block diagonal on the window.
     """
-    _require_integrable(sys)
+    require_integrable(sys)
+    return _bivariate_splitting(sys, positive_pole_only)
+
+
+def _bivariate_splitting(sys: PfaffianSystem, positive_pole_only):
     choice = _split_axis_choice(sys, positive_pole_only)
     if choice is None:
         raise NotSplittable(
@@ -302,7 +301,11 @@ def bivariate_shift(sys: PfaffianSystem, gammas_x=None, gammas_y=None):
     eigenvalue of the then-current leading constant at that order
     (nilpotency after subtraction is checked exactly).
     """
-    _require_integrable(sys)
+    require_integrable(sys)
+    return _bivariate_shift(sys, gammas_x, gammas_y)
+
+
+def _bivariate_shift(sys: PfaffianSystem, gammas_x, gammas_y):
     current = sys
     x_q, y_q = {}, {}
     for axis, gammas, store in (("x", gammas_x or {}, x_q),
@@ -319,7 +322,6 @@ def bivariate_shift(sys: PfaffianSystem, gammas_x=None, gammas_y=None):
             current = _subtract_scalar(current, axis, k, gamma)
             if k >= 1:
                 store[Fraction(k)] = -gamma / k
-    lead_a, lead_b = _leading_constants(current)
     return ScalarShift(tuple(sorted(x_q.items())),
                        tuple(sorted(y_q.items()))), current
 
@@ -378,7 +380,11 @@ def regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     """
     if sys.p != 0 or sys.q != 0:
         raise PreconditionViolated("regular solve needs pole orders (0, 0)")
-    _require_integrable(sys)
+    require_integrable(sys)
+    return _regular_fundamental(sys)
+
+
+def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     n = sys.n
     a00, b00 = _leading_constants(sys)
     comm = qlinalg.sub(qlinalg.mul(a00, b00), qlinalg.mul(b00, a00))
@@ -521,12 +527,6 @@ class SolutionData:
             total = g if total is None else total.compose(g)
         return total.matrix()
 
-    def q1_diag(self):
-        return self.q1
-
-    def q2_diag(self):
-        return self.q2
-
     def complete(self) -> bool:
         return self.blocked is None
 
@@ -542,7 +542,7 @@ def formal_fundamental(sys: PfaffianSystem) -> SolutionData:
     """Full orchestration of splitting, shifting, rank reduction and the
     regular solve; emits the complete fundamental-matrix data or a partial
     result naming the blocking step."""
-    _require_integrable(sys)
+    require_integrable(sys)
     data = SolutionData(n=sys.n, s=(1, 1), q1=[{} for _ in range(sys.n)],
                         q2=[{} for _ in range(sys.n)], lambda1=None,
                         lambda2=None)
@@ -613,7 +613,7 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
     current = sys
     while True:
         if current.p == 0 and current.q == 0:
-            reg = regular_fundamental(current)
+            reg = _regular_fundamental(current)
             data.gauge_trace.append(
                 _embed_gauge(reg.gauge, coords, data.n, tx, ty)
             )
@@ -624,7 +624,7 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
         # Pole-0 eigenvalue separation belongs to the regular solve; only
         # split along an axis whose pole is positive (never resonant).
         if _split_axis_choice(current, positive_pole_only=True) is not None:
-            gauge, blocks = bivariate_splitting(current, positive_pole_only=True)
+            gauge, blocks = _bivariate_splitting(current, positive_pole_only=True)
             data.gauge_trace.append(_embed_gauge(gauge, coords, data.n, tx, ty))
             off = 0
             for blk in blocks:
@@ -647,7 +647,7 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
                     factor=fc,
                 )
             if gamma != 0:
-                shift, current = bivariate_shift(
+                shift, current = _bivariate_shift(
                     current,
                     gammas_x={pole: gamma} if axis == "x" else None,
                     gammas_y={pole: gamma} if axis == "y" else None,
@@ -660,14 +660,14 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
             continue
         # Leading pair nilpotent with a positive pole: Moser-reduce.
         before = (current.p, current.q)
-        gauge, reduced, _ = rank_reduce(current)
+        gauge, reduced, _ = _rank_reduce(current)
         if (reduced.p, reduced.q) < before:
             data.gauge_trace.append(_embed_gauge(gauge, coords, data.n, tx, ty))
             current = reduced
             continue
         # Moser-irreducible, nilpotent leading pair: the remaining
         # exponential behavior is ramified; report per-axis data and stop.
-        k1, k2 = katz_pair(current)
+        k1, k2 = _katz_and_rank(current)[0]
         data.s = (k1.denominator, k2.denominator)
         data.blocked = "ramified-bivariate-assembly"
         for axis, store in (("x", data.q1), ("y", data.q2)):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import DimensionMismatch, IntegrabilityViolation, InvariantViolation
 from .matrices import LaurentMatrix, SeriesMatrix, series_rank
 from .series import BiSeries
 
@@ -136,6 +136,19 @@ def check_integrability(sys: PfaffianSystem):
     return r.is_zero(), r.window
 
 
+def require_integrable(sys: PfaffianSystem):
+    """Certify integrability at a public entry point.
+
+    Every gauge maps an integrable system to an integrable one, so the
+    systems derived from a certified input are not checked again.
+    """
+    ok, window = check_integrability(sys)
+    if not ok:
+        raise IntegrabilityViolation(
+            "system is not integrable within the window", window=window
+        )
+
+
 # -- gauge transformations ----------------------------------------------------
 
 
@@ -196,12 +209,6 @@ class GaugeTransform:
             out = out * f
         return out.normalize()
 
-    def inverse_matrix(self) -> LaurentMatrix:
-        out = self.factors[-1].inverse()
-        for f in reversed(self.factors[:-1]):
-            out = out * f.inverse()
-        return out.normalize()
-
     def inverse(self) -> "GaugeTransform":
         return GaugeTransform(
             factors=tuple(f.inverse() for f in reversed(self.factors)),
@@ -225,9 +232,13 @@ class GaugeResult:
         ax, by = self.ax.normalize(), self.by.normalize()
         return ax.py <= 0 and by.px <= 0
 
-    def poincare_ranks(self):
-        ax, by = self.ax.normalize(), self.by.normalize()
-        return (max(ax.px, 0), max(by.py, 0))
+    def compatible_with(self, sys: PfaffianSystem) -> bool:
+        """True iff this image of sys keeps normal crossings and elevates
+        neither Poincare rank."""
+        if not self.normal_crossings():
+            return False
+        out = self.to_system(strict=False)
+        return out.p <= sys.p and out.q <= sys.q
 
     def to_system(self, strict=True) -> PfaffianSystem:
         ax, by = self.ax.normalize(), self.by.normalize()
@@ -259,16 +270,7 @@ def apply_gauge(sys: PfaffianSystem, gauge: GaugeTransform) -> GaugeResult:
     return GaugeResult(sys.n, ax, by)
 
 
-def apply_gauge_system(sys: PfaffianSystem, gauge: GaugeTransform,
-                       strict=True) -> PfaffianSystem:
-    return apply_gauge(sys, gauge).to_system(strict=strict)
-
-
 def check_compatible(sys: PfaffianSystem, gauge: GaugeTransform) -> bool:
     """True iff the gauge preserves normal crossings and elevates neither
     Poincare rank."""
-    res = apply_gauge(sys, gauge)
-    if not res.normal_crossings():
-        return False
-    sys2 = res.to_system(strict=False)
-    return sys2.p <= sys.p and sys2.q <= sys.q
+    return apply_gauge(sys, gauge).compatible_with(sys)

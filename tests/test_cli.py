@@ -1,6 +1,8 @@
 import json
 import shutil
 
+import pytest
+
 from pfaffred.cli import main
 from pfaffred.io import parse_document, parse_system, serialize_system
 
@@ -48,10 +50,11 @@ def test_check_fixtures(tmp_path, capsys):
     assert "integrable" in out
 
 
-def test_check_perturbed(tmp_path):
+@pytest.mark.parametrize("command", ["check", "reduce", "expparts", "katz", "solve"])
+def test_check_perturbed(tmp_path, command):
     path = tmp_path / "perturbed.json"
     path.write_text(json.dumps(perturbed_doc()))
-    assert main(["check", str(path)]) == 1
+    assert main([command, str(path)]) == 1
 
 
 def test_check_missing_file(tmp_path):
@@ -165,6 +168,20 @@ def test_trunc_override(tmp_path, capsys):
                  "--trunc-x", "5", "--trunc-y", "5"]) == 0
     out = capsys.readouterr().out
     assert "(5, 5)" in out  # the residual window reflects the override
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trunc-x", "0"],
+    ["--trunc-x", "-3"],
+    ["--trunc-x", "1000000000", "--trunc-y", "1000000000", "--strict"],
+], ids=["zero", "negative", "sentinel"])
+def test_trunc_out_of_range(flags, capsys):
+    # 10**9 is the exactness sentinel: truncated data must never read as
+    # exact, so windows must stay below it.
+    assert main(["check", str(fixture_path("exm.json")), *flags]) == 2
+    captured = capsys.readouterr()
+    assert "ParseError" in captured.err
+    assert "exact" not in captured.out
 
 
 def test_strict_mode():
