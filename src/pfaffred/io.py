@@ -10,14 +10,16 @@ A system document is a single JSON object:
     }
 
 Each term contributes matrix * x^i y^j to the series part of the
-corresponding subsystem; rationals are strings "num/den" (or "num") and
-are written in lowest terms.  Parsing round-trips losslessly.
+corresponding subsystem; rationals are JSON integers or strings "num/den"
+(or "num") of ASCII digits with an optional sign, and are written in
+lowest terms.  Parsing round-trips losslessly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from .errors import InvariantViolation, ParseError
@@ -25,16 +27,20 @@ from .matrices import SeriesMatrix
 from .series import BiSeries
 from .system import PfaffianSystem
 
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
 
 def _rat(text, where):
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str):
-        raise ParseError(f"rational must be a string: {text!r}", field=where)
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ParseError(f"rational must be an integer or a string "
+                         f"'num/den': {text!r}", field=where)
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}", field=where) from None
+    except ZeroDivisionError:
+        raise ParseError(f"bad rational {text!r}: zero denominator",
+                         field=where) from None
 
 
 def _rat_str(f: Fraction) -> str:

@@ -273,7 +273,7 @@ def _det_expand(m, rows, col):
     sign = 1
     for idx, r in enumerate(rows):
         e = m.at(r, col)
-        if not e.is_zero():
+        if not (e.exact and e.is_zero()):
             rest = rows[:idx] + rows[idx + 1 :]
             term = e * _det_expand(m, rest, col + 1)
             if sign * (-1) ** idx < 0:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import qlinalg
 from .errors import (
     IntegrabilityViolation,
     PreconditionViolated,
@@ -116,53 +117,14 @@ class ThetaPolynomial:
         return f"Theta(deg<={len(self.coeffs) - 1}, zero={self.is_zero()})"
 
 
-def _lambda_det(mat_rows, n, zero):
-    """Determinant of a matrix of lambda-polynomials with BiSeries
-    coefficients (low degree first).  Cofactor expansion; n stays small."""
-
-    def poly_mul(a, b):
-        out = [None] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b):
-                if cb.is_zero():
-                    continue
-                t = ca * cb
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        return [zero if c is None else c for c in out]
-
-    def poly_add(a, b):
-        m = max(len(a), len(b))
-        return [
-            (a[k] if k < len(a) else zero) + (b[k] if k < len(b) else zero)
-            for k in range(m)
-        ]
-
-    def expand(rows, col):
-        if not rows:
-            return [BiSeries.const(1, zero.tx, zero.ty)]
-        acc = None
-        for idx, r in enumerate(rows):
-            entry = mat_rows[r][col]
-            if all(c.is_zero() for c in entry):
-                continue
-            rest = rows[:idx] + rows[idx + 1 :]
-            term = poly_mul(entry, expand(rest, col + 1))
-            if idx % 2:
-                term = [-c for c in term]
-            acc = term if acc is None else poly_add(acc, term)
-        return acc if acc is not None else [zero]
-
-    return expand(list(range(n)), 0)
-
-
 def theta_poly(sys: PfaffianSystem, axis: str) -> ThetaPolynomial:
     """Criterion polynomial of one subsystem.
 
     Computed as the coefficient of main^(n-r) in det(A0 + main*(A1 + l I)),
     which equals the pole-cleared determinant formula because every lower
-    coefficient mixes more than r columns of the rank-r matrix A0.
+    coefficient mixes more than r columns of the rank-r matrix A0.  With
+    M = A0 + main*A1, det(M + l*main*I) = sum_k c_k(-M) main^k l^k, where
+    c_k is the t^k coefficient of the characteristic polynomial.
     """
     if moser_rank(sys, axis) <= 1:
         raise PreconditionViolated(
@@ -174,19 +136,13 @@ def theta_poly(sys: PfaffianSystem, axis: str) -> ThetaPolynomial:
     a1 = work.amat.coeff_matrix("x", 1)
     r = series_rank(a0.eval_zero_matrix("x"), "y")
     tx, ty = work.amat.window
-    zero = BiSeries.zero(tx, ty)
     x = BiSeries.monomial(1, 1, 0, tx, ty)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            const = a0.at(i, j) + x * a1.at(i, j)
-            row.append([const, x if i == j else zero])
-        rows.append(row)
-    det = _lambda_det(rows, n, zero)
+    minus_m = [[-(a0.at(i, j) + x * a1.at(i, j)) for j in range(n)]
+               for i in range(n)]
+    cp = qlinalg.charpoly(minus_m, BiSeries.const(1, tx, ty))
     coeffs = []
     for k in range(n - r + 1):
-        c = det[k] if k < len(det) else zero
+        c = cp[k].shift(k, 0)
         if not c.exact and c.tx <= n - r:
             raise TruncationExhausted(
                 "window too small to read the criterion coefficient",
@@ -393,8 +349,6 @@ def _complete_unimodular(basis: SeriesMatrix, m: int):
     """Complete the columns of `basis` (saturated, full rank over the
     series ring) to a unimodular m x m matrix with determinant exactly 1.
     None if the basis is not a direct summand on this window."""
-    from . import qlinalg
-
     k = basis.cols
     tx, ty = basis.window
     const = basis.constant_part()
@@ -617,9 +571,9 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str):
         p_b = current.p if axis == "x" else current.q
         r_b = _subsystem_rank(current, axis)
         m_b = moser_rank(current, axis)
-        res = apply_gauge(current, g)
-        compat = res.compatible_with(current)
-        nxt = res.to_system(strict=False)
+        # to_system raises InvariantViolation when normal crossings break.
+        nxt = apply_gauge(current, g).to_system(strict=False)
+        compat = nxt.p <= current.p and nxt.q <= current.q
         steps.append(
             ReductionStep(
                 axis=axis,

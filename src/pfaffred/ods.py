@@ -28,7 +28,7 @@ from .errors import (
     ReductionError,
 )
 from .matrices import SeriesMatrix
-from .moser import _lambda_det, reduce_axis, theta_poly
+from .moser import reduce_axis, theta_poly
 from .polyq import factor_rational
 from .series import BiSeries
 from .system import GaugeTransform, PfaffianSystem, apply_gauge
@@ -325,22 +325,10 @@ def katz_invariant_ods(ods: OdsSystem) -> Fraction:
         return Fraction(0)
     n, p, var = ods.n, ods.p, ods.var
     tx, ty = ods.amat.window
-    zero = BiSeries.zero(tx, ty)
-    pole_mon = BiSeries.monomial(1, p if var == "x" else 0,
-                                 p if var == "y" else 0, tx, ty)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append([-ods.amat.at(i, j), pole_mon if i == j else zero])
-        rows.append(row)
-    det = _lambda_det(rows, n, zero)
-    pts = []
-    for k in range(n + 1):
-        c = det[k] if k < len(det) else zero
-        if c.is_zero():
-            continue
-        pts.append((k, c.val(var) - n * p))
+    # det(l v^p I - A) = sum_k c_k(A) v^(pk) l^k, read relative to v^(np).
+    cp = qlinalg.charpoly(ods.amat.to_rows(), BiSeries.const(1, tx, ty))
+    pts = [(k, c.val(var) + p * k - n * p)
+           for k, c in enumerate(cp) if not c.is_zero()]
     return _max_lower_hull_slope(pts)
 
 

@@ -3,10 +3,13 @@
 Matrices are tuples of tuples of Fraction.  Everything here is plain
 fraction-free-enough Gaussian elimination; sizes stay small (the systems
 being reduced are a handful of rows), so clarity wins over asymptotics.
+The exception is charpoly, which is division-free and so also serves
+matrices of series (the criterion polynomial, the Katz Newton polygon).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -126,39 +129,37 @@ def inverse(a):
     return t
 
 
-def det(a):
-    n = len(a)
-    m = [list(row) for row in a]
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            d = -d
-        d *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [c - f * e for c, e in zip(m[r], m[col])]
-    return d
+def charpoly(a, one=Fraction(1)):
+    """Characteristic polynomial det(tI - a) as coefficients low to high.
 
-
-def charpoly(a):
-    """Characteristic polynomial det(tI - a) as coefficients low to high."""
-    n = len(a)
-    # Faddeev-LeVerrier: exact over Q.
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
-    for k in range(1, n + 1):
-        mk = mul(a, m)
-        c = -Fraction(sum(mk[i][i] for i in range(n))) / k
-        coeffs[n - k] = c
-        m = add(mk, scale(identity(n), c))
-    return coeffs
+    Berkowitz's division-free algorithm (S. J. Berkowitz, IPL 18, 1984):
+    entries are only added, subtracted and multiplied, so the rows may hold
+    Fractions or the elements of any commutative ring, e.g. BiSeries with
+    `one` their unit.  Leading principal blocks grow one row at a time:
+    with B the previous block, c the new column above the diagonal, r the
+    new row left of it and a the new diagonal entry,
+    det(tI - [[B, c], [r, a]]) = (t - a) p_B(t) - r adj(tI - B) c, and
+    adj(tI - B) = sum_k p_B[k] sum_(j<k) t^(k-1-j) B^j (Cayley-Hamilton).
+    """
+    zero = one * 0
+    poly = [one]
+    for m in range(len(a)):
+        # w[j] = r B^j c for j < m.
+        col = [a[i][m] for i in range(m)]
+        w = []
+        for j in range(m):
+            if j:
+                col = [sum(map(operator.mul, a[i], col), zero)
+                       for i in range(m)]
+            w.append(sum(map(operator.mul, a[m], col), zero))
+        new = [zero] + poly
+        for k, c in enumerate(poly):
+            new[k] -= a[m][m] * c
+        for s in range(m):
+            for j in range(m - s):
+                new[s] -= poly[s + 1 + j] * w[j]
+        poly = new
+    return poly
 
 
 def poly_eval_matrix(coeffs, a):

@@ -232,14 +232,6 @@ class GaugeResult:
         ax, by = self.ax.normalize(), self.by.normalize()
         return ax.py <= 0 and by.px <= 0
 
-    def compatible_with(self, sys: PfaffianSystem) -> bool:
-        """True iff this image of sys keeps normal crossings and elevates
-        neither Poincare rank."""
-        if not self.normal_crossings():
-            return False
-        out = self.to_system(strict=False)
-        return out.p <= sys.p and out.q <= sys.q
-
     def to_system(self, strict=True) -> PfaffianSystem:
         ax, by = self.ax.normalize(), self.by.normalize()
         if ax.py > 0 or by.px > 0:
@@ -273,4 +265,8 @@ def apply_gauge(sys: PfaffianSystem, gauge: GaugeTransform) -> GaugeResult:
 def check_compatible(sys: PfaffianSystem, gauge: GaugeTransform) -> bool:
     """True iff the gauge preserves normal crossings and elevates neither
     Poincare rank."""
-    return apply_gauge(sys, gauge).compatible_with(sys)
+    res = apply_gauge(sys, gauge)
+    if not res.normal_crossings():
+        return False
+    out = res.to_system(strict=False)
+    return out.p <= sys.p and out.q <= sys.q

@@ -7,6 +7,10 @@ inverses.  A member succeeds when the Moser rank max(0, p + rank/n)
 strictly drops after pole renormalization.  Reducible test instances are
 generated as family images of rank-deficient seeds, so every reducible
 instance is family-witnessable; theta soundness covers the converse.
+
+The module also keeps the cofactor expansion over lambda-polynomials that
+computed theta and the Katz Newton polygon before qlinalg.charpoly did,
+as that function's reference.
 """
 
 import random
@@ -14,7 +18,8 @@ from fractions import Fraction
 
 from pfaffred import qlinalg
 from pfaffred.matrices import SeriesMatrix
-from pfaffred.moser import moser_rank
+from pfaffred.moser import _flip, moser_rank
+from pfaffred.ods import _max_lower_hull_slope
 from pfaffred.series import BiSeries
 from pfaffred.system import GaugeTransform, PfaffianSystem, apply_gauge
 
@@ -28,7 +33,7 @@ def constant_candidates(seed=2024, count=10):
         m = tuple(
             tuple(Fraction(rng.randint(-2, 2)) for _ in range(2)) for _ in range(2)
         )
-        if qlinalg.det(m) != 0:
+        if qlinalg.rank(m) == len(m):
             out.append(m)
             out.append(qlinalg.inverse(m))
     return out
@@ -146,3 +151,86 @@ def _max_degree(mat):
         for (i, j) in e.coeffs:
             deg = max(deg, i, j)
     return deg
+
+
+# -- the cofactor expansion that computed theta and the Katz polygon ----------
+# _lambda_det is verbatim; the two readers below are its old callers' bodies.
+
+
+def _lambda_det(mat_rows, n, zero):
+    """Determinant of a matrix of lambda-polynomials with BiSeries
+    coefficients (low degree first).  Cofactor expansion; n stays small."""
+
+    def poly_mul(a, b):
+        out = [None] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca.is_zero():
+                continue
+            for j, cb in enumerate(b):
+                if cb.is_zero():
+                    continue
+                t = ca * cb
+                out[i + j] = t if out[i + j] is None else out[i + j] + t
+        return [zero if c is None else c for c in out]
+
+    def poly_add(a, b):
+        m = max(len(a), len(b))
+        return [
+            (a[k] if k < len(a) else zero) + (b[k] if k < len(b) else zero)
+            for k in range(m)
+        ]
+
+    def expand(rows, col):
+        if not rows:
+            return [BiSeries.const(1, zero.tx, zero.ty)]
+        acc = None
+        for idx, r in enumerate(rows):
+            entry = mat_rows[r][col]
+            if all(c.is_zero() for c in entry):
+                continue
+            rest = rows[:idx] + rows[idx + 1 :]
+            term = poly_mul(entry, expand(rest, col + 1))
+            if idx % 2:
+                term = [-c for c in term]
+            acc = term if acc is None else poly_add(acc, term)
+        return acc if acc is not None else [zero]
+
+    return expand(list(range(n)), 0)
+
+
+def lambda_theta_coeffs(sys, axis, r):
+    """Criterion coefficients of det(A0 + x(A1 + l I)) at x^(n-r), by the
+    cofactor expansion (y-axis coefficients come back in x, unswapped)."""
+    work = sys if axis == "x" else _flip(sys)
+    n = work.n
+    a0 = work.amat.coeff_matrix("x", 0)
+    a1 = work.amat.coeff_matrix("x", 1)
+    tx, ty = work.amat.window
+    zero = BiSeries.zero(tx, ty)
+    x = BiSeries.monomial(1, 1, 0, tx, ty)
+    rows = [[[a0.at(i, j) + x * a1.at(i, j), x if i == j else zero]
+             for j in range(n)] for i in range(n)]
+    det = _lambda_det(rows, n, zero)
+    out = []
+    for k in range(n - r + 1):
+        c = det[k] if k < len(det) else zero
+        out.append(BiSeries({(0, j): v for (i, j), v in c.coeffs.items()
+                             if i == n - r}, c.tx, c.ty, exact=c.exact))
+    return out
+
+
+def lambda_katz(ods):
+    """Katz invariant from the Newton polygon of det(l v^p I - A), by the
+    cofactor expansion; ods must be normalized and Moser-irreducible."""
+    n, p, var = ods.n, ods.p, ods.var
+    if p == 0:
+        return Fraction(0)
+    tx, ty = ods.amat.window
+    zero = BiSeries.zero(tx, ty)
+    pole_mon = BiSeries.monomial(1, p if var == "x" else 0,
+                                 p if var == "y" else 0, tx, ty)
+    rows = [[[-ods.amat.at(i, j), pole_mon if i == j else zero]
+             for j in range(n)] for i in range(n)]
+    det = _lambda_det(rows, n, zero)
+    pts = [(k, c.val(var) - n * p) for k, c in enumerate(det) if not c.is_zero()]
+    return _max_lower_hull_slope(pts)

@@ -19,7 +19,7 @@ from pfaffred.solutions import (
     regular_fundamental,
     true_poincare_rank,
 )
-from pfaffred.system import PfaffianSystem
+from pfaffred.system import GaugeResult, PfaffianSystem
 
 from conftest import const_mat, fixture_path
 
@@ -59,10 +59,19 @@ def test_katz_command_checks_once(monkeypatch, capsys):
 
 def test_rank_reduce_applies_each_gauge_once(monkeypatch, exmnaive):
     gauges = count_calls(monkeypatch, "apply_gauge")
+    conversions = []
+    to_system = GaugeResult.to_system
+
+    def counted(self, *args, **kwargs):
+        conversions.append(self)
+        return to_system(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaugeResult, "to_system", counted)
     _, reduced, report = rank_reduce(exmnaive)
     assert (reduced.p, reduced.q) == (0, 0)
     assert len(report.steps) == 12
     assert len(gauges) == 12
+    assert len(conversions) == 12
 
 
 def _non_integrable():

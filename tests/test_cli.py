@@ -1,10 +1,12 @@
 import json
 import shutil
+from fractions import Fraction
 
 import pytest
 
 from pfaffred.cli import main
 from pfaffred.io import parse_document, parse_system, serialize_system
+from pfaffred.series import INF_ORDER
 
 from conftest import fixture_path
 
@@ -43,6 +45,31 @@ def test_parse_negative_exponent(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
+def one_entry_doc(value):
+    return {"n": 1, "p": 0, "q": 0, "trunc_x": 4, "trunc_y": 4,
+            "A_terms": [{"i": 0, "j": 0, "matrix": [[value]]}], "B_terms": []}
+
+
+@pytest.mark.parametrize("value", [
+    True, False, None, 0.5, 2.0, [1], "1e3", "0.5", "1/0", "1/2/3", " 1",
+    "1 / 2", "", "/2", "inf", "nan", "1_000", "\u0663",
+])
+def test_parse_rejects_bad_rational(tmp_path, value, capsys):
+    # Rationals are ints or strings "num" / "num/den" with ASCII digits.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(one_entry_doc(value)))
+    assert main(["check", str(path)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, expected", [
+    (3, 3), ("3", 3), ("-3/4", Fraction(-3, 4)), ("+2/6", Fraction(1, 3)),
+])
+def test_parse_accepts_rational(value, expected):
+    sys_obj = parse_document(one_entry_doc(value))
+    assert sys_obj.amat.at(0, 0).coeff(0, 0) == expected
+
+
 def test_check_fixtures(tmp_path, capsys):
     assert main(["check", str(fixture_path("exm.json"))]) == 0
     assert main(["check", str(fixture_path("exmnaive.json"))]) == 0
@@ -77,6 +104,19 @@ def test_reduce_writes_sibling(tmp_path, capsys):
     # Ranks never increase within a step on the sheared axis.
     for s in report["results"]["steps"]:
         assert s["moser"][1] <= s["moser"][0] or s["kind"] != "shearing"
+
+
+def test_reduce_truncated_theta_is_window_certified(tmp_path):
+    # Truncated data: every zero acceptance names its finite window; the
+    # second theta_x used to read as exact, at the sentinel.
+    path = copy_fixture(tmp_path, "exmnaive.json")
+    report_path = tmp_path / "report.json"
+    assert main(["reduce", str(path), "--trunc-x", "8", "--trunc-y", "8",
+                 "--report", str(report_path)]) == 0
+    windows = json.loads(report_path.read_text())["windows"]
+    assert windows and all(INF_ORDER not in z["window"] for z in windows)
+    theta_x = [z["window"] for z in windows if z["what"] == "theta_x"]
+    assert theta_x[1] == [6, 8]
 
 
 def test_reduce_irreducible_fixture(tmp_path):

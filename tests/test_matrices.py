@@ -78,6 +78,20 @@ def test_det_examples():
     assert a0.det().is_zero()
 
 
+def test_det_keeps_window_zero_entries():
+    # c is zero only on its window (3, 3): det = 1 - c and the inverse's
+    # (1, 0) entry -c are known on that window, not exactly.
+    c = BiSeries({}, 3, 3)
+    one = BiSeries.const(1, T, T)
+    m = SeriesMatrix.from_rows([[one, one], [c, one]])
+    det = m.det()
+    assert not det.exact and det.window == (3, 3)
+    assert det == one
+    low = LaurentMatrix(m).inverse().series.at(1, 0)
+    assert not low.exact and low.window == (3, 3)
+    assert low.is_zero()
+
+
 def test_invert_identity():
     inv = LaurentMatrix(eye()).inverse()
     assert inv.px == 0 and inv.py == 0
