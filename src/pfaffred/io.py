@@ -13,6 +13,10 @@ Each term contributes matrix * x^i y^j to the series part of the
 corresponding subsystem; rationals are JSON integers or strings "num/den"
 (or "num") of ASCII digits with an optional sign, and are written in
 lowest terms.  Parsing round-trips losslessly.
+
+Limits: 1 <= n <= MAX_N, checked before any n x n grid is allocated, and
+1 <= trunc_x, trunc_y < INF_ORDER, the range of --trunc-x/-y (INF_ORDER
+is the internal "exact" sentinel).  Anything else is a ParseError.
 """
 
 from __future__ import annotations
@@ -24,10 +28,14 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, ParseError
 from .matrices import SeriesMatrix
-from .series import BiSeries
+from .series import INF_ORDER, BiSeries
 from .system import PfaffianSystem
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+# Largest accepted system size.  Far past what the cofactor determinants
+# reach; it bounds the grids allocated while parsing.
+MAX_N = 32
 
 
 def _rat(text, where):
@@ -99,14 +107,15 @@ def parse_document(doc: dict) -> PfaffianSystem:
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     n = _nonneg_int(doc, "n")
-    if n < 1:
-        raise ParseError("n must be positive", field="n")
+    if not 1 <= n <= MAX_N:
+        raise ParseError(f"n must satisfy 1 <= n <= {MAX_N}", field="n")
     p = _nonneg_int(doc, "p")
     q = _nonneg_int(doc, "q")
     tx = _nonneg_int(doc, "trunc_x")
     ty = _nonneg_int(doc, "trunc_y")
-    if tx < 1 or ty < 1:
-        raise ParseError("truncation orders must be at least 1", field="trunc_x")
+    for key, t in (("trunc_x", tx), ("trunc_y", ty)):
+        if not 1 <= t < INF_ORDER:
+            raise ParseError(f"{key} must satisfy 1 <= t < {INF_ORDER}", field=key)
     amat = _terms_to_matrix(doc.get("A_terms", []), n, tx, ty, "A_terms")
     bmat = _terms_to_matrix(doc.get("B_terms", []), n, tx, ty, "B_terms")
     if p > 0 and amat.eval_zero_matrix("x").is_zero():

@@ -22,7 +22,7 @@ from .errors import (
     SingularMatrix,
     TruncationExhausted,
 )
-from .series import BiSeries, q
+from .series import BiSeries, dot, q
 
 
 class SeriesMatrix:
@@ -161,14 +161,13 @@ class SeriesMatrix:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                s = None
-                for k in range(self.cols):
-                    t = self.at(i, k) * other.at(k, j)
-                    s = t if s is None else s + t
-                out.append(s)
+        # Each entry is one fused sum of products, with the window of the
+        # sequential sum of its series products.
+        out = [
+            dot(zip(self.row(i), other.entries[j :: other.cols]))
+            for i in range(self.rows)
+            for j in range(other.cols)
+        ]
         return SeriesMatrix(self.rows, other.cols, out)
 
     def scale(self, c):
@@ -391,7 +390,12 @@ def _divide(a: BiSeries, b: BiSeries, var: str) -> BiSeries:
         raise TruncationExhausted(
             "pivot is not monomial times unit on its window", window=b.window
         )
-    return a.divide_monomial(dx, dy) * b0.invert()
+    q0 = a.divide_monomial(dx, dy)
+    if not q0.coeffs:
+        # A window-zero quotient times a unit is itself: the unit's
+        # constant term keeps the window at q0's.
+        return q0
+    return q0 * b0.invert()
 
 
 def column_echelon(m: SeriesMatrix, var: str):
@@ -434,7 +438,7 @@ def column_echelon(m: SeriesMatrix, var: str):
         # valuation >= the pivot's by pivot selection, so division is exact.
         for j in range(placed + 1, ncols):
             e = work[pi][j]
-            if e.is_zero():
+            if e.exact and e.is_zero():
                 continue
             f = _divide(e, pivot, var)
             for i in range(nrows):

@@ -5,12 +5,15 @@ fraction-free-enough Gaussian elimination; sizes stay small (the systems
 being reduced are a handful of rows), so clarity wins over asymptotics.
 The exception is charpoly, which is division-free and so also serves
 matrices of series (the criterion polynomial, the Katz Newton polygon).
+Products put each row and each column over its common denominator and
+sum integer numerators, so each entry is normalized once.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch, SingularMatrix
 from .series import q
@@ -46,10 +49,19 @@ def scale(a, c):
 def mul(a, b):
     if len(a[0]) != len(b):
         raise DimensionMismatch(f"{len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    bt = list(zip(*b))
+    rows = [_numerators(row) for row in a]
+    cols = [_numerators(col) for col in zip(*b)]
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(Fraction(sum(map(operator.mul, ra, cb)), da * db) for db, cb in cols)
+        for da, ra in rows
     )
+
+
+def _numerators(vec):
+    """(d, [numerator]): every entry is numerator / d, with d the lcm of
+    the denominators."""
+    d = lcm(*[x.denominator for x in vec])
+    return d, [x.numerator * (d // x.denominator) for x in vec]
 
 
 def transpose(a):

@@ -7,12 +7,17 @@ truncated: known on the rectangle i < tx, j < ty and unknown outside it.
 All operations propagate the guaranteed window pessimistically, so zero
 tests and equality are certified claims about the window; on exact inputs
 the verdicts are unconditional.  Coefficients are fractions.Fraction in
-lowest terms; zero coefficients are never stored.
+lowest terms; zero coefficients are never stored.  Products run on
+integer numerators over one common denominator and normalize each output
+coefficient once.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from itertools import groupby, product
+from math import lcm
 
 from .errors import TruncationExhausted, ZeroConstantTerm
 
@@ -28,8 +33,71 @@ def q(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def _graded(support):
-    return sorted(support, key=lambda e: (e[0] + e[1], e))
+def _numerators(coeffs):
+    """(d, [(exponent, numerator)]): every coefficient is numerator / d,
+    with d the lcm of the denominators."""
+    d = lcm(*[c.denominator for c in coeffs.values()])
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in coeffs.items()]
+
+
+def dot(pairs):
+    """The sum of a * b over pairs (a, b) of BiSeries, with the window that
+    the sequential sum of the products has.
+
+    The sum is exact iff every product is, and its nominal orders are then
+    the maximum over all operands.  Otherwise its window is the minimum
+    over the truncated products' windows, each from the product rule (the
+    unknown terms of one factor enter at the other factor's valuation, per
+    variable), and only terms inside it are kept.  An exact zero factor
+    makes an exact zero product.  The terms are accumulated as integer
+    numerators over one common denominator.
+    """
+    pairs = list(pairs)
+    exact = True
+    tx = ty = INF_ORDER
+    for a, b in pairs:
+        if (a.exact and not a.coeffs) or (b.exact and not b.coeffs):
+            continue
+        if not (a.exact and b.exact):
+            exact = False
+            tx = min(tx, a.val_x() + b._eff_tx(), b.val_x() + a._eff_tx())
+            ty = min(ty, a.val_y() + b._eff_ty(), b.val_y() + a._eff_ty())
+    # Each product's numerators over its own denominator da * db, inside
+    # the window; b's terms are grouped in rows of equal x-exponent.
+    products = []
+    jmax = 0
+    for a, b in pairs:
+        da, na = _numerators(a.coeffs)
+        db, nb = _numerators(b.coeffs)
+        na = [t for t in na if t[0][0] < tx and t[0][1] < ty]
+        nb = sorted(t for t in nb if t[0][0] < tx and t[0][1] < ty)
+        if na and nb:
+            jmax = max(jmax, max(j for (_, j), _ in na) + max(j for (_, j), _ in nb))
+            rows = [(i, [(j, v) for (_, j), v in row])
+                    for i, row in groupby(nb, key=lambda t: t[0][0])]
+            products.append((da * db, na, rows))
+    # Exponents (i, j) of the sum are packed as i * stride + j.
+    stride = jmax + 1
+    den = lcm(*[d for d, _, _ in products])
+    acc = defaultdict(int)
+    for d, na, rows in products:
+        scale = den // d
+        for (i1, j1), x in na:
+            x *= scale
+            ilim, jlim = tx - i1, ty - j1
+            for i2, row in rows:
+                if i2 >= ilim:
+                    break
+                base = (i1 + i2) * stride + j1
+                for j2, y in row:
+                    if j2 >= jlim:
+                        break
+                    acc[base + j2] += x * y
+    out = {divmod(e, stride): Fraction(s, den) for e, s in acc.items() if s}
+    if exact:
+        return BiSeries(out, max(max(a.tx, b.tx) for a, b in pairs),
+                        max(max(a.ty, b.ty) for a, b in pairs), exact=True)
+    return BiSeries(out, tx, ty)
 
 
 class BiSeries:
@@ -176,29 +244,7 @@ class BiSeries:
                 return BiSeries.zero(self.tx, self.ty)
             return BiSeries({e: v * c for e, v in self.coeffs.items()},
                             self.tx, self.ty, exact=self.exact)
-        if (self.exact and not self.coeffs) or (other.exact and not other.coeffs):
-            return BiSeries.zero(max(self.tx, other.tx), max(self.ty, other.ty))
-        exact = self.exact and other.exact
-        # Unknown terms of one factor enter at the other factor's
-        # valuation, per variable.
-        tx = min(self.val_x() + other._eff_tx(), other.val_x() + self._eff_tx())
-        ty = min(self.val_y() + other._eff_ty(), other.val_y() + self._eff_ty())
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if not exact and (i >= tx or j >= ty):
-                    continue
-                e = (i, j)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        if exact:
-            return BiSeries(out, max(self.tx, other.tx),
-                            max(self.ty, other.ty), exact=True)
-        return BiSeries(out, min(tx, INF_ORDER), min(ty, INF_ORDER))
+        return dot([(self, other)])
 
     __rmul__ = __mul__
 
@@ -215,8 +261,11 @@ class BiSeries:
             return BiSeries({(0, 0): 1 / c0}, self.tx, self.ty, exact=True)
         tx, ty = self.tx, self.ty
         inv = {(0, 0): 1 / c0}
-        todo = [(i, j) for i in range(tx) for j in range(ty) if (i, j) != (0, 0)]
-        for i, j in _graded(todo):
+        # Cell (i, j) reads only cells (i - k, j - l) with (k, l) != (0, 0),
+        # all of which come before it in row-major order.
+        for i, j in product(range(tx), range(ty)):
+            if (i, j) == (0, 0):
+                continue
             s = Fraction(0)
             for (k, l), a in self.coeffs.items():
                 if (k, l) == (0, 0) or k > i or l > j:
@@ -394,20 +443,20 @@ class UniSeries:
         if (self.exact and not self.coeffs) or (other.exact and not other.coeffs):
             return UniSeries.zero(max(self.trunc, other.trunc))
         exact = self.exact and other.exact
-        t = min(self.val() + other._eff(), other.val() + self._eff())
-        out = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                if not exact and i + j >= t:
-                    continue
-                s = out.get(i + j, Fraction(0)) + a * b
-                if s:
-                    out[i + j] = s
-                elif i + j in out:
-                    del out[i + j]
+        t = min(self.val() + other._eff(), other.val() + self._eff(), INF_ORDER)
+        da, na = _numerators(self.coeffs)
+        db, nb = _numerators(other.coeffs)
+        nb.sort()
+        acc = defaultdict(int)
+        for i, a in na:
+            for j, b in nb:
+                if i + j >= t:
+                    break
+                acc[i + j] += a * b
+        out = {e: Fraction(s, da * db) for e, s in acc.items() if s}
         if exact:
             return UniSeries(out, max(self.trunc, other.trunc), exact=True)
-        return UniSeries(out, min(t, INF_ORDER))
+        return UniSeries(out, t)
 
     __rmul__ = __mul__
 

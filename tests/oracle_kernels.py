@@ -1,0 +1,112 @@
+"""Reference kernels: the dict-of-Fraction bodies that the integer-numerator
+kernels in series, matrices and qlinalg replaced, kept verbatim apart from
+taking their operands as arguments.
+
+They multiply term by term in Fraction arithmetic, one gcd per term pair,
+and build a matrix product as a sequential sum of series products, so
+their windows follow directly from BiSeries.__mul__ and __add__.  The
+unit inverse is the graded fill that BiSeries.invert used before it
+filled the window in row-major order.
+"""
+
+from fractions import Fraction
+
+from pfaffred.errors import ZeroConstantTerm
+from pfaffred.matrices import SeriesMatrix
+from pfaffred.series import INF_ORDER, BiSeries, UniSeries
+
+
+def bi_mul(self, other):
+    """BiSeries product of two series."""
+    if (self.exact and not self.coeffs) or (other.exact and not other.coeffs):
+        return BiSeries.zero(max(self.tx, other.tx), max(self.ty, other.ty))
+    exact = self.exact and other.exact
+    # Unknown terms of one factor enter at the other factor's
+    # valuation, per variable.
+    tx = min(self.val_x() + other._eff_tx(), other.val_x() + self._eff_tx())
+    ty = min(self.val_y() + other._eff_ty(), other.val_y() + self._eff_ty())
+    out = {}
+    for (i1, j1), c1 in self.coeffs.items():
+        for (i2, j2), c2 in other.coeffs.items():
+            i, j = i1 + i2, j1 + j2
+            if not exact and (i >= tx or j >= ty):
+                continue
+            e = (i, j)
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    if exact:
+        return BiSeries(out, max(self.tx, other.tx),
+                        max(self.ty, other.ty), exact=True)
+    return BiSeries(out, min(tx, INF_ORDER), min(ty, INF_ORDER))
+
+
+def uni_mul(self, other):
+    """UniSeries product of two series."""
+    if (self.exact and not self.coeffs) or (other.exact and not other.coeffs):
+        return UniSeries.zero(max(self.trunc, other.trunc))
+    exact = self.exact and other.exact
+    t = min(self.val() + other._eff(), other.val() + self._eff())
+    out = {}
+    for i, a in self.coeffs.items():
+        for j, b in other.coeffs.items():
+            if not exact and i + j >= t:
+                continue
+            s = out.get(i + j, Fraction(0)) + a * b
+            if s:
+                out[i + j] = s
+            elif i + j in out:
+                del out[i + j]
+    if exact:
+        return UniSeries(out, max(self.trunc, other.trunc), exact=True)
+    return UniSeries(out, min(t, INF_ORDER))
+
+
+def matrix_mul(self, other):
+    """SeriesMatrix product as a sequential sum of series products."""
+    out = []
+    for i in range(self.rows):
+        for j in range(other.cols):
+            s = None
+            for k in range(self.cols):
+                t = bi_mul(self.at(i, k), other.at(k, j))
+                s = t if s is None else s + t
+            out.append(s)
+    return SeriesMatrix(self.rows, other.cols, out)
+
+
+def qmul(a, b):
+    """Product of constant Fraction matrices."""
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def _graded(support):
+    return sorted(support, key=lambda e: (e[0] + e[1], e))
+
+
+def invert(self):
+    """Multiplicative inverse of a unit series, filled in graded order."""
+    c0 = self.coeff(0, 0)
+    if c0 == 0:
+        raise ZeroConstantTerm("cannot invert a series with zero constant term")
+    if self.exact and len(self.coeffs) == 1:
+        return BiSeries({(0, 0): 1 / c0}, self.tx, self.ty, exact=True)
+    tx, ty = self.tx, self.ty
+    inv = {(0, 0): 1 / c0}
+    todo = [(i, j) for i in range(tx) for j in range(ty) if (i, j) != (0, 0)]
+    for i, j in _graded(todo):
+        s = Fraction(0)
+        for (k, l), a in self.coeffs.items():
+            if (k, l) == (0, 0) or k > i or l > j:
+                continue
+            b = inv.get((i - k, j - l))
+            if b is not None:
+                s += a * b
+        if s:
+            inv[(i, j)] = -s / c0
+    return BiSeries(inv, tx, ty)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pfaffred.cli import main
-from pfaffred.io import parse_document, parse_system, serialize_system
+from pfaffred.io import MAX_N, parse_document, parse_system, serialize_system
 from pfaffred.series import INF_ORDER
 
 from conftest import fixture_path
@@ -68,6 +68,31 @@ def test_parse_rejects_bad_rational(tmp_path, value, capsys):
 def test_parse_accepts_rational(value, expected):
     sys_obj = parse_document(one_entry_doc(value))
     assert sys_obj.amat.at(0, 0).coeff(0, 0) == expected
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", MAX_N + 1), ("trunc_x", INF_ORDER), ("trunc_y", INF_ORDER),
+    ("trunc_x", 0), ("trunc_y", 0),
+])
+def test_parse_rejects_out_of_range_sizes(tmp_path, key, value, capsys):
+    # n and the document windows are bounded before any grid is built.
+    doc = one_entry_doc("1")
+    doc[key] = value
+    if key == "n":
+        doc["A_terms"] = []
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
+def test_parse_accepts_largest_sizes():
+    doc = one_entry_doc("1")
+    doc["trunc_x"] = doc["trunc_y"] = INF_ORDER - 1
+    assert parse_document(doc).amat.at(0, 0).window == (INF_ORDER - 1,) * 2
+    doc = one_entry_doc("1")
+    doc["n"], doc["A_terms"] = MAX_N, []
+    assert parse_document(doc).n == MAX_N
 
 
 def test_check_fixtures(tmp_path, capsys):

@@ -1,0 +1,143 @@
+"""Differential tests: the integer-numerator kernels against the
+dict-of-Fraction bodies they replaced (tests/oracle_kernels.py).
+
+Each product must give the same coefficients, the same `exact` flag and
+the same nominal orders or window as the reference, on exact, truncated,
+window-zero and mixed operands, exact zeros with differing nominal orders
+included.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+import oracle_kernels as oracle
+from pfaffred import qlinalg
+from pfaffred.matrices import SeriesMatrix
+from pfaffred.series import BiSeries, UniSeries, dot
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def bi_series(draw, max_order=5):
+    """Exact or truncated, possibly zero on its window, possibly with
+    exact terms beyond its nominal orders."""
+    exact = draw(st.booleans())
+    tx = draw(st.integers(0 if not exact else 1, max_order))
+    ty = draw(st.integers(0 if not exact else 1, max_order))
+    exps = st.tuples(st.integers(0, max_order + 1), st.integers(0, max_order + 1))
+    coeffs = draw(st.dictionaries(exps, rationals, max_size=10))
+    return BiSeries(coeffs, tx, ty, exact=exact)
+
+
+@st.composite
+def uni_series(draw, max_order=6):
+    exact = draw(st.booleans())
+    trunc = draw(st.integers(0 if not exact else 1, max_order))
+    coeffs = draw(st.dictionaries(st.integers(0, max_order + 1), rationals,
+                                  max_size=8))
+    return UniSeries(coeffs, trunc, exact=exact)
+
+
+def series_matrices(rows, cols):
+    return st.lists(bi_series(4), min_size=rows * cols,
+                    max_size=rows * cols).map(
+        lambda entries: SeriesMatrix(rows, cols, entries))
+
+
+def same_bi(got, want):
+    assert got.coeffs == want.coeffs
+    assert got.exact == want.exact
+    assert (got.tx, got.ty) == (want.tx, want.ty)
+
+
+def same_uni(got, want):
+    assert got.coeffs == want.coeffs
+    assert got.exact == want.exact
+    assert got.trunc == want.trunc
+
+
+@given(bi_series(), bi_series())
+def test_bi_product_matches_reference(a, b):
+    same_bi(a * b, oracle.bi_mul(a, b))
+
+
+@given(uni_series(), uni_series())
+def test_uni_product_matches_reference(a, b):
+    same_uni(a * b, oracle.uni_mul(a, b))
+
+
+@given(st.lists(st.tuples(bi_series(4), bi_series(4)), min_size=1, max_size=4))
+def test_dot_matches_sequential_sum(pairs):
+    want = None
+    for a, b in pairs:
+        t = oracle.bi_mul(a, b)
+        want = t if want is None else want + t
+    same_bi(dot(pairs), want)
+
+
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda shape: st.tuples(series_matrices(shape[0], shape[1]),
+                            series_matrices(shape[1], shape[2]))))
+def test_matrix_product_matches_sequential_sum(ab):
+    a, b = ab
+    got, want = a * b, oracle.matrix_mul(a, b)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    for g, w in zip(got.entries, want.entries):
+        same_bi(g, w)
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(st.lists(rationals, min_size=shape[1], max_size=shape[1]),
+                 min_size=shape[0], max_size=shape[0]),
+        st.lists(st.lists(rationals, min_size=shape[2], max_size=shape[2]),
+                 min_size=shape[1], max_size=shape[1]))))
+def test_constant_product_matches_reference(ab):
+    a, b = (qlinalg.qmat(m) for m in ab)
+    got = qlinalg.mul(a, b)
+    assert got == oracle.qmul(a, b)
+    assert all(isinstance(c, Fraction) for row in got for c in row)
+
+
+@given(bi_series(), rationals.filter(bool))
+def test_invert_matches_graded_fill(s, c0):
+    coeffs = dict(s.coeffs)
+    coeffs[(0, 0)] = c0
+    u = BiSeries(coeffs, max(s.tx, 1), max(s.ty, 1), exact=s.exact)
+    same_bi(u.invert(), oracle.invert(u))
+
+
+def test_exact_zeros_keep_the_largest_nominal_orders():
+    z35 = BiSeries.zero(3, 5)
+    z62 = BiSeries.zero(6, 2)
+    one = BiSeries.const(1, 2, 2)
+    for pairs in ([(z35, one)], [(one, z62)], [(z35, z62), (one, one)]):
+        want = None
+        for a, b in pairs:
+            t = oracle.bi_mul(a, b)
+            want = t if want is None else want + t
+        same_bi(dot(pairs), want)
+    assert dot([(z35, one), (one, z62)]).window == (6, 5)
+
+
+def test_window_zero_and_exact_mix():
+    """A window-zero factor truncates the sum; an exact zero does not."""
+    c = BiSeries({}, 3, 3)
+    x = BiSeries.monomial(1, 1, 0, 8, 8)
+    one = BiSeries.const(1, 8, 8)
+    got = dot([(one, one), (c, x)])
+    same_bi(got, oracle.bi_mul(one, one) + oracle.bi_mul(c, x))
+    assert not got.exact and got.window == (4, 3)
+    exact = dot([(one, one), (BiSeries.zero(3, 3), x)])
+    assert exact.exact and exact.coeffs == {(0, 0): 1}
+
+
+def test_matrix_product_of_fixture_data(exm, exmnaive):
+    for sys_obj in (exm, exmnaive):
+        for a in (sys_obj.amat, sys_obj.bmat):
+            for b in (sys_obj.amat, sys_obj.bmat.truncated(5, 4)):
+                got, want = a * b, oracle.matrix_mul(a, b)
+                for g, w in zip(got.entries, want.entries):
+                    same_bi(g, w)

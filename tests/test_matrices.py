@@ -92,6 +92,17 @@ def test_det_keeps_window_zero_entries():
     assert low.is_zero()
 
 
+def test_kernel_eliminates_window_zero_entries():
+    # c is zero only on its window (3, 3): the kernel of [1, c] is
+    # [-c, 1], whose first entry is known on that window, not exactly.
+    c = BiSeries({}, 3, 3)
+    m = SeriesMatrix.from_rows([[BiSeries.const(1, T, T), c]])
+    basis = kernel_basis(m, "y")
+    top, bottom = basis.at(0, 0), basis.at(1, 0)
+    assert top.is_zero() and not top.exact and top.window == (3, 3)
+    assert bottom.exact and bottom == BiSeries.const(1, T, T)
+
+
 def test_invert_identity():
     inv = LaurentMatrix(eye()).inverse()
     assert inv.px == 0 and inv.py == 0
