@@ -14,9 +14,10 @@ corresponding subsystem; rationals are JSON integers or strings "num/den"
 (or "num") of ASCII digits with an optional sign, and are written in
 lowest terms.  Parsing round-trips losslessly.
 
-Limits: 1 <= n <= MAX_N, checked before any n x n grid is allocated, and
-1 <= trunc_x, trunc_y < INF_ORDER, the range of --trunc-x/-y (INF_ORDER
-is the internal "exact" sentinel).  Anything else is a ParseError.
+Limits: 1 <= n <= MAX_N, checked before any n x n grid is allocated,
+0 <= p, q <= MAX_POLE, and 1 <= trunc_x, trunc_y < INF_ORDER, the range
+of --trunc-x/-y (INF_ORDER is the internal "exact" sentinel).  Anything
+else is a ParseError.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 # Largest accepted system size.  Far past what the cofactor determinants
 # reach; it bounds the grids allocated while parsing.
 MAX_N = 32
+
+# Largest accepted pole order.  The work of a command grows faster than
+# linearly with p and q: `solve` on fixtures/exm.json with p = 64 takes
+# about 3 s, interpreter start included (2-vCPU VM, Python 3.11).
+MAX_POLE = 64
 
 
 def _rat(text, where):
@@ -111,6 +117,10 @@ def parse_document(doc: dict) -> PfaffianSystem:
         raise ParseError(f"n must satisfy 1 <= n <= {MAX_N}", field="n")
     p = _nonneg_int(doc, "p")
     q = _nonneg_int(doc, "q")
+    for key, pole in (("p", p), ("q", q)):
+        if pole > MAX_POLE:
+            raise ParseError(f"{key} must satisfy 0 <= {key} <= {MAX_POLE}",
+                             field=key)
     tx = _nonneg_int(doc, "trunc_x")
     ty = _nonneg_int(doc, "trunc_y")
     for key, t in (("trunc_x", tx), ("trunc_y", ty)):

@@ -42,7 +42,6 @@ from .system import (
     GaugeTransform,
     PfaffianSystem,
     apply_gauge,
-    leading_data,
     require_integrable,
 )
 
@@ -79,12 +78,8 @@ def _flip_gauge(g: GaugeTransform) -> GaugeTransform:
 
 def moser_rank(sys: PfaffianSystem, axis: str) -> Fraction:
     """max(0, p + r/n) for the chosen subsystem, as an exact rational."""
-    ld = leading_data(sys)
-    if axis == "x":
-        p, r = sys.p, ld.rank_a0
-    else:
-        p, r = sys.q, ld.rank_b0
-    return max(Fraction(0), Fraction(p) + Fraction(r, sys.n))
+    p = sys.p if axis == "x" else sys.q
+    return max(Fraction(0), Fraction(p) + Fraction(sys.leading_rank(axis), sys.n))
 
 
 # -- criterion polynomial --------------------------------------------------------
@@ -134,7 +129,7 @@ def theta_poly(sys: PfaffianSystem, axis: str) -> ThetaPolynomial:
     n = work.n
     a0 = work.amat.coeff_matrix("x", 0)
     a1 = work.amat.coeff_matrix("x", 1)
-    r = series_rank(a0.eval_zero_matrix("x"), "y")
+    r = sys.leading_rank(axis)
     tx, ty = work.amat.window
     x = BiSeries.monomial(1, 1, 0, tx, ty)
     minus_m = [[-(a0.at(i, j) + x * a1.at(i, j)) for j in range(n)]
@@ -527,11 +522,6 @@ class ReductionReport:
         self.zero_acceptances.append({"what": what, "window": list(window)})
 
 
-def _subsystem_rank(sys: PfaffianSystem, axis: str) -> int:
-    ld = leading_data(sys)
-    return ld.rank_a0 if axis == "x" else ld.rank_b0
-
-
 def _check_shear_null_blocks(sys, axis, r, rho):
     """The other subsystem's blocks that the shearing scales by 1/var must
     vanish at var = 0; guaranteed by integrability, verified exactly."""
@@ -551,16 +541,20 @@ def _check_shear_null_blocks(sys, axis, r, rho):
     return other0.window
 
 
-def reduce_subsystem_step(sys: PfaffianSystem, axis: str):
+def reduce_subsystem_step(sys: PfaffianSystem, axis: str,
+                          theta: ThetaPolynomial | None = None):
     """One certified pass: column reduction, arrangement, shearing.
 
-    Returns (gauge, new_system, step_records).  The pair (pole, leading
-    rank) strictly decreases lexicographically.
+    `theta` is the criterion polynomial of `sys` on this axis, when the
+    caller has it already.  Returns (gauge, new_system, step_records).  The
+    pair (pole, leading rank) strictly decreases lexicographically.
     """
     p = sys.p if axis == "x" else sys.q
     if p <= 0:
         raise PreconditionViolated("pole order is zero on this axis")
-    if not theta_poly(sys, axis).is_zero():
+    if theta is None:
+        theta = theta_poly(sys, axis)
+    if not theta.is_zero():
         raise PreconditionViolated("subsystem is Moser-irreducible")
     steps = []
     gauge_total = None
@@ -569,7 +563,7 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str):
     def push(g, kind):
         nonlocal gauge_total, current
         p_b = current.p if axis == "x" else current.q
-        r_b = _subsystem_rank(current, axis)
+        r_b = current.leading_rank(axis)
         m_b = moser_rank(current, axis)
         # to_system raises InvariantViolation when normal crossings break.
         nxt = apply_gauge(current, g).to_system(strict=False)
@@ -581,7 +575,7 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str):
                 p_before=p_b,
                 p_after=nxt.p if axis == "x" else nxt.q,
                 rank_before=r_b,
-                rank_after=_subsystem_rank(nxt, axis),
+                rank_after=nxt.leading_rank(axis),
                 moser_before=m_b,
                 moser_after=moser_rank(nxt, axis),
                 compatible=compat,
@@ -600,10 +594,10 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str):
     _check_shear_null_blocks(current, axis, form.r, form.rho)
     tx, ty = current.window
     p_before = current.p if axis == "x" else current.q
-    r_before = _subsystem_rank(current, axis)
+    r_before = current.leading_rank(axis)
     push(shearing_matrix(form.r, form.rho, current.n, axis, tx, ty), "shearing")
     p_after = current.p if axis == "x" else current.q
-    r_after = _subsystem_rank(current, axis)
+    r_after = current.leading_rank(axis)
     if (p_after, r_after) >= (p_before, r_before):
         raise ReductionError(
             "shearing did not strictly decrease (pole, leading rank): "
@@ -626,7 +620,7 @@ def reduce_axis(sys: PfaffianSystem, axis: str, report: ReductionReport | None =
             break
         if report is not None:
             report.record_zero(f"theta_{axis}", theta.certified_window())
-        g, current, steps = reduce_subsystem_step(current, axis)
+        g, current, steps = reduce_subsystem_step(current, axis, theta)
         if report is not None:
             report.steps.extend(steps)
         gauge_total = g if gauge_total is None else gauge_total.compose(g)

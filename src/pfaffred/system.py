@@ -17,6 +17,7 @@ back to PfaffianSystem validates the normal-crossings invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionMismatch, IntegrabilityViolation, InvariantViolation
 from .matrices import LaurentMatrix, SeriesMatrix, series_rank
@@ -46,6 +47,27 @@ class PfaffianSystem:
         p, amat = _normalize_side(p, amat, "x", strict)
         q, bmat = _normalize_side(q, bmat, "y", strict)
         return cls(n, p, q, amat, bmat)
+
+    # The leading data is derived once per system object, on first use.
+
+    @cached_property
+    def leading(self):
+        """(Amat(0, y), Bmat(x, 0)), evaluated together: a window with no
+        x^0 (or y^0) information fails here, whichever rank is asked."""
+        return self.amat.eval_zero_matrix("x"), self.bmat.eval_zero_matrix("y")
+
+    @cached_property
+    def rank_x(self) -> int:
+        """Rank of Amat(0, y) over the y-series ring."""
+        return series_rank(self.leading[0], "y")
+
+    @cached_property
+    def rank_y(self) -> int:
+        """Rank of Bmat(x, 0) over the x-series ring."""
+        return series_rank(self.leading[1], "x")
+
+    def leading_rank(self, axis) -> int:
+        return self.rank_x if axis == "x" else self.rank_y
 
     @property
     def window(self):
@@ -100,15 +122,14 @@ class LeadingData:
 
 
 def leading_data(sys: PfaffianSystem) -> LeadingData:
-    a0 = sys.amat.eval_zero_matrix("x")
-    b0 = sys.bmat.eval_zero_matrix("y")
+    a0, b0 = sys.leading
     return LeadingData(
         a0=a0,
         b0=b0,
         a00=a0.constant_part(),
         b00=b0.constant_part(),
-        rank_a0=series_rank(a0, "y"),
-        rank_b0=series_rank(b0, "x"),
+        rank_a0=sys.rank_x,
+        rank_b0=sys.rank_y,
     )
 
 
@@ -246,11 +267,104 @@ class GaugeResult:
         )
 
 
-def _gauge_one_factor(ax: LaurentMatrix, by: LaurentMatrix, f: LaurentMatrix,
-                      f_inv: LaurentMatrix):
+def _gauge_one_factor(ax: LaurentMatrix, by: LaurentMatrix, f: LaurentMatrix):
+    """F[A] = F^(-1) (A F - delta F) on both sides, normalized."""
+    exps = _monomial_diagonal(f.series)
+    if exps is not None:
+        return _gauge_monomial_factor(ax, by, f, exps)
+    f_inv = f.inverse()
     new_ax = f_inv * (ax * f - f.delta("x"))
     new_by = f_inv * (by * f - f.delta("y"))
     return new_ax.normalize(), new_by.normalize()
+
+
+def _monomial_diagonal(s: SeriesMatrix):
+    """The exponents (a_i, b_i) when s is exactly diag(x^a_i y^b_i), else None."""
+    exps = []
+    for i in range(s.rows):
+        for j in range(s.cols):
+            e = s.at(i, j)
+            if not e.exact or len(e.coeffs) != (1 if i == j else 0):
+                return None
+            if i == j:
+                [(exp, c)] = e.coeffs.items()
+                if c != 1:
+                    return None
+                exps.append(exp)
+    return exps
+
+
+def _orders(entries):
+    return (max(e.tx for e in entries), max(e.ty for e in entries))
+
+
+def _shift_entries(m: SeriesMatrix, shifts, row_orders, col_orders):
+    """m times a diagonal of monic monomials, as the product rule gives it:
+    entry (i, j) is multiplied by x^dx y^dy with (dx, dy) = shifts(i, j).  A
+    truncated entry's window moves with it; an exact entry takes the nominal
+    orders max(row_orders[i], col_orders[j]) of the operands' row and column."""
+    out = []
+    for i in range(m.rows):
+        for j in range(m.cols):
+            e = m.at(i, j)
+            dx, dy = shifts(i, j)
+            if e.exact:
+                out.append(BiSeries(
+                    {(a + dx, b + dy): c for (a, b), c in e.coeffs.items()},
+                    max(row_orders[i][0], col_orders[j][0]),
+                    max(row_orders[i][1], col_orders[j][1]),
+                    exact=True,
+                ))
+            else:
+                out.append(e.shift(dx, dy))
+    return SeriesMatrix(m.rows, m.cols, out)
+
+
+def _gauge_monomial_factor(ax, by, f: LaurentMatrix, exps):
+    """_gauge_one_factor for f = diag(x^a_i y^b_i) / (x^px y^py), by shifts.
+
+    Entry (i, j) is multiplied by x^(a_j - a_i) y^(b_j - b_i), and
+    diag(a_i - px) (x-side) or diag(b_i - py) (y-side) is subtracted.  The
+    steps and their windows are those of the product path: A F, minus
+    delta F, then times F^(-1) = diag(x^(ma - a_i) y^(mb - b_i)) /
+    (x^(ma - px) y^(mb - py)), with (ma, mb) the largest exponents.  Row i
+    of F^(-1) has the nominal orders its adjugate path gives: the largest
+    of the determinant unit's and the minors' (every entry of F outside
+    column i), less the monomial content that normalization strips."""
+    s = f.series
+    n = s.rows
+    ma = max(a for a, _ in exps)
+    mb = max(b for _, b in exps)
+    sa = sum(a for a, _ in exps)
+    sb = sum(b for _, b in exps)
+    whole = s.window
+
+    def cut(t, dx, dy):
+        # The orders of an exact series divided by x^dx y^dy.
+        if dx == 0 and dy == 0:
+            return t
+        return (max(t[0] - dx, 1), max(t[1] - dy, 1))
+
+    unit = cut(whole, sa, sb)
+    inv_rows = []
+    for i in range(n):
+        minors = whole if n == 1 else _orders(
+            [s.at(r, c) for r in range(n) for c in range(n) if c != i])
+        inv_rows.append(cut((max(minors[0], unit[0]), max(minors[1], unit[1])),
+                            sa - ma, sb - mb))
+    f_cols = [_orders(s.entries[j::n]) for j in range(n)]
+
+    def side(lm, var):
+        x = lm.series
+        prod = _shift_entries(x, lambda i, j: exps[j],
+                              [_orders(x.row(i)) for i in range(n)], f_cols)
+        m = LaurentMatrix(prod, lm.px + f.px, lm.py + f.py) - f.delta(var)
+        ms = m.series
+        out = _shift_entries(ms, lambda i, j: (ma - exps[i][0], mb - exps[i][1]),
+                             inv_rows, [_orders(ms.entries[j::n]) for j in range(n)])
+        return LaurentMatrix(out, ma - f.px + m.px, mb - f.py + m.py).normalize()
+
+    return side(ax, "x"), side(by, "y")
 
 
 def apply_gauge(sys: PfaffianSystem, gauge: GaugeTransform) -> GaugeResult:
@@ -258,7 +372,7 @@ def apply_gauge(sys: PfaffianSystem, gauge: GaugeTransform) -> GaugeResult:
     ax = sys.a_laurent()
     by = sys.b_laurent()
     for f in gauge.factors:
-        ax, by = _gauge_one_factor(ax, by, f, f.inverse())
+        ax, by = _gauge_one_factor(ax, by, f)
     return GaugeResult(sys.n, ax, by)
 
 

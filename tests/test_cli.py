@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pfaffred.cli import main
-from pfaffred.io import MAX_N, parse_document, parse_system, serialize_system
+from pfaffred.io import MAX_N, MAX_POLE, parse_document, parse_system, serialize_system
 from pfaffred.series import INF_ORDER
 
 from conftest import fixture_path
@@ -93,6 +93,21 @@ def test_parse_accepts_largest_sizes():
     doc = one_entry_doc("1")
     doc["n"], doc["A_terms"] = MAX_N, []
     assert parse_document(doc).n == MAX_N
+
+
+@pytest.mark.parametrize("key", ["p", "q"])
+def test_parse_pole_bound(tmp_path, key, capsys):
+    # Pole orders up to MAX_POLE parse; one more is a parse error, exit 2.
+    doc = one_entry_doc("1")
+    doc["B_terms"] = [{"i": 0, "j": 0, "matrix": [["1"]]}]
+    doc[key] = MAX_POLE
+    sys_obj = parse_document(doc)
+    assert (sys_obj.p, sys_obj.q)[key == "q"] == MAX_POLE
+    doc[key] = MAX_POLE + 1
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    assert f"{key} must satisfy" in capsys.readouterr().err
 
 
 def test_check_fixtures(tmp_path, capsys):

@@ -1,0 +1,117 @@
+"""Diagonal factors of monic monomials are applied by shifts; the result
+must equal the general product path (tests/oracle_gauge.py) entry for
+entry: coefficients, exact flags, windows, nominal orders and poles."""
+
+from hypothesis import given, strategies as st
+
+from pfaffred.matrices import LaurentMatrix, SeriesMatrix
+from pfaffred.moser import shearing_matrix
+from pfaffred.series import BiSeries
+from pfaffred.system import _gauge_one_factor, _monomial_diagonal
+
+from oracle_gauge import _gauge_one_factor as oracle_one_factor
+
+KINDS = ("exact", "zero", "truncated", "window-zero")
+orders = st.integers(1, 6)
+terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    max_size=3,
+)
+
+
+@st.composite
+def entries(draw, kinds):
+    kind = draw(st.sampled_from(kinds))
+    tx, ty = draw(orders), draw(orders)
+    if kind == "exact":
+        return BiSeries(draw(terms), tx, ty, exact=True)
+    if kind == "zero":
+        return BiSeries.zero(tx, ty)
+    if kind == "truncated":
+        return BiSeries(draw(terms), tx, ty)
+    return BiSeries({}, tx, ty)
+
+
+@st.composite
+def laurent(draw, n):
+    # One kind, or a mix of kinds, per matrix.  Exact entries come first:
+    # their nominal orders are where the two paths can differ.
+    kinds = draw(st.sampled_from([("exact", "zero"), KINDS, ("exact",)]
+                                 + [(k,) for k in KINDS[1:]]))
+    cells = [draw(entries(kinds)) for _ in range(n * n)]
+    return LaurentMatrix(SeriesMatrix(n, n, cells),
+                         draw(st.integers(-2, 3)), draw(st.integers(-2, 3)))
+
+
+@st.composite
+def monomial_factor(draw, n):
+    """diag(x^a_i y^b_i) over x^px y^py, each entry with its own nominal
+    orders; sometimes inverted by the adjugate path, as an inverse
+    shearing is."""
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            tx, ty = draw(orders), draw(orders)
+            if i == j:
+                cells.append(BiSeries.monomial(
+                    1, draw(st.integers(0, 3)), draw(st.integers(0, 3)), tx, ty))
+            else:
+                cells.append(BiSeries.zero(tx, ty))
+    f = LaurentMatrix(SeriesMatrix(n, n, cells),
+                      draw(st.integers(-1, 3)), draw(st.integers(-1, 3)))
+    return f.inverse() if draw(st.booleans()) else f
+
+
+def outcome(fn, *args):
+    try:
+        return [
+            (m.px, m.py, [(e.coeffs, e.exact, e.tx, e.ty) for e in m.series.entries])
+            for m in fn(*args)
+        ]
+    except Exception as exc:  # both paths must fail alike
+        return type(exc).__name__
+
+
+def assert_same_as_products(ax, by, f):
+    assert _monomial_diagonal(f.series) is not None
+    want = outcome(oracle_one_factor, ax, by, f, f.inverse())
+    assert outcome(_gauge_one_factor, ax, by, f) == want
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(laurent(n), laurent(n), monomial_factor(n))))
+def test_monomial_factor_matches_products(args):
+    assert_same_as_products(*args)
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(laurent(n), laurent(n), orders, orders)))
+def test_identity_factor_matches_products(args):
+    ax, by, tx, ty = args
+    assert_same_as_products(ax, by, LaurentMatrix(
+        SeriesMatrix.identity(ax.n, tx, ty)))
+
+
+def test_shearing_and_its_inverse_match_products(exmnaive):
+    ax, by = exmnaive.a_laurent(), exmnaive.b_laurent()
+    for var in ("x", "y"):
+        g = shearing_matrix(1, 0, 2, var, *exmnaive.window)
+        for f in g.factors + g.inverse().factors:
+            assert_same_as_products(ax, by, f)
+
+
+def test_other_factors_take_the_product_path():
+    one = BiSeries.const(1, 4, 4)
+    zero = BiSeries.zero(4, 4)
+    x = BiSeries.monomial(1, 1, 0, 4, 4)
+    for cells in (
+        [BiSeries.const(2, 4, 4), zero, zero, one],      # not monic
+        [one, x, zero, one],                              # off-diagonal term
+        [one.truncated(4, 4), zero, zero, one],           # truncated
+        [x + one, zero, zero, one],                       # not a monomial
+        [one, BiSeries({}, 4, 4), zero, one],             # window-zero
+    ):
+        assert _monomial_diagonal(SeriesMatrix(2, 2, cells)) is None
+    assert _monomial_diagonal(SeriesMatrix(2, 2, [x, zero, zero, one])) == [
+        (1, 0), (0, 0)]
