@@ -28,7 +28,7 @@ from .errors import (
     PfaffredError,
     TruncationExhausted,
 )
-from .io import document_digest, parse_system, write_system
+from .io import MAX_WINDOW, check_window, document_digest, parse_system, write_system
 from .moser import rank_reduce
 from .series import INF_ORDER
 from .solutions import _katz_and_rank, exponential_parts, formal_fundamental
@@ -60,9 +60,8 @@ def _q_poly_str(terms: dict, var: str) -> str:
 
 def _load(args):
     for flag, value in (("--trunc-x", args.trunc_x), ("--trunc-y", args.trunc_y)):
-        if value is not None and not 1 <= value < INF_ORDER:
-            raise ParseError(f"{flag} must satisfy 1 <= t < {INF_ORDER}, "
-                             f"got {value}", field=flag)
+        if value is not None:
+            check_window(value, flag)
     sys_obj = parse_system(args.path)
     if args.trunc_x is not None or args.trunc_y is not None:
         tx, ty = sys_obj.window
@@ -314,9 +313,9 @@ def build_parser():
         p = sub.add_parser(name, help=help_)
         p.add_argument("path", help="system document (JSON)")
         p.add_argument("--trunc-x", type=int, default=None,
-                       help=f"override the x truncation order (1 <= t < {INF_ORDER})")
+                       help=f"override the x truncation order (1 <= t <= {MAX_WINDOW})")
         p.add_argument("--trunc-y", type=int, default=None,
-                       help=f"override the y truncation order (1 <= t < {INF_ORDER})")
+                       help=f"override the y truncation order (1 <= t <= {MAX_WINDOW})")
         p.add_argument("--report", default=None,
                        help="write a JSON report to this path")
         p.add_argument("--strict", action="store_true",

@@ -15,9 +15,8 @@ corresponding subsystem; rationals are JSON integers or strings "num/den"
 lowest terms.  Parsing round-trips losslessly.
 
 Limits: 1 <= n <= MAX_N, checked before any n x n grid is allocated,
-0 <= p, q <= MAX_POLE, and 1 <= trunc_x, trunc_y < INF_ORDER, the range
-of --trunc-x/-y (INF_ORDER is the internal "exact" sentinel).  Anything
-else is a ParseError.
+0 <= p, q <= MAX_POLE, and 1 <= trunc_x, trunc_y <= MAX_WINDOW, the range
+of --trunc-x/-y too.  Anything else is a ParseError.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, ParseError
 from .matrices import SeriesMatrix
-from .series import INF_ORDER, BiSeries
+from .series import BiSeries
 from .system import PfaffianSystem
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
@@ -37,6 +36,14 @@ _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 # Largest accepted system size.  Far past what the cofactor determinants
 # reach; it bounds the grids allocated while parsing.
 MAX_N = 32
+
+# Largest accepted truncation order, in the document and on the command
+# line.  It bounds the work of every command: a unit inverse fills up to
+# tx * ty coefficients.  At 128, `solve` takes about 3 s on either
+# fixture (2-vCPU VM, Python 3.11); at 1000 it takes minutes.  It is far
+# below INF_ORDER, the internal "exact" sentinel, which is therefore never
+# a legal window.
+MAX_WINDOW = 128
 
 # Largest accepted pole order.  The work of a command grows faster than
 # linearly with p and q: `solve` on fixtures/exm.json with p = 64 takes
@@ -66,6 +73,13 @@ def _nonneg_int(doc, key):
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise ParseError(f"{key} must be a nonnegative integer", field=key)
     return v
+
+
+def check_window(t, where):
+    """A truncation order must satisfy 1 <= t <= MAX_WINDOW."""
+    if not 1 <= t <= MAX_WINDOW:
+        raise ParseError(f"{where} must satisfy 1 <= t <= {MAX_WINDOW}, got {t}",
+                         field=where)
 
 
 def _terms_to_matrix(terms, n, tx, ty, side):
@@ -124,8 +138,7 @@ def parse_document(doc: dict) -> PfaffianSystem:
     tx = _nonneg_int(doc, "trunc_x")
     ty = _nonneg_int(doc, "trunc_y")
     for key, t in (("trunc_x", tx), ("trunc_y", ty)):
-        if not 1 <= t < INF_ORDER:
-            raise ParseError(f"{key} must satisfy 1 <= t < {INF_ORDER}", field=key)
+        check_window(t, key)
     amat = _terms_to_matrix(doc.get("A_terms", []), n, tx, ty, "A_terms")
     bmat = _terms_to_matrix(doc.get("B_terms", []), n, tx, ty, "B_terms")
     if p > 0 and amat.eval_zero_matrix("x").is_zero():

@@ -64,13 +64,13 @@ def _flip(sys: PfaffianSystem) -> PfaffianSystem:
 
 
 def _flip_gauge(g: GaugeTransform) -> GaugeTransform:
-    """Swap x and y in every factor (exactness preserved by _swap_mat)."""
-    return GaugeTransform(
-        factors=tuple(
-            LaurentMatrix(_swap_mat(f.series), f.py, f.px) for f in g.factors
-        ),
-        provenance=g.provenance,
-    )
+    """Swap x and y in every factor and its inverse (exactness preserved by
+    _swap_mat)."""
+    def flip(mats):
+        return tuple(LaurentMatrix(_swap_mat(f.series), f.py, f.px) for f in mats)
+
+    return GaugeTransform(factors=flip(g.factors), inverses=flip(g.inverses),
+                          provenance=g.provenance)
 
 
 # -- Moser rank ----------------------------------------------------------------
@@ -186,31 +186,19 @@ def column_reduce_leading(sys: PfaffianSystem, axis: str) -> GaussForm:
     n = work.n
     a0 = work.amat.coeff_matrix("x", 0).eval_zero_matrix("x")
     v1, _, r, _ = column_echelon(a0, "y")
-    conj = (LaurentMatrix(v1).inverse() * LaurentMatrix(a0) * LaurentMatrix(v1))
+    v1_inv = LaurentMatrix(v1).inverse()
+    conj = v1_inv * LaurentMatrix(a0) * LaurentMatrix(v1)
     a0_conj = _laurent_to_series(conj)
     if a0_conj is None:
         raise ReductionError("column reduction produced a pole")
-    gauge_mats = [v1]
+    gauge = GaugeTransform.of_series(v1, "unimodular-column-reduce", v1_inv)
     d = r
     if r > 0:
         top = a0_conj.submatrix(list(range(r)), list(range(r)))
         v2, _, d, _ = column_echelon(top, "y")
         if d < r:
-            tx, ty = v2.window
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    if i < r and j < r:
-                        row.append(v2.at(i, j))
-                    else:
-                        row.append(BiSeries.const(1 if i == j else 0, tx, ty))
-                rows.append(row)
-            gauge_mats.append(SeriesMatrix.from_rows(rows))
-    gauge = None
-    for m in gauge_mats:
-        g = GaugeTransform.of_series(m, "unimodular-column-reduce")
-        gauge = g if gauge is None else gauge.compose(g)
+            gauge = gauge.compose(GaugeTransform.of_series(
+                _embed_block(v2, 0, n, *v2.window), "unimodular-column-reduce"))
     if axis == "y":
         gauge = _flip_gauge(gauge)
     return GaussForm(gauge=gauge, d=d, r=r)
@@ -297,8 +285,9 @@ def _laurent_to_series(l: LaurentMatrix):
 
 def _certify_split(blocks, d, r, n, v3_basis):
     """Check the shearing-form conditions for a candidate kept-subspace
-    basis of the trailing coordinate space.  Returns (ok, rank_kept, q4);
-    q4 is None when the candidate is the whole space (rho = 0)."""
+    basis of the trailing coordinate space.  Returns (ok, rank_kept, q4):
+    q4 is the pair (Q4, its inverse as a series matrix), or None when the
+    candidate is the whole space (rho = 0)."""
     m = n - r
     W, D, C, E = blocks["W"], blocks["D"], blocks["C"], blocks["E"]
     if v3_basis is None or v3_basis.cols == m:
@@ -337,7 +326,7 @@ def _certify_split(blocks, d, r, n, v3_basis):
         stacked = _vstack_sm([x_mat, y_mat])
         if stacked is not None and series_rank(stacked, "y") != rank_x:
             return False, -1, None
-    return True, rank_x, q4
+    return True, rank_x, (q4, _laurent_to_series(q4_inv))
 
 
 def _complete_unimodular(basis: SeriesMatrix, m: int):
@@ -457,25 +446,12 @@ def prepare_shearing(sys: PfaffianSystem, axis: str) -> ShearingForm:
         if not ok:
             continue
         if q4 is None:
-            gauge = GaugeTransform.of_series(
-                SeriesMatrix.identity(n, tx, ty), "arrange-trailing"
-            )
+            gauge = GaugeTransform.identity(n, tx, ty, "arrange-trailing")
             rho = 0
         else:
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    if i < r and j < r:
-                        row.append(BiSeries.const(1 if i == j else 0, tx, ty))
-                    elif i >= r and j >= r:
-                        row.append(q4.at(i - r, j - r))
-                    else:
-                        row.append(BiSeries.zero(tx, ty))
-                rows.append(row)
-            gauge = GaugeTransform.of_series(
-                SeriesMatrix.from_rows(rows), "arrange-trailing"
-            )
+            q4, q4_inv = (_embed_block(blk, r, n, tx, ty) for blk in q4)
+            gauge = GaugeTransform.of_series(q4, "arrange-trailing",
+                                             LaurentMatrix(q4_inv))
             rho = m - basis.cols
         if axis == "y":
             gauge = _flip_gauge(gauge)
@@ -484,6 +460,17 @@ def prepare_shearing(sys: PfaffianSystem, axis: str) -> ShearingForm:
         "no certified arrangement of the trailing block was found although "
         "the criterion polynomial vanishes; the window may be too small"
     )
+
+
+def _embed_block(block: SeriesMatrix, start, n, tx, ty) -> SeriesMatrix:
+    """The n x n identity with `block` on the diagonal from row `start`; the
+    identity part exact at nominal orders (tx, ty)."""
+    inside = range(start, start + block.rows)
+    return SeriesMatrix.from_rows([
+        [block.at(i - start, j - start) if i in inside and j in inside
+         else BiSeries.const(1 if i == j else 0, tx, ty) for j in range(n)]
+        for i in range(n)
+    ])
 
 
 def shearing_matrix(r, rho, n, var, tx, ty) -> GaugeTransform:
@@ -589,6 +576,15 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str,
 
     gf = column_reduce_leading(current, axis)
     push(gf.gauge, "unimodular-column-reduce")
+    # A unimodular gauge keeps the leading matrix nonzero, so a pole that
+    # fell here means the conjugated leading matrix vanishes only on a
+    # window shrunk by the reduction's unit inversions.
+    if (current.p if axis == "x" else current.q) < p:
+        raise TruncationExhausted(
+            "column reduction left a leading matrix that vanishes only on "
+            f"its window (axis {axis})",
+            window=current.window,
+        )
     form = prepare_shearing(current, axis)
     push(form.gauge, "arrange-trailing")
     _check_shear_null_blocks(current, axis, form.r, form.rho)

@@ -27,7 +27,7 @@ from .errors import (
     PreconditionViolated,
     ReductionError,
 )
-from .matrices import SeriesMatrix
+from .matrices import LaurentMatrix, SeriesMatrix
 from .moser import reduce_axis, theta_poly
 from .polyq import factor_rational
 from .series import BiSeries
@@ -143,63 +143,41 @@ def split_leading(ods: OdsSystem):
     vmat = tuple(tuple(col[i] for col in basis_cols) for i in range(n))
     vinv = qlinalg.inverse(vmat)
     tx, ty = ods.amat.window
-    const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting")
+    const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting",
+                                             inverse=vinv)
     # Series coefficients of the conjugated system.
     conj = qlinalg_conj_series(ods.amat, vmat, vinv)
     trunc = ods.trunc
     s_coeffs = [_coeff_const_matrix(conj, ods.var, k, n) for k in range(trunc)]
     n0 = s_coeffs[0]
-    offs = []
-    off = 0
-    for s in sizes:
-        offs.append((off, off + s))
-        off += s
+    offs = _block_ranges(sizes)
     blocks0 = [qlinalg.submatrix(n0, range(a, b), range(a, b)) for a, b in offs]
     # Solve T = I + sum T_k v^k with off-diagonal T_k only.
-    t_coeffs = [qlinalg.identity(n)] + [None] * (trunc - 1)
-    s_tilde = [n0] + [None] * (trunc - 1)
+    eye = qlinalg.identity(n)
+    t_coeffs = [eye]
+    s_tilde = [n0]
+    solvers = {}
     p = ods.p
     for m in range(1, trunc):
-        r_known = qlinalg.zeros(n, n)
-        for i in range(1, m + 1):
-            if t_coeffs[m - i] is not None:
-                r_known = qlinalg.add(r_known, qlinalg.mul(s_coeffs[i], t_coeffs[m - i]))
-        for j in range(1, m):
-            if t_coeffs[j] is not None and s_tilde[m - j] is not None:
-                r_known = qlinalg.sub(r_known, qlinalg.mul(t_coeffs[j], s_tilde[m - j]))
-        if p >= 1 and m - p >= 1 and t_coeffs[m - p] is not None:
-            r_known = qlinalg.sub(r_known, qlinalg.scale(t_coeffs[m - p], m - p))
-        shift = m if p == 0 else 0
-        t_m = [[Fraction(0)] * n for _ in range(n)]
-        st_m = [[Fraction(0)] * n for _ in range(n)]
-        for ai, (a0_, a1_) in enumerate(offs):
-            for bi, (b0_, b1_) in enumerate(offs):
-                blk = qlinalg.submatrix(r_known, range(a0_, a1_), range(b0_, b1_))
-                if ai == bi:
-                    for i in range(a0_, a1_):
-                        for j in range(b0_, b1_):
-                            st_m[i][j] = blk[i - a0_][j - b0_]
-                    continue
-                na = blocks0[ai]
-                if shift:
-                    na = qlinalg.sub(na, qlinalg.scale(qlinalg.identity(len(na)), shift))
-                sol = qlinalg.sylvester_solve(na, blocks0[bi], qlinalg.scale(blk, -1))
-                if sol is None:
-                    raise NotSplittable(
-                        "resonant Sylvester block at order "
-                        f"{m} (pole 0 with integer eigenvalue difference)"
-                        if p == 0
-                        else "Sylvester block unexpectedly singular"
-                    )
-                for i in range(a0_, a1_):
-                    for j in range(b0_, b1_):
-                        t_m[i][j] = sol[i - a0_][j - b0_]
-        t_coeffs[m] = qlinalg.qmat(t_m)
-        s_tilde[m] = qlinalg.qmat(st_m)
+        terms = [(1, s_coeffs[i], t_coeffs[m - i]) for i in range(1, m + 1)]
+        terms += [(-1, t_coeffs[j], s_tilde[m - j]) for j in range(1, m)]
+        if p >= 1 and m - p >= 1:
+            terms.append((-(m - p), t_coeffs[m - p], eye))
+        step = _split_order(qlinalg.dot(terms), offs, blocks0,
+                            m if p == 0 else 0, solvers)
+        if step is None:
+            raise NotSplittable(
+                "resonant Sylvester block at order "
+                f"{m} (pole 0 with integer eigenvalue difference)"
+                if p == 0
+                else "Sylvester block unexpectedly singular"
+            )
+        t_coeffs.append(step[0])
+        s_tilde.append(step[1])
     var = ods.var
-    t_series = _const_coeffs_to_matrix(t_coeffs, var, tx, ty)
-    gauge = const_gauge.compose(GaugeTransform.of_series(t_series, "splitting"))
-    new_mat = _const_coeffs_to_matrix(s_tilde, var, tx, ty)
+    gauge = const_gauge.compose(
+        unipotent_gauge(_on_axis(t_coeffs, var), n, tx, ty, "splitting"))
+    new_mat = _coeffs_to_matrix(_on_axis(s_tilde, var), n, tx, ty)
     blocks = []
     for (a, b), (_, _, _) in zip(offs, groups):
         sub = new_mat.submatrix(list(range(a, b)), list(range(a, b)))
@@ -214,6 +192,78 @@ def split_leading(ods: OdsSystem):
                 if not (a <= j < b) and not mat.at(i, j).is_zero():
                     raise ReductionError("splitting left a nonzero coupling block")
     return gauge, blocks
+
+
+def _block_ranges(sizes):
+    """[(start, end)] of consecutive diagonal blocks of the given sizes."""
+    offs = []
+    off = 0
+    for s in sizes:
+        offs.append((off, off + s))
+        off += s
+    return offs
+
+
+def _split_order(r_known, offs, blocks0, shift, solvers):
+    """One order of a splitting recursion.
+
+    r_known is the known part of the order's coefficient of S T - T S~.
+    Its diagonal blocks are the order's coefficient of the split system
+    S~; each off-diagonal block (a, b) of T solves
+    (N_a - shift) X - X N_b = -r_known[a, b] with N the leading diagonal
+    blocks.  `solvers` keeps one Sylvester solver per (block pair, shift)
+    across orders.  Returns (T coefficient, S~ coefficient), or None when a
+    block is resonant.
+    """
+    n = len(r_known)
+    t_new = [[Fraction(0)] * n for _ in range(n)]
+    s_new = [[Fraction(0)] * n for _ in range(n)]
+    for ai, (a0, a1) in enumerate(offs):
+        for bi, (b0, b1) in enumerate(offs):
+            if ai == bi:
+                for i in range(a0, a1):
+                    s_new[i][b0:b1] = r_known[i][b0:b1]
+                continue
+            key = (ai, bi, shift)
+            if key not in solvers:
+                na = blocks0[ai]
+                if shift:
+                    na = qlinalg.sub(na, qlinalg.scale(qlinalg.identity(len(na)),
+                                                       shift))
+                solvers[key] = qlinalg.sylvester_solver(na, blocks0[bi])
+            solve = solvers[key]
+            if solve is None:
+                return None
+            blk = qlinalg.submatrix(r_known, range(a0, a1), range(b0, b1))
+            for i, row in enumerate(solve(qlinalg.scale(blk, -1)), a0):
+                t_new[i][b0:b1] = row
+    return tuple(map(tuple, t_new)), tuple(map(tuple, s_new))
+
+
+def unipotent_gauge(t_coeffs, n, tx, ty, kind) -> GaugeTransform:
+    """The gauge T = sum T_(i,j) x^i y^j, with T_(0,0) = I, on the window
+    (tx, ty), carrying its inverse U = sum U_(i,j) x^i y^j.
+
+    U comes from the coefficient recursion U_(0,0) = I and
+    U_k = -sum_(m != 0) T_m U_(k-m), in row-major order of k, each
+    coefficient one dot.  Both are truncated to the window, which is where
+    the adjugate path puts T^(-1) too (its determinant is a unit).
+    """
+    steps = [(e, t) for e, t in t_coeffs.items()
+             if e != (0, 0) and not qlinalg.is_zero(t)]
+    u_coeffs = {(0, 0): t_coeffs[(0, 0)]}
+    # The recursion only reaches exponents on the axes that T moves along.
+    for i in range(tx if any(a for (a, _), _ in steps) else 1):
+        for j in range(ty if any(b for (_, b), _ in steps) else 1):
+            terms = [(-1, t, u_coeffs[(i - a, j - b)]) for (a, b), t in steps
+                     if (i - a, j - b) in u_coeffs]
+            if terms:
+                u = qlinalg.dot(terms)
+                if not qlinalg.is_zero(u):
+                    u_coeffs[(i, j)] = u
+    return GaugeTransform.of_series(
+        _coeffs_to_matrix(t_coeffs, n, tx, ty), kind,
+        LaurentMatrix(_coeffs_to_matrix(u_coeffs, n, tx, ty)))
 
 
 def qlinalg_conj_series(mat: SeriesMatrix, vmat, vinv) -> SeriesMatrix:
@@ -235,19 +285,22 @@ def _coeff_const_matrix(mat: SeriesMatrix, var, k, n):
     return qlinalg.qmat(out)
 
 
-def _const_coeffs_to_matrix(coeffs, var, tx, ty) -> SeriesMatrix:
-    n = len(coeffs[0])
+def _on_axis(coeffs, var):
+    """Coefficients of v^k, listed by k, keyed by their exponent pair."""
+    return {((k, 0) if var == "x" else (0, k)): c for k, c in enumerate(coeffs)}
+
+
+def _coeffs_to_matrix(coeffs, n, tx, ty) -> SeriesMatrix:
+    """The truncated series matrix sum coeffs[(i, j)] x^i y^j on the window
+    (tx, ty), from constant coefficient matrices."""
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             terms = {}
-            for k, c in enumerate(coeffs):
-                if c is None:
-                    continue
-                val = c[i][j]
-                if val:
-                    terms[(k, 0) if var == "x" else (0, k)] = val
+            for e, mat in coeffs.items():
+                if mat[i][j]:
+                    terms[e] = mat[i][j]
             row.append(BiSeries(terms, tx, ty))
         rows.append(row)
     return SeriesMatrix.from_rows(rows)
@@ -526,23 +579,17 @@ def first_kind_fundamental_ods(ods: OdsSystem) -> FirstKindSolution:
     trunc = ods.trunc
     s_coeffs = [_coeff_const_matrix(ods.amat, var, k, n) for k in range(trunc)]
     lam0 = s_coeffs[0]
-    t_coeffs = [qlinalg.identity(n)] + [None] * (trunc - 1)
+    t_coeffs = [qlinalg.identity(n)]
     retained = []
     tri = None
     for m in range(1, trunc):
-        r_known = qlinalg.zeros(n, n)
-        for i in range(1, m + 1):
-            if t_coeffs[m - i] is not None:
-                r_known = qlinalg.add(
-                    r_known, qlinalg.mul(s_coeffs[i], t_coeffs[m - i])
-                )
-        for (k, mat) in retained:
-            if m - k >= 1 and t_coeffs[m - k] is not None:
-                r_known = qlinalg.sub(r_known, qlinalg.mul(t_coeffs[m - k], mat))
+        terms = [(1, s_coeffs[i], t_coeffs[m - i]) for i in range(1, m + 1)]
+        terms += [(-1, t_coeffs[m - k], mat) for k, mat in retained if m - k >= 1]
+        r_known = qlinalg.dot(terms)
         shifted = qlinalg.sub(lam0, qlinalg.scale(qlinalg.identity(n), m))
-        sol = qlinalg.sylvester_solve(shifted, lam0, qlinalg.scale(r_known, -1))
-        if sol is not None:
-            t_coeffs[m] = sol
+        solve = qlinalg.sylvester_solver(shifted, lam0)
+        if solve is not None:
+            t_coeffs.append(solve(qlinalg.scale(r_known, -1)))
             continue
         # Resonant order: split solvable and retained parts in a
         # triangular eigenbasis (requires rational eigenvalues).
@@ -569,12 +616,12 @@ def first_kind_fundamental_ods(ods: OdsSystem) -> FirstKindSolution:
                     t_m[i][j] = acc / coef
                 else:
                     keep[i][j] = -acc
-        t_coeffs[m] = qlinalg.mul(qlinalg.mul(u, qlinalg.qmat(t_m)), uinv)
+        t_coeffs.append(qlinalg.mul(qlinalg.mul(u, qlinalg.qmat(t_m)), uinv))
         keep_back = qlinalg.mul(qlinalg.mul(u, qlinalg.qmat(keep)), uinv)
         if not qlinalg.is_zero(keep_back):
             retained.append((m, keep_back))
     tx, ty = ods.amat.window
-    phi = _const_coeffs_to_matrix(t_coeffs, var, tx, ty)
+    phi = _coeffs_to_matrix(_on_axis(t_coeffs, var), n, tx, ty)
     return FirstKindSolution(
         phi=phi, exponent=lam0, retained=tuple(retained)
     )

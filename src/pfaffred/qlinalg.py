@@ -1,12 +1,18 @@
 """Exact linear algebra over Q for constant matrices.
 
-Matrices are tuples of tuples of Fraction.  Everything here is plain
-fraction-free-enough Gaussian elimination; sizes stay small (the systems
-being reduced are a handful of rows), so clarity wins over asymptotics.
-The exception is charpoly, which is division-free and so also serves
+Matrices are tuples of tuples of Fraction.  Elimination is plain Gaussian
+elimination over Fraction.  charpoly is division-free and so also serves
 matrices of series (the criterion polynomial, the Katz Newton polygon).
-Products put each row and each column over its common denominator and
-sum integer numerators, so each entry is normalized once.
+
+Two kernels carry the order-by-order solvers (splitting, the regular
+solve, the first-kind solve):
+
+- dot, the sum of c * A * B over a list of terms, runs on integer
+  numerators over one common denominator and normalizes each entry once;
+  mul is dot of one pair.
+- sylvester_solver inverts the Kronecker operator of a X - X b once, with
+  one rref, and returns a solver that costs one product per right-hand
+  side.
 """
 
 from __future__ import annotations
@@ -47,21 +53,45 @@ def scale(a, c):
 
 
 def mul(a, b):
-    if len(a[0]) != len(b):
-        raise DimensionMismatch(f"{len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    rows = [_numerators(row) for row in a]
-    cols = [_numerators(col) for col in zip(*b)]
-    return tuple(
-        tuple(Fraction(sum(map(operator.mul, ra, cb)), da * db) for db, cb in cols)
-        for da, ra in rows
-    )
+    return dot([(1, a, b)])
 
 
-def _numerators(vec):
-    """(d, [numerator]): every entry is numerator / d, with d the lcm of
-    the denominators."""
-    d = lcm(*[x.denominator for x in vec])
-    return d, [x.numerator * (d // x.denominator) for x in vec]
+def dot(terms, shape=None):
+    """The sum of c * a * b over terms (c, a, b), c an integer.
+
+    Each matrix is put over the common denominator of its entries; the
+    products are summed as integer numerators over one denominator, so
+    each entry of the sum is normalized once.  `shape` (rows, cols) is the
+    shape of the sum when there are no terms.
+    """
+    prepared = []
+    for c, a, b in terms:
+        if len(a[0]) != len(b):
+            raise DimensionMismatch(
+                f"{len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
+        da, ra = _numerators(a)
+        db, cb = _numerators(tuple(zip(*b)))
+        prepared.append((c, da * db, ra, cb))
+    if not prepared:
+        return zeros(*shape)
+    rows, cols = len(prepared[0][2]), len(prepared[0][3])
+    if any(len(ra) != rows or len(cb) != cols for _, _, ra, cb in prepared):
+        raise DimensionMismatch("terms of a dot have different shapes")
+    den = lcm(*[d for _, d, _, _ in prepared])
+    acc = [[0] * cols for _ in range(rows)]
+    for c, d, ra, cb in prepared:
+        scale = c * (den // d)
+        for acc_row, row in zip(acc, ra):
+            for j, col in enumerate(cb):
+                acc_row[j] += scale * sum(map(operator.mul, row, col))
+    return tuple(tuple(Fraction(s, den) for s in row) for row in acc)
+
+
+def _numerators(m):
+    """(d, rows of numerators): entry (i, j) of m is rows[i][j] / d, with d
+    the lcm of the denominators."""
+    d = lcm(*[x.denominator for row in m for x in row])
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
 
 
 def transpose(a):
@@ -199,12 +229,17 @@ def single_eigenvalue(a):
     return g if is_nilpotent(shifted) else None
 
 
-def sylvester_solve(a, b, c):
-    """Solve a X - X b = c exactly; None if the operator is singular."""
+def sylvester_solver(a, b):
+    """The solver of a X - X b = c for fixed a (n x n) and b (m x m), as a
+    function of c; None when the operator is singular (a and b share an
+    eigenvalue), which callers treat as resonance.
+
+    The n*m x n*m Kronecker operator is inverted once, with one rref; each
+    solve is then one product with the inverse.
+    """
     n, m = len(a), len(b)
     # Row-major vectorization: unknowns X[i][j] at index i*m + j.
     rows = []
-    rhs = []
     for i in range(n):
         for j in range(m):
             row = [Fraction(0)] * (n * m)
@@ -213,16 +248,16 @@ def sylvester_solve(a, b, c):
             for k in range(m):
                 row[i * m + k] -= b[k][j]
             rows.append(tuple(row))
-            rhs.append(c[i][j])
-    sol = solve(qmat(rows), tuple(rhs))
-    if sol is None:
+    _, pivots, op_inv = rref(qmat(rows))
+    if len(pivots) != n * m:
         return None
-    # The operator is square; consistency without uniqueness cannot happen
-    # unless it is singular, which callers treat as resonance.
-    aug_rank = rank(qmat(rows))
-    if aug_rank != n * m:
-        return None
-    return tuple(tuple(sol[i * m + j] for j in range(m)) for i in range(n))
+
+    def solution(c):
+        vec = tuple((c[i][j],) for i in range(n) for j in range(m))
+        x = dot([(1, op_inv, vec)])
+        return tuple(tuple(x[i * m + j][0] for j in range(m)) for i in range(n))
+
+    return solution
 
 
 def submatrix(a, rows, cols):

@@ -28,12 +28,15 @@ from .errors import (
 from .matrices import LaurentMatrix, SeriesMatrix
 from .moser import _rank_reduce
 from .ods import (
+    _block_ranges,
     _common_triangularize,
     _eigen_groups,
+    _split_order,
     associated_ods,
     exponential_parts_ods,
     katz_invariant_ods,
     moser_reduce_ods,
+    unipotent_gauge,
 )
 from .series import BiSeries
 from .system import (
@@ -149,11 +152,7 @@ def _bivariate_splitting(sys: PfaffianSystem, positive_pole_only):
     const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting")
     work = apply_gauge(sys, const_gauge).to_system(strict=False)
 
-    offs = []
-    off = 0
-    for s in sizes:
-        offs.append((off, off + s))
-        off += s
+    offs = _block_ranges(sizes)
     main = work.amat if axis == "x" else work.bmat
     pole = work.p if axis == "x" else work.q
     lead0 = main.constant_part()
@@ -162,73 +161,45 @@ def _bivariate_splitting(sys: PfaffianSystem, positive_pole_only):
     # Solve T = I + sum T_(i,j) x^i y^j (off-diagonal blocks) from the
     # splitting-axis equation; each total-degree slice is triangular in
     # the earlier coefficients.
-    t_coeffs = {(0, 0): qlinalg.identity(n)}
+    eye = qlinalg.identity(n)
+    t_coeffs = {(0, 0): eye}
     s_tilde = {(0, 0): lead0}
+    solvers = {}
     main_coeffs = _bicoeffs(main, n, tx, ty)
     for total in range(1, tx + ty - 1):
         for i in range(max(0, total - ty + 1), min(total, tx - 1) + 1):
             j = total - i
-            r_known = qlinalg.zeros(n, n)
-            for (ci, cj), s_c in main_coeffs.items():
-                ti, tj = i - ci, j - cj
-                if (ti, tj) == (i, j) or ti < 0 or tj < 0:
-                    continue
-                t_c = t_coeffs.get((ti, tj))
-                if t_c is not None:
-                    r_known = qlinalg.add(r_known, qlinalg.mul(s_c, t_c))
-            for (ti, tj), t_c in list(t_coeffs.items()):
-                si, sj = i - ti, j - tj
-                if (si, sj) in ((0, 0), (i, j)) or si < 0 or sj < 0:
-                    continue
-                st = s_tilde.get((si, sj))
-                if st is not None:
-                    r_known = qlinalg.sub(r_known, qlinalg.mul(t_c, st))
-            deriv = i if axis == "x" else j
-            shift = Fraction(0)
+            terms = [(1, s_c, t_coeffs[(i - ci, j - cj)])
+                     for (ci, cj), s_c in main_coeffs.items()
+                     if (ci, cj) != (0, 0) and (i - ci, j - cj) in t_coeffs]
+            terms += [(-1, t_c, s_tilde[(i - ti, j - tj)])
+                      for (ti, tj), t_c in t_coeffs.items()
+                      if (ti, tj) != (0, 0) and (i - ti, j - tj) in s_tilde]
+            shift = 0
             if pole >= 1:
                 key = (i - pole, j) if axis == "x" else (i, j - pole)
                 kk = key[0] if axis == "x" else key[1]
-                if kk >= 1 and t_coeffs.get(key) is not None:
-                    r_known = qlinalg.sub(
-                        r_known, qlinalg.scale(t_coeffs[key], kk)
-                    )
+                if kk >= 1 and key in t_coeffs:
+                    terms.append((-kk, t_coeffs[key], eye))
             else:
-                shift = Fraction(deriv)
-            t_new = [[Fraction(0)] * n for _ in range(n)]
-            st_new = [[Fraction(0)] * n for _ in range(n)]
-            for ai, (a0_, a1_) in enumerate(offs):
-                for bi, (b0_, b1_) in enumerate(offs):
-                    blk = qlinalg.submatrix(
-                        r_known, range(a0_, a1_), range(b0_, b1_)
-                    )
-                    if ai == bi:
-                        for r_ in range(a0_, a1_):
-                            for c_ in range(b0_, b1_):
-                                st_new[r_][c_] = blk[r_ - a0_][c_ - b0_]
-                        continue
-                    na = blocks0[ai]
-                    if shift:
-                        na = qlinalg.sub(
-                            na, qlinalg.scale(qlinalg.identity(len(na)), shift)
-                        )
-                    sol = qlinalg.sylvester_solve(
-                        na, blocks0[bi], qlinalg.scale(blk, -1)
-                    )
-                    if sol is None:
-                        raise NotSplittable(
-                            "resonant Sylvester block during bivariate "
-                            f"splitting at order {(i, j)}"
-                        )
-                    for r_ in range(a0_, a1_):
-                        for c_ in range(b0_, b1_):
-                            t_new[r_][c_] = sol[r_ - a0_][c_ - b0_]
-            if any(any(v for v in row) for row in t_new):
-                t_coeffs[(i, j)] = qlinalg.qmat(t_new)
-            if any(any(v for v in row) for row in st_new):
-                s_tilde[(i, j)] = qlinalg.qmat(st_new)
-    t_series = _bicoeffs_to_matrix(t_coeffs, n, tx, ty)
-    gauge = const_gauge.compose(GaugeTransform.of_series(t_series, "splitting"))
-    res = apply_gauge(sys, gauge)
+                shift = i if axis == "x" else j
+            step = _split_order(qlinalg.dot(terms, (n, n)), offs, blocks0,
+                                shift, solvers)
+            if step is None:
+                raise NotSplittable(
+                    "resonant Sylvester block during bivariate "
+                    f"splitting at order {(i, j)}"
+                )
+            t_new, st_new = step
+            if not qlinalg.is_zero(t_new):
+                t_coeffs[(i, j)] = t_new
+            if not qlinalg.is_zero(st_new):
+                s_tilde[(i, j)] = st_new
+    # The series factor acts on the conjugated system; the gauge of sys
+    # is the constant factor, then the series factor.
+    series_gauge = unipotent_gauge(t_coeffs, n, tx, ty, "splitting")
+    gauge = const_gauge.compose(series_gauge)
+    res = apply_gauge(work, series_gauge)
     full = res.to_system(strict=False)
     for mat in (full.amat, full.bmat):
         for (a, b) in offs:
@@ -266,20 +237,6 @@ def _bicoeffs(mat: SeriesMatrix, n, tx, ty):
                     out[key] = [[Fraction(0)] * n for _ in range(n)]
                 out[key][i][j] = c
     return {k: qlinalg.qmat(v) for k, v in out.items()}
-
-
-def _bicoeffs_to_matrix(coeffs, n, tx, ty) -> SeriesMatrix:
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            for (a, b), mat in coeffs.items():
-                if mat[i][j]:
-                    terms[(a, b)] = mat[i][j]
-            row.append(BiSeries(terms, tx, ty))
-        rows.append(row)
-    return SeriesMatrix.from_rows(rows)
 
 
 # -- bivariate eigenvalue shifting ---------------------------------------------------
@@ -400,7 +357,8 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
         )
     u, uinv, (l1, l2) = tri
     tx, ty = sys.window
-    const_gauge = GaugeTransform.of_constant(u, tx, ty, kind="constant")
+    const_gauge = GaugeTransform.of_constant(u, tx, ty, kind="constant",
+                                             inverse=uinv)
     work = apply_gauge(sys, const_gauge).to_system(strict=False)
     d1 = [l1[i][i] for i in range(n)]
     d2 = [l2[i][i] for i in range(n)]
@@ -453,9 +411,7 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
                     bt_coeffs[(ri, rj)][rk][rl] = vy
             if any(any(v for v in row) for row in t_new):
                 t_coeffs[(i, j)] = qlinalg.qmat(t_new)
-    series_gauge = GaugeTransform.of_series(
-        _bicoeffs_to_matrix(t_coeffs, n, tx, ty), "regular-solve"
-    )
+    series_gauge = unipotent_gauge(t_coeffs, n, tx, ty, "regular-solve")
     gauge = const_gauge.compose(series_gauge)
     if retained:
         raise JointResonance(
@@ -464,7 +420,8 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
             partial=RegularSolution(gauge, qlinalg.qmat(l1), qlinalg.qmat(l2),
                                     tuple(retained)),
         )
-    res = apply_gauge(sys, gauge).to_system(strict=False)
+    # The series factor acts on the conjugated system.
+    res = apply_gauge(work, series_gauge).to_system(strict=False)
     l1_m, l2_m = qlinalg.qmat(l1), qlinalg.qmat(l2)
     expect_a = SeriesMatrix.from_rational_rows(l1_m, *res.window)
     expect_b = SeriesMatrix.from_rational_rows(l2_m, *res.window)
@@ -482,26 +439,13 @@ def _conv_residual(s_coeffs, t_coeffs, st_coeffs, i, j, n):
     """Known part of the coefficient at (i,j) in S T - T S~: the terms
     S_00 T_(i,j), T_(i,j) S~_00 and T_00 S~_(i,j) are the unknowns and are
     left out."""
-    r = qlinalg.zeros(n, n)
-    for (ci, cj), s_c in s_coeffs.items():
-        if (ci, cj) == (0, 0):
-            continue
-        ti, tj = i - ci, j - cj
-        if ti < 0 or tj < 0:
-            continue
-        t_c = t_coeffs.get((ti, tj))
-        if t_c is not None:
-            r = qlinalg.add(r, qlinalg.mul(s_c, t_c))
-    for (si, sj), st in st_coeffs.items():
-        if (si, sj) in ((0, 0), (i, j)):
-            continue
-        ti, tj = i - si, j - sj
-        if ti < 0 or tj < 0:
-            continue
-        t_c = t_coeffs.get((ti, tj))
-        if t_c is not None:
-            r = qlinalg.sub(r, qlinalg.mul(t_c, st))
-    return r
+    terms = [(1, s_c, t_coeffs[(i - ci, j - cj)])
+             for (ci, cj), s_c in s_coeffs.items()
+             if (ci, cj) != (0, 0) and (i - ci, j - cj) in t_coeffs]
+    terms += [(-1, t_coeffs[(i - si, j - sj)], st)
+              for (si, sj), st in st_coeffs.items()
+              if (si, sj) not in ((0, 0), (i, j)) and (i - si, j - sj) in t_coeffs]
+    return qlinalg.dot(terms, (n, n))
 
 
 # -- full assembly --------------------------------------------------------------------
@@ -575,20 +519,33 @@ def _verify_commutation(lam, qdiag):
 
 
 def _embed_gauge(gauge: GaugeTransform, coords, n, tx, ty) -> GaugeTransform:
-    """Lift a gauge acting on a coordinate subset to the full space."""
-    factors = []
-    for f in gauge.factors:
+    """Lift a gauge acting on a coordinate subset to the full space; each
+    factor's inverse is lifted with it.  On a proper subset the lifted
+    inverse is exact outside the block, where the adjugate of the lifted
+    factor would mark the identity entries truncated; the values agree."""
+    def lift(f):
+        # The identity outside the block, over f's poles (a shearing's
+        # inverse has a pole): x^px y^py, with a negative pole moved into
+        # the block.
+        px, py = max(f.px, 0), max(f.py, 0)
+        block = f.series
+        if (px, py) != (f.px, f.py):
+            block = block.shift(px - f.px, py - f.py)
+        one = BiSeries.monomial(1, px, py, tx, ty)
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
                 if i in coords and j in coords:
-                    row.append(f.series.at(coords.index(i), coords.index(j)))
+                    row.append(block.at(coords.index(i), coords.index(j)))
                 else:
-                    row.append(BiSeries.const(1 if i == j else 0, tx, ty))
+                    row.append(one if i == j else BiSeries.zero(tx, ty))
             rows.append(row)
-        factors.append(LaurentMatrix(SeriesMatrix.from_rows(rows), f.px, f.py))
-    return GaugeTransform(factors=tuple(factors), provenance=gauge.provenance)
+        return LaurentMatrix(SeriesMatrix.from_rows(rows), px, py)
+
+    return GaugeTransform(factors=tuple(map(lift, gauge.factors)),
+                          inverses=tuple(map(lift, gauge.inverses)),
+                          provenance=gauge.provenance)
 
 
 def _set_lambda_block(data: SolutionData, coords, lam, which):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import qlinalg
 from .errors import DimensionMismatch, IntegrabilityViolation, InvariantViolation
 from .matrices import LaurentMatrix, SeriesMatrix, series_rank
 from .series import BiSeries
@@ -175,30 +176,54 @@ def require_integrable(sys: PfaffianSystem):
 
 @dataclass(frozen=True)
 class GaugeTransform:
-    """A change of basis, kept in factored form.
+    """A change of basis, kept in factored form, each factor with its inverse.
 
     Each factor is a LaurentMatrix (unimodular series matrices and diagonal
     monomial scalings are the factors this toolkit emits); provenance
     records one construction tag per factor.
+
+    inverses[k] is the inverse of factors[k], supplied when the factor is
+    built, by the code that knows it: a constant factor is inverted over Q,
+    a unipotent series factor by its coefficient recursion, a monomial
+    factor from its exponents, a Moser gauge by the elimination that made
+    it.  Only a factor with no such source (the second column-reduce
+    factor, a gauge from outside the library) is inverted by the adjugate,
+    once, in of_series.  The inverse equals LaurentMatrix.inverse() of the
+    factor in coefficients, exact flags, windows, nominal orders and poles
+    (solutions._embed_gauge lifts are the one exception: see there), so
+    apply_gauge and inverse() never invert a factor.
     """
 
     factors: tuple
+    inverses: tuple
     provenance: tuple
 
     @classmethod
-    def identity(cls, n, tx, ty):
-        return cls(
-            factors=(LaurentMatrix(SeriesMatrix.identity(n, tx, ty)),),
-            provenance=("identity",),
-        )
+    def identity(cls, n, tx, ty, kind="identity"):
+        return cls.of_series(SeriesMatrix.identity(n, tx, ty), kind)
 
     @classmethod
-    def of_series(cls, mat: SeriesMatrix, kind: str):
-        return cls(factors=(LaurentMatrix(mat),), provenance=(kind,))
+    def of_series(cls, mat: SeriesMatrix, kind: str, inverse=None):
+        """One series factor with its inverse, a LaurentMatrix.  A caller
+        that does not know the inverse leaves it out: an exact diagonal of
+        monic monomials (the identity, a shearing) is then inverted from
+        its exponents, any other factor (the second column-reduce factor,
+        a gauge from outside the library) once, here, by the adjugate."""
+        f = LaurentMatrix(mat)
+        if inverse is None:
+            exps = _monomial_diagonal(mat)
+            inverse = f.inverse() if exps is None else _monomial_inverse(f, exps)
+        return cls(factors=(f,), inverses=(inverse,), provenance=(kind,))
 
     @classmethod
-    def of_constant(cls, rows, tx, ty, kind="constant"):
-        return cls.of_series(SeriesMatrix.from_rational_rows(rows, tx, ty), kind)
+    def of_constant(cls, rows, tx, ty, kind="constant", inverse=None):
+        """A constant factor; `inverse` is its inverse over Q when the
+        caller has it, else it is computed over Q."""
+        if inverse is None:
+            inverse = qlinalg.inverse(rows)
+        return cls.of_series(
+            SeriesMatrix.from_rational_rows(rows, tx, ty), kind,
+            LaurentMatrix(SeriesMatrix.from_rational_rows(inverse, tx, ty)))
 
     @classmethod
     def monomial(cls, var, exponents, tx, ty, kind="shearing"):
@@ -214,13 +239,13 @@ class GaugeTransform:
                         BiSeries.monomial(1, e if var == "x" else 0,
                                           e if var == "y" else 0, tx, ty)
                     )
-        return cls(factors=(LaurentMatrix(SeriesMatrix(n, n, entries)),),
-                   provenance=(kind,))
+        return cls.of_series(SeriesMatrix(n, n, entries), kind)
 
     def compose(self, other: "GaugeTransform") -> "GaugeTransform":
         """Gauge applying self first, then other (matrix product self*other)."""
         return GaugeTransform(
             factors=self.factors + other.factors,
+            inverses=self.inverses + other.inverses,
             provenance=self.provenance + other.provenance,
         )
 
@@ -232,7 +257,8 @@ class GaugeTransform:
 
     def inverse(self) -> "GaugeTransform":
         return GaugeTransform(
-            factors=tuple(f.inverse() for f in reversed(self.factors)),
+            factors=self.inverses[::-1],
+            inverses=self.factors[::-1],
             provenance=tuple(f"inverse({p})" for p in reversed(self.provenance)),
         )
 
@@ -267,12 +293,14 @@ class GaugeResult:
         )
 
 
-def _gauge_one_factor(ax: LaurentMatrix, by: LaurentMatrix, f: LaurentMatrix):
-    """F[A] = F^(-1) (A F - delta F) on both sides, normalized."""
+def _gauge_one_factor(ax: LaurentMatrix, by: LaurentMatrix, f: LaurentMatrix,
+                      f_inv: LaurentMatrix):
+    """F[A] = F^(-1) (A F - delta F) on both sides, normalized, with f_inv
+    = F^(-1); the shift path for diagonal monomial factors reads only its
+    nominal orders and poles."""
     exps = _monomial_diagonal(f.series)
     if exps is not None:
-        return _gauge_monomial_factor(ax, by, f, exps)
-    f_inv = f.inverse()
+        return _gauge_monomial_factor(ax, by, f, f_inv, exps)
     new_ax = f_inv * (ax * f - f.delta("x"))
     new_by = f_inv * (by * f - f.delta("y"))
     return new_ax.normalize(), new_by.normalize()
@@ -320,17 +348,20 @@ def _shift_entries(m: SeriesMatrix, shifts, row_orders, col_orders):
     return SeriesMatrix(m.rows, m.cols, out)
 
 
-def _gauge_monomial_factor(ax, by, f: LaurentMatrix, exps):
-    """_gauge_one_factor for f = diag(x^a_i y^b_i) / (x^px y^py), by shifts.
+def _cut(t, dx, dy):
+    """The nominal orders t of an exact series divided by x^dx y^dy."""
+    if dx == 0 and dy == 0:
+        return t
+    return (max(t[0] - dx, 1), max(t[1] - dy, 1))
 
-    Entry (i, j) is multiplied by x^(a_j - a_i) y^(b_j - b_i), and
-    diag(a_i - px) (x-side) or diag(b_i - py) (y-side) is subtracted.  The
-    steps and their windows are those of the product path: A F, minus
-    delta F, then times F^(-1) = diag(x^(ma - a_i) y^(mb - b_i)) /
-    (x^(ma - px) y^(mb - py)), with (ma, mb) the largest exponents.  Row i
-    of F^(-1) has the nominal orders its adjugate path gives: the largest
-    of the determinant unit's and the minors' (every entry of F outside
-    column i), less the monomial content that normalization strips."""
+
+def _monomial_inverse(f: LaurentMatrix, exps) -> LaurentMatrix:
+    """F^(-1) for F = diag(x^a_i y^b_i) / (x^px y^py) with (a_i, b_i) =
+    exps: diag(x^(ma - a_i) y^(mb - b_i)) / (x^(ma - px) y^(mb - py)), with
+    (ma, mb) the largest exponents.  Each entry has the nominal orders that
+    LaurentMatrix.inverse (the adjugate path) gives it: entry (i, j) takes
+    the larger of the determinant unit's and those of the minor without row
+    j and column i, less the monomial content that normalization strips."""
     s = f.series
     n = s.rows
     ma = max(a for a, _ in exps)
@@ -338,20 +369,35 @@ def _gauge_monomial_factor(ax, by, f: LaurentMatrix, exps):
     sa = sum(a for a, _ in exps)
     sb = sum(b for _, b in exps)
     whole = s.window
-
-    def cut(t, dx, dy):
-        # The orders of an exact series divided by x^dx y^dy.
-        if dx == 0 and dy == 0:
-            return t
-        return (max(t[0] - dx, 1), max(t[1] - dy, 1))
-
-    unit = cut(whole, sa, sb)
-    inv_rows = []
+    unit = _cut(whole, sa, sb)
+    entries = []
     for i in range(n):
-        minors = whole if n == 1 else _orders(
-            [s.at(r, c) for r in range(n) for c in range(n) if c != i])
-        inv_rows.append(cut((max(minors[0], unit[0]), max(minors[1], unit[1])),
-                            sa - ma, sb - mb))
+        for j in range(n):
+            minor = whole if n == 1 else _orders(
+                [s.at(r, c) for r in range(n) for c in range(n)
+                 if r != j and c != i])
+            tx, ty = _cut((max(minor[0], unit[0]), max(minor[1], unit[1])),
+                          sa - ma, sb - mb)
+            entries.append(
+                BiSeries.monomial(1, ma - exps[i][0], mb - exps[i][1], tx, ty)
+                if i == j else BiSeries.zero(tx, ty))
+    return LaurentMatrix(SeriesMatrix(n, n, entries), ma - f.px, mb - f.py)
+
+
+def _gauge_monomial_factor(ax, by, f: LaurentMatrix, f_inv: LaurentMatrix, exps):
+    """_gauge_one_factor for f = diag(x^a_i y^b_i) / (x^px y^py), by shifts.
+
+    Entry (i, j) is multiplied by x^(a_j - a_i) y^(b_j - b_i), and
+    diag(a_i - px) (x-side) or diag(b_i - py) (y-side) is subtracted.  The
+    steps and their windows are those of the product path: A F, minus
+    delta F, then times F^(-1) = diag(x^(ma - a_i) y^(mb - b_i)) /
+    (x^(ma - px) y^(mb - py)), with (ma, mb) the largest exponents and the
+    nominal orders of f_inv's rows."""
+    s = f.series
+    n = s.rows
+    ma = max(a for a, _ in exps)
+    mb = max(b for _, b in exps)
+    inv_rows = [_orders(f_inv.series.row(i)) for i in range(n)]
     f_cols = [_orders(s.entries[j::n]) for j in range(n)]
 
     def side(lm, var):
@@ -362,7 +408,7 @@ def _gauge_monomial_factor(ax, by, f: LaurentMatrix, exps):
         ms = m.series
         out = _shift_entries(ms, lambda i, j: (ma - exps[i][0], mb - exps[i][1]),
                              inv_rows, [_orders(ms.entries[j::n]) for j in range(n)])
-        return LaurentMatrix(out, ma - f.px + m.px, mb - f.py + m.py).normalize()
+        return LaurentMatrix(out, f_inv.px + m.px, f_inv.py + m.py).normalize()
 
     return side(ax, "x"), side(by, "y")
 
@@ -371,8 +417,8 @@ def apply_gauge(sys: PfaffianSystem, gauge: GaugeTransform) -> GaugeResult:
     """Transform both subsystems by Y = T Z, factor by factor."""
     ax = sys.a_laurent()
     by = sys.b_laurent()
-    for f in gauge.factors:
-        ax, by = _gauge_one_factor(ax, by, f)
+    for f, f_inv in zip(gauge.factors, gauge.inverses):
+        ax, by = _gauge_one_factor(ax, by, f, f_inv)
     return GaugeResult(sys.n, ax, by)
 
 

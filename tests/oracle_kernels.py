@@ -7,11 +7,17 @@ and build a matrix product as a sequential sum of series products, so
 their windows follow directly from BiSeries.__mul__ and __add__.  The
 unit inverse is the graded fill that BiSeries.invert used before it
 filled the window in row-major order.
+
+sylvester_solve is the Sylvester solve that qlinalg.sylvester_solver
+replaced (two rrefs of the Kronecker operator per right-hand side), and
+accumulate is the chain of qlinalg add/sub/scale over products by which
+the order-by-order solvers summed their known parts before qlinalg.dot.
 """
 
 from fractions import Fraction
 
 from pfaffred.errors import ZeroConstantTerm
+from pfaffred.qlinalg import add, qmat, rank, scale, solve, sub, zeros
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.series import INF_ORDER, BiSeries, UniSeries
 
@@ -110,3 +116,44 @@ def invert(self):
         if s:
             inv[(i, j)] = -s / c0
     return BiSeries(inv, tx, ty)
+
+
+def accumulate(terms, rows, cols):
+    """The sum of c * a * b over terms (c, a, b), as the solvers built it:
+    r = add(r, mul(a, b)) for c = 1, sub for c = -1, and a scaled product
+    otherwise (the pole terms, once sub(r, scale(t, k)))."""
+    r = zeros(rows, cols)
+    for c, a, b in terms:
+        if c == 1:
+            r = add(r, qmul(a, b))
+        elif c == -1:
+            r = sub(r, qmul(a, b))
+        else:
+            r = add(r, scale(qmul(a, b), c))
+    return r
+
+
+def sylvester_solve(a, b, c):
+    """Solve a X - X b = c exactly; None if the operator is singular."""
+    n, m = len(a), len(b)
+    # Row-major vectorization: unknowns X[i][j] at index i*m + j.
+    rows = []
+    rhs = []
+    for i in range(n):
+        for j in range(m):
+            row = [Fraction(0)] * (n * m)
+            for k in range(n):
+                row[k * m + j] += a[i][k]
+            for k in range(m):
+                row[i * m + k] -= b[k][j]
+            rows.append(tuple(row))
+            rhs.append(c[i][j])
+    sol = solve(qmat(rows), tuple(rhs))
+    if sol is None:
+        return None
+    # The operator is square; consistency without uniqueness cannot happen
+    # unless it is singular, which callers treat as resonance.
+    aug_rank = rank(qmat(rows))
+    if aug_rank != n * m:
+        return None
+    return tuple(tuple(sol[i * m + j] for j in range(m)) for i in range(n))

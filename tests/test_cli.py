@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from pfaffred.cli import main
-from pfaffred.io import MAX_N, MAX_POLE, parse_document, parse_system, serialize_system
+from pfaffred.io import (
+    MAX_N,
+    MAX_POLE,
+    MAX_WINDOW,
+    parse_document,
+    parse_system,
+    serialize_system,
+)
 from pfaffred.series import INF_ORDER
 
 from conftest import fixture_path
@@ -73,6 +80,7 @@ def test_parse_accepts_rational(value, expected):
 @pytest.mark.parametrize("key, value", [
     ("n", MAX_N + 1), ("trunc_x", INF_ORDER), ("trunc_y", INF_ORDER),
     ("trunc_x", 0), ("trunc_y", 0),
+    ("trunc_x", MAX_WINDOW + 1), ("trunc_y", MAX_WINDOW + 1),
 ])
 def test_parse_rejects_out_of_range_sizes(tmp_path, key, value, capsys):
     # n and the document windows are bounded before any grid is built.
@@ -88,8 +96,8 @@ def test_parse_rejects_out_of_range_sizes(tmp_path, key, value, capsys):
 
 def test_parse_accepts_largest_sizes():
     doc = one_entry_doc("1")
-    doc["trunc_x"] = doc["trunc_y"] = INF_ORDER - 1
-    assert parse_document(doc).amat.at(0, 0).window == (INF_ORDER - 1,) * 2
+    doc["trunc_x"] = doc["trunc_y"] = MAX_WINDOW
+    assert parse_document(doc).amat.at(0, 0).window == (MAX_WINDOW,) * 2
     doc = one_entry_doc("1")
     doc["n"], doc["A_terms"] = MAX_N, []
     assert parse_document(doc).n == MAX_N
@@ -254,10 +262,11 @@ def test_trunc_override(tmp_path, capsys):
     ["--trunc-x", "0"],
     ["--trunc-x", "-3"],
     ["--trunc-x", "1000000000", "--trunc-y", "1000000000", "--strict"],
-], ids=["zero", "negative", "sentinel"])
+    ["--trunc-y", str(MAX_WINDOW + 1)],
+], ids=["zero", "negative", "sentinel", "above-bound"])
 def test_trunc_out_of_range(flags, capsys):
     # 10**9 is the exactness sentinel: truncated data must never read as
-    # exact, so windows must stay below it.
+    # exact, so windows must stay below it.  MAX_WINDOW bounds the work.
     assert main(["check", str(fixture_path("exm.json")), *flags]) == 2
     captured = capsys.readouterr()
     assert "ParseError" in captured.err

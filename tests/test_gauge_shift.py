@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from pfaffred.matrices import LaurentMatrix, SeriesMatrix
 from pfaffred.moser import shearing_matrix
 from pfaffred.series import BiSeries
-from pfaffred.system import _gauge_one_factor, _monomial_diagonal
+from pfaffred.system import _gauge_one_factor, _monomial_diagonal, _monomial_inverse
 
 from oracle_gauge import _gauge_one_factor as oracle_one_factor
 
@@ -74,9 +74,13 @@ def outcome(fn, *args):
 
 
 def assert_same_as_products(ax, by, f):
-    assert _monomial_diagonal(f.series) is not None
-    want = outcome(oracle_one_factor, ax, by, f, f.inverse())
-    assert outcome(_gauge_one_factor, ax, by, f) == want
+    exps = _monomial_diagonal(f.series)
+    assert exps is not None
+    f_inv = f.inverse()
+    # The inverse built from the exponents is the adjugate path's.
+    assert outcome(lambda: [_monomial_inverse(f, exps)]) == outcome(lambda: [f_inv])
+    want = outcome(oracle_one_factor, ax, by, f, f_inv)
+    assert outcome(_gauge_one_factor, ax, by, f, f_inv) == want
 
 
 @given(st.integers(1, 3).flatmap(

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from pfaffred.cli import main
+from pfaffred.io import parse_document, serialize_system
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -74,6 +75,17 @@ def run_case(fixture, window, command):
 def test_golden_output(case):
     expected = json.loads((GOLDEN / f"{case_id(case)}.json").read_text())
     assert run_case(*case) == expected
+
+
+def test_reduced_documents_parse_back():
+    # Every .reduced.json that `reduce` writes is a valid system document
+    # (its windows within MAX_WINDOW) and serializes back unchanged.
+    reduced = [json.loads(path.read_text())["reduced"]
+               for path in sorted(GOLDEN.glob("*.reduce.json"))]
+    reduced = [doc for doc in reduced if doc is not None]
+    assert reduced
+    for doc in reduced:
+        assert serialize_system(parse_document(doc)) == doc
 
 
 def write_all():

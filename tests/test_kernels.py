@@ -4,7 +4,10 @@ dict-of-Fraction bodies they replaced (tests/oracle_kernels.py).
 Each product must give the same coefficients, the same `exact` flag and
 the same nominal orders or window as the reference, on exact, truncated,
 window-zero and mixed operands, exact zeros with differing nominal orders
-included.
+included.  The constant-matrix kernels of the order-by-order solvers,
+qlinalg.dot and qlinalg.sylvester_solver, must give the same matrices as
+the add/mul chains and the two-rref Sylvester solve they replaced,
+singular operators (None) included.
 """
 
 from fractions import Fraction
@@ -141,3 +144,67 @@ def test_matrix_product_of_fixture_data(exm, exmnaive):
                 got, want = a * b, oracle.matrix_mul(a, b)
                 for g, w in zip(got.entries, want.entries):
                     same_bi(g, w)
+
+
+def const_matrices(rows, cols, values=rationals):
+    return st.lists(st.lists(values, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(qlinalg.qmat)
+
+
+@st.composite
+def dot_terms(draw):
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    count = draw(st.integers(0, 4))
+    terms = [(draw(st.sampled_from((1, -1, 2, -3))),
+              draw(const_matrices(rows, inner)),
+              draw(const_matrices(inner, cols))) for _ in range(count)]
+    return terms, rows, cols
+
+
+@given(dot_terms())
+def test_dot_matches_add_mul_chain(case):
+    terms, rows, cols = case
+    got = qlinalg.dot(terms, (rows, cols))
+    assert got == oracle.accumulate(terms, rows, cols)
+    assert all(isinstance(c, Fraction) for row in got for c in row)
+
+
+small_ints = st.integers(-2, 2).map(Fraction)
+
+
+@st.composite
+def sylvester_cases(draw):
+    """a, b with small integer entries (often sharing an eigenvalue, so the
+    operator is singular), or b the leading block of a block-triangular a,
+    which always shares one."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a = draw(const_matrices(n, n, small_ints))
+    if m <= n and draw(st.booleans()):
+        a = tuple(tuple(Fraction(0) if i >= m and j < m else v
+                        for j, v in enumerate(row)) for i, row in enumerate(a))
+        b = tuple(row[:m] for row in a[:m])
+    else:
+        b = draw(const_matrices(m, m, small_ints))
+    cs = draw(st.lists(const_matrices(n, m), min_size=1, max_size=3))
+    return a, b, cs
+
+
+@given(sylvester_cases())
+def test_sylvester_solver_matches_reference(case):
+    a, b, cs = case
+    solve = qlinalg.sylvester_solver(a, b)
+    for c in cs:
+        want = oracle.sylvester_solve(a, b, c)
+        if solve is None:
+            assert want is None
+        else:
+            assert solve(c) == want
+
+
+def test_sylvester_solver_singular_operators():
+    a = qlinalg.qmat([[1, 0], [0, 2]])
+    for b in (qlinalg.qmat([[2]]), qlinalg.qmat([[1]]), a):
+        assert qlinalg.sylvester_solver(a, b) is None
+    b = qlinalg.qmat([[3]])
+    c = qlinalg.qmat([[1], [2]])
+    assert qlinalg.sylvester_solver(a, b)(c) == oracle.sylvester_solve(a, b, c)

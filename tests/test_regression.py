@@ -148,3 +148,39 @@ def test_randomized_block_solves_verify():
             assert verify_solution(sys_obj, data)
             done += 1
     assert done >= 5
+
+
+def test_column_reduce_pole_drop_is_window_exhaustion(tmp_path, capsys,
+                                                      monkeypatch):
+    # exm + exmnaive under the exact gauge of the benchmark's `blocks`
+    # workload at seed 1: on axis y, the column reduction leaves a leading
+    # matrix that vanishes only on its shrunk window, so the pole falls to
+    # 0.  That is window exhaustion (exit 3), never a precondition error
+    # (exit 2) from reaching the criterion polynomial at Moser rank <= 1;
+    # a run that gets through must give the known answer.
+    import importlib.util
+    import json
+    import sys
+    from pathlib import Path
+
+    from pfaffred.cli import main
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs",
+        Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)   # for its dataclasses
+    spec.loader.exec_module(inputs)
+    [case] = [c for c in inputs.make_cases("blocks", 1)
+              if c.name == "exm+exmnaive-gauged0"]
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(case.doc))
+    code = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert code in (0, 3), captured.err
+    if code == 3:
+        assert "TruncationExhausted" in captured.err
+    else:
+        for i in range(4):
+            assert (f"solution {i}: Q1 = (-1)*x^(-1), "
+                    "Q2 = (3)*y^(-2) + (2)*y^(-1)") in captured.out
