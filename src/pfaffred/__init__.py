@@ -18,7 +18,7 @@ from .errors import (
     TruncationExhausted,
     ZeroConstantTerm,
 )
-from .series import BiSeries, UniSeries
+from .series import BiSeries
 from .matrices import LaurentMatrix, SeriesMatrix
 from .system import (
     GaugeTransform,
@@ -62,6 +62,7 @@ from .solutions import (
     katz_pair,
     regular_fundamental,
     true_poincare_rank,
+    verify_solution,
 )
 from .io import parse_system, serialize_system
 

@@ -173,9 +173,6 @@ class SeriesMatrix:
     def scale(self, c):
         return SeriesMatrix(self.rows, self.cols, [e * q(c) for e in self.entries])
 
-    def scale_series(self, s: BiSeries):
-        return SeriesMatrix(self.rows, self.cols, [e * s for e in self.entries])
-
     def delta(self, var):
         return SeriesMatrix(self.rows, self.cols, [e.delta(var) for e in self.entries])
 
@@ -193,13 +190,9 @@ class SeriesMatrix:
         )
 
     def eval_zero_matrix(self, var):
-        """Set one variable to 0, keeping BiSeries entries (one-variable support)."""
-        out = []
-        for e in self.entries:
-            u = e.eval_zero(var)
-            out.append(u.to_bi("y" if var == "x" else "x",
-                               e.tx if var == "x" else e.ty))
-        return SeriesMatrix(self.rows, self.cols, out)
+        """Set one variable to 0 in every entry."""
+        return SeriesMatrix(self.rows, self.cols,
+                            [e.eval_zero(var) for e in self.entries])
 
     def coeff_matrix(self, var, k):
         """Matrix of coefficients of var^k, as series in the other variable."""
@@ -462,23 +455,3 @@ def series_rank(m: SeriesMatrix, var: str) -> int:
         return 0
     return column_echelon(m, var)[2]
 
-
-def kernel_basis(m: SeriesMatrix, var: str) -> SeriesMatrix | None:
-    """Saturated right-kernel basis (columns); None if the kernel is zero."""
-    v, _, rank, _ = column_echelon(m, var)
-    if rank == m.cols:
-        return None
-    cols = list(range(rank, m.cols))
-    basis = v.submatrix(list(range(m.cols)), cols)
-    # Saturate each column: divide out its monomial content in var.
-    out_cols = []
-    for j in range(basis.cols):
-        col = [basis.at(i, j) for i in range(basis.rows)]
-        c = min(e.val(var) for e in col)
-        if c:
-            dx, dy = (c, 0) if var == "x" else (0, c)
-            col = [e.divide_monomial(dx, dy) for e in col]
-        out_cols.append(col)
-    return SeriesMatrix.from_rows(
-        [[out_cols[j][i] for j in range(len(out_cols))] for i in range(basis.rows)]
-    )

@@ -6,7 +6,8 @@ singular ODS in delta form,
 
 The matrix lives on one variable ("x" or "y") of the bivariate series
 ring, so a system with the other subsystem identically zero embeds every
-ODS into the bivariate Moser machinery unchanged.
+ODS into the bivariate machinery unchanged: the Moser reduction and the
+splitting (_split_system, shared with solutions) run on that embedding.
 
 Exponential parts are returned in integrated form: the diagonal entries of
 Q are sums of c * v^(-k) with k a positive rational; the logarithmic
@@ -19,10 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 from . import qlinalg
 from .errors import (
     AlgebraicExtensionRequired,
+    IntegrabilityViolation,
     NotSplittable,
     PreconditionViolated,
     ReductionError,
@@ -118,80 +122,123 @@ def _poly_mul(a, b):
 def split_leading(ods: OdsSystem):
     """Decouple along coprime characteristic factors of the leading matrix.
 
-    Returns (gauge, [blocks]): gauge is a constant conjugation making the
-    leading matrix block diagonal, composed with I + higher-order
-    corrections solved order by order through Sylvester equations; the
-    output blocks' characteristic polynomials are the coprime factors.
+    Returns (gauge, [blocks]): the splitting of the ODS as a bivariate
+    system whose other side is zero (_split_system); the output blocks'
+    characteristic polynomials are the coprime factors.
     """
-    a0 = ods.leading()
-    groups = _eigen_groups(a0)
+    groups = _eigen_groups(ods.leading())
     if len(groups) < 2:
         raise NotSplittable(
             "characteristic polynomial of the leading matrix is a power of "
             "one irreducible factor"
         )
-    n = ods.n
-    # Kernel projections: basis of ker(power_i(A0)) per group.
+    gauge, blocks = _split_system(ods.to_pfaffian(), ods.var, groups)
+    return gauge, [OdsSystem.from_pfaffian(b, ods.var) for b in blocks]
+
+
+def _split_system(sys: PfaffianSystem, axis, groups):
+    """Block-decouple both subsystems along the factor groups (from
+    _eigen_groups, at least two) of the leading constant on `axis`.
+
+    A constant conjugation block-diagonalizes that leading constant, and
+    T = I plus off-diagonal corrections is solved order by order in total
+    degree through Sylvester equations on the splitting axis, over the
+    cells x^i y^j that the conjugated matrix's support reaches.  Both
+    transformed subsystems are certified block diagonal on the window.
+    Returns (gauge, [blocks]).
+    """
+    lead = (sys.amat if axis == "x" else sys.bmat).constant_part()
+    n = sys.n
     basis_cols = []
     sizes = []
     for _, power, _ in groups:
-        ker = qlinalg.kernel(qlinalg.poly_eval_matrix(power, a0))
+        ker = qlinalg.kernel(qlinalg.poly_eval_matrix(power, lead))
         basis_cols.extend(ker)
         sizes.append(len(ker))
     if sum(sizes) != n:
         raise ReductionError("kernel projections do not fill the space")
     vmat = tuple(tuple(col[i] for col in basis_cols) for i in range(n))
-    vinv = qlinalg.inverse(vmat)
-    tx, ty = ods.amat.window
-    const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting",
-                                             inverse=vinv)
-    # Series coefficients of the conjugated system.
-    conj = qlinalg_conj_series(ods.amat, vmat, vinv)
-    trunc = ods.trunc
-    s_coeffs = [_coeff_const_matrix(conj, ods.var, k, n) for k in range(trunc)]
-    n0 = s_coeffs[0]
+    tx, ty = sys.window
+    const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting")
+    work = apply_gauge(sys, const_gauge).to_system(strict=False)
+
     offs = _block_ranges(sizes)
-    blocks0 = [qlinalg.submatrix(n0, range(a, b), range(a, b)) for a, b in offs]
-    # Solve T = I + sum T_k v^k with off-diagonal T_k only.
+    main = work.amat if axis == "x" else work.bmat
+    pole = work.p if axis == "x" else work.q
+    lead0 = main.constant_part()
+    blocks0 = [qlinalg.submatrix(lead0, range(a, b), range(a, b)) for a, b in offs]
+
+    # Solve T = I + sum T_(i,j) x^i y^j (off-diagonal blocks) from the
+    # splitting-axis equation; each total-degree slice is triangular in
+    # the earlier coefficients.  T stays on the splitting axis and the
+    # axes that the support of main moves along.
     eye = qlinalg.identity(n)
-    t_coeffs = [eye]
-    s_tilde = [n0]
+    t_coeffs = {(0, 0): eye}
+    s_tilde = {(0, 0): lead0}
     solvers = {}
-    p = ods.p
-    for m in range(1, trunc):
-        terms = [(1, s_coeffs[i], t_coeffs[m - i]) for i in range(1, m + 1)]
-        terms += [(-1, t_coeffs[j], s_tilde[m - j]) for j in range(1, m)]
-        if p >= 1 and m - p >= 1:
-            terms.append((-(m - p), t_coeffs[m - p], eye))
-        step = _split_order(qlinalg.dot(terms), offs, blocks0,
-                            m if p == 0 else 0, solvers)
+    main_coeffs = _bicoeffs(main, n)
+    nx = tx if axis == "x" or any(a for a, _ in main_coeffs) else 1
+    ny = ty if axis == "y" or any(b for _, b in main_coeffs) else 1
+    for i, j in sorted(product(range(nx), range(ny)), key=sum)[1:]:
+        terms = [(1, s_c, t_coeffs[(i - ci, j - cj)])
+                 for (ci, cj), s_c in main_coeffs.items()
+                 if (ci, cj) != (0, 0) and (i - ci, j - cj) in t_coeffs]
+        terms += [(-1, t_c, s_tilde[(i - ti, j - tj)])
+                  for (ti, tj), t_c in t_coeffs.items()
+                  if (ti, tj) != (0, 0) and (i - ti, j - tj) in s_tilde]
+        shift = 0
+        if pole >= 1:
+            key = (i - pole, j) if axis == "x" else (i, j - pole)
+            kk = key[0] if axis == "x" else key[1]
+            if kk >= 1 and key in t_coeffs:
+                terms.append((-kk, t_coeffs[key], eye))
+        else:
+            shift = i if axis == "x" else j
+        step = _split_order(qlinalg.dot(terms, (n, n)), offs, blocks0, shift,
+                            solvers)
         if step is None:
             raise NotSplittable(
-                "resonant Sylvester block at order "
-                f"{m} (pole 0 with integer eigenvalue difference)"
-                if p == 0
-                else "Sylvester block unexpectedly singular"
+                f"resonant Sylvester block at order {(i, j)} (pole 0 with "
+                "integer eigenvalue difference)"
             )
-        t_coeffs.append(step[0])
-        s_tilde.append(step[1])
-    var = ods.var
-    gauge = const_gauge.compose(
-        unipotent_gauge(_on_axis(t_coeffs, var), n, tx, ty, "splitting"))
-    new_mat = _coeffs_to_matrix(_on_axis(s_tilde, var), n, tx, ty)
+        t_new, st_new = step
+        if not qlinalg.is_zero(t_new):
+            t_coeffs[(i, j)] = t_new
+        if not qlinalg.is_zero(st_new):
+            s_tilde[(i, j)] = st_new
+    # The series factor acts on the conjugated system; the gauge of sys
+    # is the constant factor, then the series factor.
+    series_gauge = unipotent_gauge(t_coeffs, n, tx, ty, "splitting")
+    full = apply_gauge(work, series_gauge).to_system(strict=False)
+    for mat in (full.amat, full.bmat):
+        for (a, b) in offs:
+            for i in range(a, b):
+                for j in range(n):
+                    if not (a <= j < b) and not mat.at(i, j).is_zero():
+                        raise IntegrabilityViolation(
+                            "splitting left a coupling block nonzero within "
+                            "the window",
+                            window=mat.window,
+                        )
     blocks = []
-    for (a, b), (_, _, _) in zip(offs, groups):
-        sub = new_mat.submatrix(list(range(a, b)), list(range(a, b)))
-        blocks.append(OdsSystem(var, b - a, ods.p, sub).normalized())
-    # Certify: off-diagonal blocks of the transformed system vanish.
-    res = apply_gauge(ods.to_pfaffian(), gauge)
-    full = res.to_system(strict=False)
-    mat = full.amat if var == "x" else full.bmat
     for (a, b) in offs:
-        for i in range(a, b):
-            for j in range(n):
-                if not (a <= j < b) and not mat.at(i, j).is_zero():
-                    raise ReductionError("splitting left a nonzero coupling block")
-    return gauge, blocks
+        idx = list(range(a, b))
+        blocks.append(PfaffianSystem.make(
+            b - a, full.p, full.q, full.amat.submatrix(idx, idx),
+            full.bmat.submatrix(idx, idx), strict=False))
+    return const_gauge.compose(series_gauge), blocks
+
+
+def _bicoeffs(mat: SeriesMatrix, n):
+    """The coefficient matrices of mat over Q, keyed by exponent pair."""
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for e, c in mat.at(i, j).coeffs.items():
+                if e not in out:
+                    out[e] = [[Fraction(0)] * n for _ in range(n)]
+                out[e][i][j] = c
+    return {k: qlinalg.qmat(v) for k, v in out.items()}
 
 
 def _block_ranges(sizes):
@@ -264,13 +311,6 @@ def unipotent_gauge(t_coeffs, n, tx, ty, kind) -> GaugeTransform:
     return GaugeTransform.of_series(
         _coeffs_to_matrix(t_coeffs, n, tx, ty), kind,
         LaurentMatrix(_coeffs_to_matrix(u_coeffs, n, tx, ty)))
-
-
-def qlinalg_conj_series(mat: SeriesMatrix, vmat, vinv) -> SeriesMatrix:
-    tx, ty = mat.window
-    v_s = SeriesMatrix.from_rational_rows(vmat, tx, ty)
-    vi_s = SeriesMatrix.from_rational_rows(vinv, tx, ty)
-    return vi_s * mat * v_s
 
 
 def _coeff_const_matrix(mat: SeriesMatrix, var, k, n):
@@ -412,15 +452,9 @@ def ramify_ods(ods: OdsSystem, m: int) -> OdsSystem:
         raise PreconditionViolated("ramification index must be >= 1")
     if m == 1:
         return ods
-    var = ods.var
-    other = "y" if var == "x" else "x"
-    entries = []
-    for e in ods.amat.entries:
-        u = e.eval_zero(other)
-        other_trunc = e.ty if var == "x" else e.tx
-        entries.append((u.ramify(m) * m).to_bi(var, other_trunc))
-    return OdsSystem(var, ods.n, ods.p * m,
-                     SeriesMatrix(ods.n, ods.n, entries)).normalized()
+    amat = SeriesMatrix(ods.n, ods.n,
+                        [e.ramify(ods.var, m) * m for e in ods.amat.entries])
+    return OdsSystem(ods.var, ods.n, ods.p * m, amat).normalized()
 
 
 # -- exponential parts ---------------------------------------------------------------
@@ -446,10 +480,7 @@ class ExponentialPart:
 
     @property
     def ramification(self) -> int:
-        s = 1
-        for k, _ in self.q_terms:
-            s = s * k.denominator // _gcd(s, k.denominator)
-        return s
+        return lcm(*(k.denominator for k, _ in self.q_terms))
 
     def katz(self) -> Fraction:
         return max((k for k, _ in self.q_terms), default=Fraction(0))
@@ -459,12 +490,6 @@ class ExponentialPart:
 
     def key(self):
         return self.q_terms
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def exponential_parts_ods(ods: OdsSystem) -> list[ExponentialPart]:
@@ -499,9 +524,8 @@ def _exp_recurse(ods: OdsSystem, scale: Fraction, collected: dict, out, depth):
     if n == 1:
         col = dict(collected)
         e = ods.amat.at(0, 0)
-        u = e.eval_zero("y" if ods.var == "x" else "x")
         for j in range(p):
-            a_j = u.coeff(j)
+            a_j = e.coeff(j, 0) if ods.var == "x" else e.coeff(0, j)
             if a_j:
                 _merge_term(col, Fraction(p - j) * scale, -a_j / (p - j))
         out.append(ExponentialPart.make(col, 1))
@@ -509,9 +533,10 @@ def _exp_recurse(ods: OdsSystem, scale: Fraction, collected: dict, out, depth):
     a0 = ods.leading()
     groups = _eigen_groups(a0)
     if len(groups) >= 2:
-        _, blocks = split_leading(ods)
+        _, blocks = _split_system(ods.to_pfaffian(), ods.var, groups)
         for b in blocks:
-            _exp_recurse(b, scale, dict(collected), out, depth + 1)
+            _exp_recurse(OdsSystem.from_pfaffian(b, ods.var), scale,
+                         dict(collected), out, depth + 1)
         return
     fc, _, _ = groups[0]
     if len(fc) == 2:

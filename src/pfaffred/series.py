@@ -1,4 +1,4 @@
-"""Exact truncated power series over Q, in one and two variables.
+"""Exact truncated power series over Q in two variables.
 
 Every series is either exact (a polynomial known in full; its window is
 effectively infinite and the stored orders are only a default working
@@ -331,152 +331,27 @@ class BiSeries:
         )
 
     def eval_zero(self, var):
-        """Set one variable to zero; result is a UniSeries in the other."""
+        """Set one variable to zero: the terms free of it, on the same window."""
+        k = 0 if var == "x" else 1
+        if not self.exact and self.window[k] < 1:
+            raise TruncationExhausted(f"no {var}^0 information", window=self.window)
+        return BiSeries({e: c for e, c in self.coeffs.items() if e[k] == 0},
+                        self.tx, self.ty, exact=self.exact)
+
+    def ramify(self, var, s):
+        """Substitute var by its s-th power: its exponent i becomes s*i."""
+        if s < 1:
+            raise ValueError("ramification index must be >= 1")
+        if s == 1:
+            return self
         if var == "x":
-            if not self.exact and self.tx < 1:
-                raise TruncationExhausted("no x^0 information", window=self.window)
-            return UniSeries(
-                {j: c for (i, j), c in self.coeffs.items() if i == 0},
-                self.ty, exact=self.exact,
-            )
-        if not self.exact and self.ty < 1:
-            raise TruncationExhausted("no y^0 information", window=self.window)
-        return UniSeries(
-            {i: c for (i, j), c in self.coeffs.items() if j == 0},
-            self.tx, exact=self.exact,
-        )
+            return BiSeries({(i * s, j): c for (i, j), c in self.coeffs.items()},
+                            min(self.tx * s, INF_ORDER), self.ty, exact=self.exact)
+        return BiSeries({(i, j * s): c for (i, j), c in self.coeffs.items()},
+                        self.tx, min(self.ty * s, INF_ORDER), exact=self.exact)
 
     def only_var(self, var):
         """True if every stored term involves only the given variable."""
         k = 1 if var == "x" else 0
         return all(e[k] == 0 for e in self.coeffs)
-
-
-class UniSeries:
-    """Formal power series in one variable over Q."""
-
-    __slots__ = ("coeffs", "trunc", "exact")
-
-    def __init__(self, coeffs, trunc, exact=False):
-        if trunc < 0:
-            raise ValueError("truncation order must be nonnegative")
-        clean = {}
-        for i, c in coeffs.items():
-            if i < 0:
-                raise ValueError(f"negative exponent {i}")
-            if not exact and i >= trunc:
-                continue
-            c = q(c)
-            if c != 0:
-                clean[i] = c
-        self.coeffs = clean
-        self.trunc = trunc
-        self.exact = exact
-
-    @classmethod
-    def zero(cls, trunc):
-        return cls({}, trunc, exact=True)
-
-    @classmethod
-    def const(cls, value, trunc):
-        return cls({0: q(value)}, trunc, exact=True)
-
-    def _eff(self):
-        return INF_ORDER if self.exact else self.trunc
-
-    def coeff(self, i) -> Fraction:
-        return self.coeffs.get(i, Fraction(0))
-
-    def terms(self):
-        return sorted(self.coeffs.items())
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def val(self) -> int:
-        return min(self.coeffs, default=self._eff())
-
-    def __eq__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        t = min(self._eff(), other._eff())
-        a = {i: c for i, c in self.coeffs.items() if i < t}
-        b = {i: c for i, c in other.coeffs.items() if i < t}
-        return a == b
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.coeffs:
-            body = "0"
-        else:
-            body = " + ".join(
-                (str(c) if i == 0 else (f"{c}*t^{i}" if c != 1 else f"t^{i}"))
-                for i, c in self.terms()
-            ).replace("+ -", "- ")
-        tail = "exact" if self.exact else f"+O(t^{self.trunc})"
-        return f"<{body} {tail}>"
-
-    def __add__(self, other):
-        if self.exact and other.exact:
-            out = dict(self.coeffs)
-            for i, c in other.coeffs.items():
-                out[i] = out.get(i, Fraction(0)) + c
-            return UniSeries(out, max(self.trunc, other.trunc), exact=True)
-        t = min(self._eff(), other._eff())
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return UniSeries(out, t)
-
-    def __neg__(self):
-        return UniSeries({i: -c for i, c in self.coeffs.items()}, self.trunc,
-                         exact=self.exact)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniSeries({i: c * q(other) for i, c in self.coeffs.items()},
-                             self.trunc, exact=self.exact)
-        if (self.exact and not self.coeffs) or (other.exact and not other.coeffs):
-            return UniSeries.zero(max(self.trunc, other.trunc))
-        exact = self.exact and other.exact
-        t = min(self.val() + other._eff(), other.val() + self._eff(), INF_ORDER)
-        da, na = _numerators(self.coeffs)
-        db, nb = _numerators(other.coeffs)
-        nb.sort()
-        acc = defaultdict(int)
-        for i, a in na:
-            for j, b in nb:
-                if i + j >= t:
-                    break
-                acc[i + j] += a * b
-        out = {e: Fraction(s, da * db) for e, s in acc.items() if s}
-        if exact:
-            return UniSeries(out, max(self.trunc, other.trunc), exact=True)
-        return UniSeries(out, t)
-
-    __rmul__ = __mul__
-
-    def ramify(self, s):
-        """Substitute the variable by its s-th power: exponent i becomes s*i."""
-        if s < 1:
-            raise ValueError("ramification index must be >= 1")
-        if s == 1:
-            return self
-        return UniSeries(
-            {i * s: c for i, c in self.coeffs.items()},
-            min(self.trunc * s, INF_ORDER),
-            exact=self.exact,
-        )
-
-    def to_bi(self, var, other_trunc):
-        """Embed into BiSeries supported on one variable."""
-        if var == "x":
-            return BiSeries({(i, 0): c for i, c in self.coeffs.items()},
-                            self.trunc, other_trunc, exact=self.exact)
-        return BiSeries({(0, i): c for i, c in self.coeffs.items()},
-                        other_trunc, self.trunc, exact=self.exact)
 

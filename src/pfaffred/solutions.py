@@ -24,14 +24,15 @@ from .errors import (
     NotSplittable,
     PreconditionViolated,
     ReductionError,
+    TruncationExhausted,
 )
 from .matrices import LaurentMatrix, SeriesMatrix
 from .moser import _rank_reduce
 from .ods import (
-    _block_ranges,
+    _bicoeffs,
     _common_triangularize,
     _eigen_groups,
-    _split_order,
+    _split_system,
     associated_ods,
     exponential_parts_ods,
     katz_invariant_ods,
@@ -136,107 +137,7 @@ def _bivariate_splitting(sys: PfaffianSystem, positive_pole_only):
         raise NotSplittable(
             "neither leading constant matrix has two coprime factor groups"
         )
-    axis, groups = choice
-    lead = _leading_constants(sys)[0 if axis == "x" else 1]
-    n = sys.n
-    basis_cols = []
-    sizes = []
-    for _, power, _ in groups:
-        ker = qlinalg.kernel(qlinalg.poly_eval_matrix(power, lead))
-        basis_cols.extend(ker)
-        sizes.append(len(ker))
-    if sum(sizes) != n:
-        raise ReductionError("kernel projections do not fill the space")
-    vmat = tuple(tuple(col[i] for col in basis_cols) for i in range(n))
-    tx, ty = sys.window
-    const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting")
-    work = apply_gauge(sys, const_gauge).to_system(strict=False)
-
-    offs = _block_ranges(sizes)
-    main = work.amat if axis == "x" else work.bmat
-    pole = work.p if axis == "x" else work.q
-    lead0 = main.constant_part()
-    blocks0 = [qlinalg.submatrix(lead0, range(a, b), range(a, b)) for a, b in offs]
-
-    # Solve T = I + sum T_(i,j) x^i y^j (off-diagonal blocks) from the
-    # splitting-axis equation; each total-degree slice is triangular in
-    # the earlier coefficients.
-    eye = qlinalg.identity(n)
-    t_coeffs = {(0, 0): eye}
-    s_tilde = {(0, 0): lead0}
-    solvers = {}
-    main_coeffs = _bicoeffs(main, n, tx, ty)
-    for total in range(1, tx + ty - 1):
-        for i in range(max(0, total - ty + 1), min(total, tx - 1) + 1):
-            j = total - i
-            terms = [(1, s_c, t_coeffs[(i - ci, j - cj)])
-                     for (ci, cj), s_c in main_coeffs.items()
-                     if (ci, cj) != (0, 0) and (i - ci, j - cj) in t_coeffs]
-            terms += [(-1, t_c, s_tilde[(i - ti, j - tj)])
-                      for (ti, tj), t_c in t_coeffs.items()
-                      if (ti, tj) != (0, 0) and (i - ti, j - tj) in s_tilde]
-            shift = 0
-            if pole >= 1:
-                key = (i - pole, j) if axis == "x" else (i, j - pole)
-                kk = key[0] if axis == "x" else key[1]
-                if kk >= 1 and key in t_coeffs:
-                    terms.append((-kk, t_coeffs[key], eye))
-            else:
-                shift = i if axis == "x" else j
-            step = _split_order(qlinalg.dot(terms, (n, n)), offs, blocks0,
-                                shift, solvers)
-            if step is None:
-                raise NotSplittable(
-                    "resonant Sylvester block during bivariate "
-                    f"splitting at order {(i, j)}"
-                )
-            t_new, st_new = step
-            if not qlinalg.is_zero(t_new):
-                t_coeffs[(i, j)] = t_new
-            if not qlinalg.is_zero(st_new):
-                s_tilde[(i, j)] = st_new
-    # The series factor acts on the conjugated system; the gauge of sys
-    # is the constant factor, then the series factor.
-    series_gauge = unipotent_gauge(t_coeffs, n, tx, ty, "splitting")
-    gauge = const_gauge.compose(series_gauge)
-    res = apply_gauge(work, series_gauge)
-    full = res.to_system(strict=False)
-    for mat in (full.amat, full.bmat):
-        for (a, b) in offs:
-            for i_ in range(a, b):
-                for j_ in range(n):
-                    if not (a <= j_ < b) and not mat.at(i_, j_).is_zero():
-                        raise IntegrabilityViolation(
-                            "bivariate splitting left a coupling block "
-                            "nonzero within the window",
-                            window=mat.window,
-                        )
-    blocks = []
-    for (a, b) in offs:
-        idx = list(range(a, b))
-        blocks.append(
-            PfaffianSystem.make(
-                b - a,
-                full.p,
-                full.q,
-                full.amat.submatrix(idx, idx),
-                full.bmat.submatrix(idx, idx),
-                strict=False,
-            )
-        )
-    return gauge, blocks
-
-
-def _bicoeffs(mat: SeriesMatrix, n, tx, ty):
-    out = {}
-    for i in range(n):
-        for j in range(n):
-            for (a, b), c in mat.at(i, j).coeffs.items():
-                key = (a, b)
-                if key not in out:
-                    out[key] = [[Fraction(0)] * n for _ in range(n)]
-                out[key][i][j] = c
-    return {k: qlinalg.qmat(v) for k, v in out.items()}
+    return _split_system(sys, *choice)
 
 
 # -- bivariate eigenvalue shifting ---------------------------------------------------
@@ -362,8 +263,8 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     work = apply_gauge(sys, const_gauge).to_system(strict=False)
     d1 = [l1[i][i] for i in range(n)]
     d2 = [l2[i][i] for i in range(n)]
-    a_coeffs = _bicoeffs(work.amat, n, tx, ty)
-    b_coeffs = _bicoeffs(work.bmat, n, tx, ty)
+    a_coeffs = _bicoeffs(work.amat, n)
+    b_coeffs = _bicoeffs(work.bmat, n)
     t_coeffs = {(0, 0): qlinalg.identity(n)}
     at_coeffs = {(0, 0): l1}
     bt_coeffs = {(0, 0): l2}
@@ -580,8 +481,9 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
         a00, b00 = _leading_constants(current)
         # Pole-0 eigenvalue separation belongs to the regular solve; only
         # split along an axis whose pole is positive (never resonant).
-        if _split_axis_choice(current, positive_pole_only=True) is not None:
-            gauge, blocks = _bivariate_splitting(current, positive_pole_only=True)
+        choice = _split_axis_choice(current, positive_pole_only=True)
+        if choice is not None:
+            gauge, blocks = _split_system(current, *choice)
             data.gauge_trace.append(_embed_gauge(gauge, coords, data.n, tx, ty))
             off = 0
             for blk in blocks:
@@ -642,7 +544,10 @@ def verify_solution(sys: PfaffianSystem, data: SolutionData) -> bool:
     """Substitute the assembled solution into both equations.
 
     The gauge trace must transform the system into diag form: x-side
-    L1 + delta_x(Q1), y-side L2 + delta_y(Q2), within the window.
+    L1 + delta_x(Q1), y-side L2 + delta_y(Q2), within the window.  Raises
+    TruncationExhausted when the transformed window cannot decide it: a
+    side is zero only on its window (its pole is then unknown), or the
+    window ends before the side's constant term.
     """
     if not data.gauge_trace or data.lambda1 is None:
         return False
@@ -656,6 +561,12 @@ def verify_solution(sys: PfaffianSystem, data: SolutionData) -> bool:
                              ("y", data.lambda2, data.q2)):
         mat = res.amat if axis == "x" else res.bmat
         pole = res.p if axis == "x" else res.q
+        if not mat.is_exact and (mat.is_zero()
+                                 or (tx if axis == "x" else ty) <= pole):
+            raise TruncationExhausted(
+                f"the gauge trace exhausts the window of the {axis}-side",
+                window=res.window,
+            )
         for i in range(n):
             for j in range(n):
                 expect = {}

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pfaffred.errors import ZeroConstantTerm
 from pfaffred.qlinalg import add, qmat, rank, scale, solve, sub, zeros
 from pfaffred.matrices import SeriesMatrix
-from pfaffred.series import INF_ORDER, BiSeries, UniSeries
+from pfaffred.series import INF_ORDER, BiSeries
 
 
 def bi_mul(self, other):
@@ -47,27 +47,6 @@ def bi_mul(self, other):
         return BiSeries(out, max(self.tx, other.tx),
                         max(self.ty, other.ty), exact=True)
     return BiSeries(out, min(tx, INF_ORDER), min(ty, INF_ORDER))
-
-
-def uni_mul(self, other):
-    """UniSeries product of two series."""
-    if (self.exact and not self.coeffs) or (other.exact and not other.coeffs):
-        return UniSeries.zero(max(self.trunc, other.trunc))
-    exact = self.exact and other.exact
-    t = min(self.val() + other._eff(), other.val() + self._eff())
-    out = {}
-    for i, a in self.coeffs.items():
-        for j, b in other.coeffs.items():
-            if not exact and i + j >= t:
-                continue
-            s = out.get(i + j, Fraction(0)) + a * b
-            if s:
-                out[i + j] = s
-            elif i + j in out:
-                del out[i + j]
-    if exact:
-        return UniSeries(out, max(self.trunc, other.trunc), exact=True)
-    return UniSeries(out, min(t, INF_ORDER))
 
 
 def matrix_mul(self, other):

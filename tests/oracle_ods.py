@@ -1,0 +1,107 @@
+"""Reference ODS splitting: the univariate order loop that split_leading
+ran before it became the bivariate splitting body (ods._split_system) on
+the ODS embedded with a zero other side.  Kept verbatim, with the
+qlinalg_conj_series conjugation it used, apart from importing the
+helpers it shares with pfaffred.ods.
+"""
+
+from pfaffred import qlinalg
+from pfaffred.errors import NotSplittable, ReductionError
+from pfaffred.matrices import SeriesMatrix
+from pfaffred.ods import (
+    OdsSystem,
+    _block_ranges,
+    _coeff_const_matrix,
+    _coeffs_to_matrix,
+    _eigen_groups,
+    _on_axis,
+    _split_order,
+    unipotent_gauge,
+)
+from pfaffred.system import GaugeTransform, apply_gauge
+
+
+def split_leading(ods: OdsSystem):
+    """Decouple along coprime characteristic factors of the leading matrix.
+
+    Returns (gauge, [blocks]): gauge is a constant conjugation making the
+    leading matrix block diagonal, composed with I + higher-order
+    corrections solved order by order through Sylvester equations; the
+    output blocks' characteristic polynomials are the coprime factors.
+    """
+    a0 = ods.leading()
+    groups = _eigen_groups(a0)
+    if len(groups) < 2:
+        raise NotSplittable(
+            "characteristic polynomial of the leading matrix is a power of "
+            "one irreducible factor"
+        )
+    n = ods.n
+    # Kernel projections: basis of ker(power_i(A0)) per group.
+    basis_cols = []
+    sizes = []
+    for _, power, _ in groups:
+        ker = qlinalg.kernel(qlinalg.poly_eval_matrix(power, a0))
+        basis_cols.extend(ker)
+        sizes.append(len(ker))
+    if sum(sizes) != n:
+        raise ReductionError("kernel projections do not fill the space")
+    vmat = tuple(tuple(col[i] for col in basis_cols) for i in range(n))
+    vinv = qlinalg.inverse(vmat)
+    tx, ty = ods.amat.window
+    const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting",
+                                             inverse=vinv)
+    # Series coefficients of the conjugated system.
+    conj = qlinalg_conj_series(ods.amat, vmat, vinv)
+    trunc = ods.trunc
+    s_coeffs = [_coeff_const_matrix(conj, ods.var, k, n) for k in range(trunc)]
+    n0 = s_coeffs[0]
+    offs = _block_ranges(sizes)
+    blocks0 = [qlinalg.submatrix(n0, range(a, b), range(a, b)) for a, b in offs]
+    # Solve T = I + sum T_k v^k with off-diagonal T_k only.
+    eye = qlinalg.identity(n)
+    t_coeffs = [eye]
+    s_tilde = [n0]
+    solvers = {}
+    p = ods.p
+    for m in range(1, trunc):
+        terms = [(1, s_coeffs[i], t_coeffs[m - i]) for i in range(1, m + 1)]
+        terms += [(-1, t_coeffs[j], s_tilde[m - j]) for j in range(1, m)]
+        if p >= 1 and m - p >= 1:
+            terms.append((-(m - p), t_coeffs[m - p], eye))
+        step = _split_order(qlinalg.dot(terms), offs, blocks0,
+                            m if p == 0 else 0, solvers)
+        if step is None:
+            raise NotSplittable(
+                "resonant Sylvester block at order "
+                f"{m} (pole 0 with integer eigenvalue difference)"
+                if p == 0
+                else "Sylvester block unexpectedly singular"
+            )
+        t_coeffs.append(step[0])
+        s_tilde.append(step[1])
+    var = ods.var
+    gauge = const_gauge.compose(
+        unipotent_gauge(_on_axis(t_coeffs, var), n, tx, ty, "splitting"))
+    new_mat = _coeffs_to_matrix(_on_axis(s_tilde, var), n, tx, ty)
+    blocks = []
+    for (a, b), (_, _, _) in zip(offs, groups):
+        sub = new_mat.submatrix(list(range(a, b)), list(range(a, b)))
+        blocks.append(OdsSystem(var, b - a, ods.p, sub).normalized())
+    # Certify: off-diagonal blocks of the transformed system vanish.
+    res = apply_gauge(ods.to_pfaffian(), gauge)
+    full = res.to_system(strict=False)
+    mat = full.amat if var == "x" else full.bmat
+    for (a, b) in offs:
+        for i in range(a, b):
+            for j in range(n):
+                if not (a <= j < b) and not mat.at(i, j).is_zero():
+                    raise ReductionError("splitting left a nonzero coupling block")
+    return gauge, blocks
+
+
+def qlinalg_conj_series(mat: SeriesMatrix, vmat, vinv) -> SeriesMatrix:
+    tx, ty = mat.window
+    v_s = SeriesMatrix.from_rational_rows(vmat, tx, ty)
+    vi_s = SeriesMatrix.from_rational_rows(vinv, tx, ty)
+    return vi_s * mat * v_s

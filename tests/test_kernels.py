@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 import oracle_kernels as oracle
 from pfaffred import qlinalg
 from pfaffred.matrices import SeriesMatrix
-from pfaffred.series import BiSeries, UniSeries, dot
+from pfaffred.series import BiSeries, dot
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
@@ -34,15 +34,6 @@ def bi_series(draw, max_order=5):
     return BiSeries(coeffs, tx, ty, exact=exact)
 
 
-@st.composite
-def uni_series(draw, max_order=6):
-    exact = draw(st.booleans())
-    trunc = draw(st.integers(0 if not exact else 1, max_order))
-    coeffs = draw(st.dictionaries(st.integers(0, max_order + 1), rationals,
-                                  max_size=8))
-    return UniSeries(coeffs, trunc, exact=exact)
-
-
 def series_matrices(rows, cols):
     return st.lists(bi_series(4), min_size=rows * cols,
                     max_size=rows * cols).map(
@@ -55,20 +46,9 @@ def same_bi(got, want):
     assert (got.tx, got.ty) == (want.tx, want.ty)
 
 
-def same_uni(got, want):
-    assert got.coeffs == want.coeffs
-    assert got.exact == want.exact
-    assert got.trunc == want.trunc
-
-
 @given(bi_series(), bi_series())
 def test_bi_product_matches_reference(a, b):
     same_bi(a * b, oracle.bi_mul(a, b))
-
-
-@given(uni_series(), uni_series())
-def test_uni_product_matches_reference(a, b):
-    same_uni(a * b, oracle.uni_mul(a, b))
 
 
 @given(st.lists(st.tuples(bi_series(4), bi_series(4)), min_size=1, max_size=4))

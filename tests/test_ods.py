@@ -270,7 +270,7 @@ def first_kind_residual(ods, sol):
     for k, mat in sol.retained:
         mono = BiSeries.monomial(1, k if ods.var == "x" else 0,
                                  k if ods.var == "y" else 0, tx, ty)
-        lam = lam + SeriesMatrix.from_rational_rows(mat, tx, ty).scale_series(mono)
+        lam = lam + SeriesMatrix.from_rational_rows(mat, tx, ty) * mono
     phi = sol.phi
     res = phi.delta(ods.var) - ods.amat * phi + phi * lam
     return all(e.is_zero() for e in res.entries)

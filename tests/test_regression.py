@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from pfaffred.errors import InvariantViolation
+import pytest
+
+from pfaffred.errors import InvariantViolation, TruncationExhausted
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.moser import moser_rank, rank_reduce, reduce_subsystem_step, theta_poly
 from pfaffred.series import BiSeries
@@ -148,6 +150,22 @@ def test_randomized_block_solves_verify():
             assert verify_solution(sys_obj, data)
             done += 1
     assert done >= 5
+
+
+def test_verify_solution_reports_window_exhaustion(exm, exmnaive):
+    # formal_fundamental solves exm + exmnaive with the right Q1 and Q2,
+    # but the composed gauge trace, applied to the input at once, leaves
+    # window (1, 5) with every x-side entry zero on it: the x-pole is then
+    # unknown, so the substitution check cannot answer "not a solution".
+    from test_gauge_inverse import direct_sum
+
+    sys_obj = direct_sum(exm, exmnaive)
+    data = formal_fundamental(sys_obj)
+    assert data.complete()
+    assert data.q1 == [{}, {}] + [{Fraction(1): Fraction(-1)}] * 2
+    with pytest.raises(TruncationExhausted) as err:
+        verify_solution(sys_obj, data)
+    assert err.value.window == (1, 5)
 
 
 def test_column_reduce_pole_drop_is_window_exhaustion(tmp_path, capsys,

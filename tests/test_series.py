@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pfaffred.errors import TruncationExhausted, ZeroConstantTerm
-from pfaffred.series import BiSeries, UniSeries
+from pfaffred.series import BiSeries
 
 T = 8
 
@@ -82,33 +82,47 @@ def test_delta_rules():
 def test_eval_zero():
     a = bs({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
     u = a.eval_zero("y")
-    assert u == UniSeries({0: 1, 1: 1}, T)
+    assert u == bs({(0, 0): 1, (1, 0): 1})
+    assert not u.exact and u.window == a.window
     assert bs({(0, 2): 1}).eval_zero("y").is_zero()
     # The first-subsystem entry x^3 + x^2 + y at y = 0.
     e = bs({(3, 0): 1, (2, 0): 1, (0, 1): 1})
-    assert e.eval_zero("y") == UniSeries({3: 1, 2: 1}, T)
+    assert e.eval_zero("y") == bs({(3, 0): 1, (2, 0): 1})
+    assert e.eval_zero("x") == bs({(0, 1): 1})
+    exact = BiSeries({(0, 0): 2, (1, 1): 1}, 3, 4, exact=True)
+    z = exact.eval_zero("x")
+    assert z.exact and z.window == (3, 4) and z.coeffs == {(0, 0): 2}
+    with pytest.raises(TruncationExhausted):
+        BiSeries({}, 0, T).eval_zero("x")
+    with pytest.raises(TruncationExhausted):
+        BiSeries({}, T, 0).eval_zero("y")
 
 
 def test_ramify():
-    assert UniSeries({1: 1}, 4).ramify(2) == UniSeries({2: 1}, 8)
-    u = UniSeries({0: 1, 1: 2, 3: -1}, 5)
-    assert u.ramify(1) == u
-    assert UniSeries({0: 1, 1: 1, 2: 1}, 4).ramify(3) == UniSeries(
-        {0: 1, 3: 1, 6: 1}, 12
+    assert bs({(1, 0): 1}, 4).ramify("x", 2) == bs({(2, 0): 1}, 8)
+    assert bs({(1, 0): 1}, 4).ramify("x", 2).window == (8, T)
+    u = bs({(0, 0): 1, (1, 0): 2, (3, 0): -1}, 5)
+    assert u.ramify("x", 1) is u
+    assert bs({(0, 0): 1, (0, 1): 1, (0, 2): 1}, T, 4).ramify("y", 3) == bs(
+        {(0, 0): 1, (0, 3): 1, (0, 6): 1}, T, 12
     )
+    # Only the named variable's exponents move.
+    assert bs({(1, 2): 1}).ramify("y", 2).coeffs == {(1, 4): 1}
+    with pytest.raises(ValueError):
+        u.ramify("x", 0)
 
 
 def test_ramify_is_ring_morphism():
     rng = random.Random(7)
     for _ in range(20):
-        a = UniSeries(
-            {i: Fraction(rng.randint(-3, 3)) for i in range(5)}, 5
-        )
-        b = UniSeries(
-            {i: Fraction(rng.randint(-3, 3)) for i in range(5)}, 5
+        var = rng.choice(["x", "y"])
+        a, b = (
+            BiSeries({(i, 0) if var == "x" else (0, i): Fraction(rng.randint(-3, 3))
+                      for i in range(5)}, 5, 5)
+            for _ in range(2)
         )
         s = rng.choice([2, 3])
-        assert (a * b).ramify(s) == a.ramify(s) * b.ramify(s)
+        assert (a * b).ramify(var, s) == a.ramify(var, s) * b.ramify(var, s)
 
 
 def test_ring_axioms_on_random_series():
