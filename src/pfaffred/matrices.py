@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import qlinalg
 from .errors import (
     DimensionMismatch,
     SingularMatrix,
@@ -231,12 +232,15 @@ class SeriesMatrix:
     # -- determinants ---------------------------------------------------------
 
     def det(self) -> BiSeries:
+        """(-1)^n times the constant coefficient of Berkowitz's division-free
+        characteristic polynomial (qlinalg.charpoly)."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             raise DimensionMismatch("empty matrix")
-        return _det_expand(self, list(range(n)), 0)
+        c0 = qlinalg.charpoly(self.to_rows(), BiSeries.const(1, *self.window))[0]
+        return -c0 if n % 2 else c0
 
     def adjugate(self):
         n = self.rows
@@ -256,24 +260,6 @@ class SeriesMatrix:
                 row.append(minor)
             out.append(row)
         return SeriesMatrix.from_rows(out)
-
-
-def _det_expand(m, rows, col):
-    if not rows:
-        return BiSeries.const(1, *m.window)
-    acc = None
-    sign = 1
-    for idx, r in enumerate(rows):
-        e = m.at(r, col)
-        if not (e.exact and e.is_zero()):
-            rest = rows[:idx] + rows[idx + 1 :]
-            term = e * _det_expand(m, rest, col + 1)
-            if sign * (-1) ** idx < 0:
-                term = -term
-            acc = term if acc is None else acc + term
-    if acc is None:
-        return BiSeries.zero(*m.window)
-    return acc
 
 
 class LaurentMatrix:
@@ -350,10 +336,6 @@ class LaurentMatrix:
         inv_series = s.adjugate() * unit.invert()
         return LaurentMatrix(inv_series, vx - self.px, vy - self.py).normalize()
 
-    def poles(self):
-        n = self.normalize()
-        return (n.px, n.py)
-
     def equals(self, other):
         a, b = self.normalize(), other.normalize()
         if a.series.is_zero() and b.series.is_zero():
@@ -394,15 +376,27 @@ def _divide(a: BiSeries, b: BiSeries, var: str) -> BiSeries:
 def column_echelon(m: SeriesMatrix, var: str):
     """Unimodular column reduction over the var-series ring.
 
-    Returns (v, reduced, rank, pivot_rows): v unimodular (det a unit) with
+    Returns (v, reduced, rank, v_inv): v unimodular (det a unit) with
     m*v = reduced, whose first `rank` columns carry the column space (each
     with a pivot row) and whose remaining columns vanish on the window.
     Pivoting: minimal var-valuation, ties by smallest row then column.
+
+    v_inv is v^(-1), built in the same loop by the inverse operations: a
+    column swap of v is the same row swap of v_inv, and col_j(v) -=
+    col_p(v)*f is row_p(v_inv) += f*row_j(v_inv).  It agrees with the
+    adjugate inverse of v (tests/oracle_cofactor.py) in coefficients,
+    truncated windows and poles, and is exact wherever that is.  It can
+    be exact where the adjugate is truncated, since the row operations
+    never multiply in an entry whose contribution cancels: the zeros below
+    the diagonal of an upper unitriangular v are exact.  An exact entry
+    may carry other nominal orders than the adjugate's, e.g. (8, 8)
+    against (8, 9).
     """
     work = m.to_rows()
     nrows, ncols = m.rows, m.cols
     tx, ty = m.window
     v = SeriesMatrix.identity(ncols, tx, ty).to_rows()
+    v_inv = SeriesMatrix.identity(ncols, tx, ty).to_rows()
     used_rows = []
     placed = 0
     while placed < ncols:
@@ -426,6 +420,7 @@ def column_echelon(m: SeriesMatrix, var: str):
                 row[placed], row[pj] = row[pj], row[placed]
             for row in v:
                 row[placed], row[pj] = row[pj], row[placed]
+            v_inv[placed], v_inv[pj] = v_inv[pj], v_inv[placed]
         pivot = work[pi][placed]
         # Only not-yet-placed columns: their entries in unused rows have
         # valuation >= the pivot's by pivot selection, so division is exact.
@@ -438,14 +433,14 @@ def column_echelon(m: SeriesMatrix, var: str):
                 work[i][j] = work[i][j] - work[i][placed] * f
             for i in range(ncols):
                 v[i][j] = v[i][j] - v[i][placed] * f
+                v_inv[placed][i] = v_inv[placed][i] + f * v_inv[j][i]
         used_rows.append(pi)
         placed += 1
-    rank = placed
     return (
         SeriesMatrix.from_rows(v),
         SeriesMatrix.from_rows(work),
-        rank,
-        used_rows,
+        placed,
+        SeriesMatrix.from_rows(v_inv),
     )
 
 

@@ -185,8 +185,8 @@ def column_reduce_leading(sys: PfaffianSystem, axis: str) -> GaussForm:
     work = sys if axis == "x" else _flip(sys)
     n = work.n
     a0 = work.amat.coeff_matrix("x", 0).eval_zero_matrix("x")
-    v1, _, r, _ = column_echelon(a0, "y")
-    v1_inv = LaurentMatrix(v1).inverse()
+    v1, _, r, v1_inv = column_echelon(a0, "y")
+    v1_inv = LaurentMatrix(v1_inv)
     conj = v1_inv * LaurentMatrix(a0) * LaurentMatrix(v1)
     a0_conj = _laurent_to_series(conj)
     if a0_conj is None:
@@ -195,10 +195,12 @@ def column_reduce_leading(sys: PfaffianSystem, axis: str) -> GaussForm:
     d = r
     if r > 0:
         top = a0_conj.submatrix(list(range(r)), list(range(r)))
-        v2, _, d, _ = column_echelon(top, "y")
+        v2, _, d, v2_inv = column_echelon(top, "y")
         if d < r:
+            window = v2.window
             gauge = gauge.compose(GaugeTransform.of_series(
-                _embed_block(v2, 0, n, *v2.window), "unimodular-column-reduce"))
+                _embed_block(v2, 0, n, *window), "unimodular-column-reduce",
+                LaurentMatrix(_embed_block(v2_inv, 0, n, *window))))
     if axis == "y":
         gauge = _flip_gauge(gauge)
     return GaussForm(gauge=gauge, d=d, r=r)

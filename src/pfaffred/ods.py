@@ -369,23 +369,45 @@ def eigenvalue_shift(ods: OdsSystem, gamma) -> tuple[ShiftRecord, OdsSystem]:
     gamma = Fraction(gamma)
     if gamma == 0:
         return ShiftRecord(gamma, ods.p, ods.var), ods
-    a0 = ods.leading()
-    shifted0 = qlinalg.sub(a0, qlinalg.scale(qlinalg.identity(ods.n), gamma))
-    if not qlinalg.is_nilpotent(shifted0):
+    shifted = _subtract_scalar(ods.to_pfaffian(), ods.var, ods.p, gamma)
+    return (ShiftRecord(gamma, ods.p, ods.var),
+            OdsSystem.from_pfaffian(shifted, ods.var))
+
+
+def _subtract_scalar(sys, axis, k, gamma):
+    """Remove gamma * var^(p-k) from the axis side's series part, p its
+    pole and k <= p; for k = p, validate that the leading constant had
+    gamma as its single eigenvalue."""
+    n = sys.n
+    tx, ty = sys.window
+    pole = sys.p if axis == "x" else sys.q
+    if k > pole:
         raise PreconditionViolated(
-            f"leading matrix minus {gamma} I is not nilpotent"
+            f"shift order {k} exceeds the current pole {pole} on {axis}"
         )
-    tx, ty = ods.amat.window
-    gmat = SeriesMatrix.from_rational_rows(
-        [
-            [gamma if i == j else Fraction(0) for j in range(ods.n)]
-            for i in range(ods.n)
-        ],
-        tx,
-        ty,
+    if k == pole:
+        lead = (sys.amat if axis == "x" else sys.bmat).constant_part()
+        shifted = qlinalg.sub(lead, qlinalg.scale(qlinalg.identity(n), gamma))
+        if not qlinalg.is_nilpotent(shifted):
+            raise PreconditionViolated(
+                f"{gamma} is not the single eigenvalue of the {axis} leading "
+                "constant"
+            )
+    mono = BiSeries.monomial(
+        gamma, (pole - k) if axis == "x" else 0,
+        (pole - k) if axis == "y" else 0, tx, ty
     )
-    new = OdsSystem(ods.var, ods.n, ods.p, ods.amat - gmat).normalized()
-    return ShiftRecord(gamma, ods.p, ods.var), new
+    gmat = SeriesMatrix.from_rows(
+        [
+            [mono if i == j else BiSeries.zero(tx, ty) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+    if axis == "x":
+        return PfaffianSystem.make(n, sys.p, sys.q, sys.amat - gmat, sys.bmat,
+                                   strict=False)
+    return PfaffianSystem.make(n, sys.p, sys.q, sys.amat, sys.bmat - gmat,
+                               strict=False)
 
 
 # -- Moser reduction and Katz invariant --------------------------------------------
@@ -619,14 +641,14 @@ def first_kind_fundamental_ods(ods: OdsSystem) -> FirstKindSolution:
         # Resonant order: split solvable and retained parts in a
         # triangular eigenbasis (requires rational eigenvalues).
         if tri is None:
-            tri = _triangularize_single(lam0)
+            tri = _common_triangularize([lam0])
             if tri is None:
                 raise AlgebraicExtensionRequired(
                     "resonance handling needs rational eigenvalues"
                 )
-        u, uinv, diag = tri
+        u, uinv, (lam_t,) = tri
+        diag = [lam_t[i][i] for i in range(n)]
         rr = qlinalg.mul(qlinalg.mul(uinv, qlinalg.scale(r_known, -1)), u)
-        lam_t = qlinalg.mul(qlinalg.mul(uinv, lam0), u)
         t_m = [[Fraction(0)] * n for _ in range(n)]
         keep = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n - 1, -1, -1):
@@ -650,17 +672,6 @@ def first_kind_fundamental_ods(ods: OdsSystem) -> FirstKindSolution:
     return FirstKindSolution(
         phi=phi, exponent=lam0, retained=tuple(retained)
     )
-
-
-def _triangularize_single(a):
-    """Constant U with U^(-1) a U upper triangular over Q; None if some
-    eigenvalue is irrational.  Returns (U, U^(-1), diagonal)."""
-    us = _common_triangularize([a])
-    if us is None:
-        return None
-    u, uinv, tris = us
-    diag = [tris[0][i][i] for i in range(len(a))]
-    return u, uinv, diag
 
 
 def _common_triangularize(mats):

@@ -32,7 +32,9 @@ from .ods import (
     _bicoeffs,
     _common_triangularize,
     _eigen_groups,
+    _merge_term,
     _split_system,
+    _subtract_scalar,
     associated_ods,
     exponential_parts_ods,
     katz_invariant_ods,
@@ -172,47 +174,11 @@ def _bivariate_shift(sys: PfaffianSystem, gammas_x, gammas_y):
             gamma = Fraction(gammas[k])
             if gamma == 0:
                 continue
-            pole = current.p if axis == "x" else current.q
-            if k > pole:
-                raise PreconditionViolated(
-                    f"shift order {k} exceeds the current pole {pole} on {axis}"
-                )
             current = _subtract_scalar(current, axis, k, gamma)
             if k >= 1:
                 store[Fraction(k)] = -gamma / k
     return ScalarShift(tuple(sorted(x_q.items())),
                        tuple(sorted(y_q.items()))), current
-
-
-def _subtract_scalar(sys, axis, k, gamma):
-    """Remove gamma * var^(p-k) from the series part and validate that the
-    affected leading constant had gamma as its single eigenvalue."""
-    n = sys.n
-    tx, ty = sys.window
-    pole = sys.p if axis == "x" else sys.q
-    if k == pole:
-        lead = (sys.amat if axis == "x" else sys.bmat).constant_part()
-        shifted = qlinalg.sub(lead, qlinalg.scale(qlinalg.identity(n), gamma))
-        if not qlinalg.is_nilpotent(shifted):
-            raise PreconditionViolated(
-                f"{gamma} is not the single eigenvalue of the {axis} leading "
-                "constant"
-            )
-    mono = BiSeries.monomial(
-        gamma, (pole - k) if axis == "x" else 0,
-        (pole - k) if axis == "y" else 0, tx, ty
-    )
-    gmat = SeriesMatrix.from_rows(
-        [
-            [mono if i == j else BiSeries.zero(tx, ty) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    if axis == "x":
-        return PfaffianSystem.make(n, sys.p, sys.q, sys.amat - gmat, sys.bmat,
-                                   strict=False)
-    return PfaffianSystem.make(n, sys.p, sys.q, sys.amat, sys.bmat - gmat,
-                               strict=False)
 
 
 # -- regular solve -------------------------------------------------------------------
@@ -376,13 +342,6 @@ class SolutionData:
         return self.blocked is None
 
 
-def _merge_q(target: dict, terms):
-    for k, c in terms:
-        target[k] = target.get(k, Fraction(0)) + c
-        if target[k] == 0:
-            del target[k]
-
-
 def formal_fundamental(sys: PfaffianSystem) -> SolutionData:
     """Full orchestration of splitting, shifting, rank reduction and the
     regular solve; emits the complete fundamental-matrix data or a partial
@@ -512,8 +471,10 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
                     gammas_y={pole: gamma} if axis == "y" else None,
                 )
                 terms = shift.x_terms if axis == "x" else shift.y_terms
+                store = data.q1 if axis == "x" else data.q2
                 for i in coords:
-                    _merge_q(data.q1[i] if axis == "x" else data.q2[i], terms)
+                    for k, c in terms:
+                        _merge_term(store[i], k, c)
                 shifted = True
         if shifted:
             continue
@@ -535,7 +496,8 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
             for part in parts:
                 for _ in range(part.multiplicity):
                     if idx < len(coords):
-                        _merge_q(store[coords[idx]], part.q_terms)
+                        for k, c in part.q_terms:
+                            _merge_term(store[coords[idx]], k, c)
                     idx += 1
         return
 

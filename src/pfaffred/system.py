@@ -185,13 +185,17 @@ class GaugeTransform:
     inverses[k] is the inverse of factors[k], supplied when the factor is
     built, by the code that knows it: a constant factor is inverted over Q,
     a unipotent series factor by its coefficient recursion, a monomial
-    factor from its exponents, a Moser gauge by the elimination that made
-    it.  Only a factor with no such source (the second column-reduce
-    factor, a gauge from outside the library) is inverted by the adjugate,
-    once, in of_series.  The inverse equals LaurentMatrix.inverse() of the
-    factor in coefficients, exact flags, windows, nominal orders and poles
-    (solutions._embed_gauge lifts are the one exception: see there), so
-    apply_gauge and inverse() never invert a factor.
+    factor from its exponents, both column-reduce factors of a Moser step
+    by the elimination that made them (column_echelon), the trailing
+    arrangement Q4 by its adjugate.  Only a gauge from outside the library
+    is inverted at construction, once, in of_series.  The inverse equals
+    the cofactor adjugate inverse of the factor (tests/oracle_cofactor.py)
+    in coefficients, truncated windows and poles, and is exact wherever
+    that is.  Two kinds of factor may differ from it: an elimination
+    inverse can be exact where the adjugate is truncated, or carry other
+    nominal orders (see column_echelon), and solutions._embed_gauge lifts
+    are held to values (see there).  apply_gauge and inverse() never
+    invert a factor.
     """
 
     factors: tuple
@@ -207,8 +211,10 @@ class GaugeTransform:
         """One series factor with its inverse, a LaurentMatrix.  A caller
         that does not know the inverse leaves it out: an exact diagonal of
         monic monomials (the identity, a shearing) is then inverted from
-        its exponents, any other factor (the second column-reduce factor,
-        a gauge from outside the library) once, here, by the adjugate."""
+        its exponents, and any other factor once, here, by the adjugate
+        (LaurentMatrix.inverse).  The library passes the inverse of every
+        other factor it builds, so only a gauge from outside it is
+        inverted here."""
         f = LaurentMatrix(mat)
         if inverse is None:
             exps = _monomial_diagonal(mat)
@@ -359,9 +365,10 @@ def _monomial_inverse(f: LaurentMatrix, exps) -> LaurentMatrix:
     """F^(-1) for F = diag(x^a_i y^b_i) / (x^px y^py) with (a_i, b_i) =
     exps: diag(x^(ma - a_i) y^(mb - b_i)) / (x^(ma - px) y^(mb - py)), with
     (ma, mb) the largest exponents.  Each entry has the nominal orders that
-    LaurentMatrix.inverse (the adjugate path) gives it: entry (i, j) takes
-    the larger of the determinant unit's and those of the minor without row
-    j and column i, less the monomial content that normalization strips."""
+    the cofactor adjugate inverse (tests/oracle_cofactor.py) gives it:
+    entry (i, j) takes the larger of the determinant unit's and those of
+    the minor without row j and column i, less the monomial content that
+    normalization strips."""
     s = f.series
     n = s.rows
     ma = max(a for a, _ in exps)

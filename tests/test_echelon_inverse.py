@@ -1,0 +1,154 @@
+"""One elimination, one determinant, checked against the cofactor oracle
+(tests/oracle_cofactor.py).
+
+column_echelon returns v^(-1) built by the inverse row operations.  It is
+the oracle's adjugate inverse in coefficients, truncated windows and
+poles, and exact wherever the oracle is exact.  It can be exact where the
+adjugate is truncated: a cofactor multiplies in truncated entries of v
+whose contributions cancel, while the row operations never form them.
+
+SeriesMatrix.det reads Berkowitz's characteristic polynomial.  Up to 2 x 2
+it is the cofactor expansion term for term.  From 3 x 3 on it also forms
+products that cancel, so its truncated window can be smaller or larger than
+the expansion's, and a determinant the expansion certifies exact can come
+out truncated; the two then agree on their common window.  On exact input
+both are exact with the same coefficients.  Nominal orders of exact
+results are not compared: they follow the operands each path touches.
+"""
+
+import random
+
+from hypothesis import given, strategies as st
+
+from pfaffred import moser
+from pfaffred.errors import TruncationExhausted
+from pfaffred.matrices import LaurentMatrix, SeriesMatrix, column_echelon
+from pfaffred.moser import moser_rank, reduce_subsystem_step
+from pfaffred.series import BiSeries
+from pfaffred.system import PfaffianSystem, apply_gauge
+
+import oracle_cofactor as oracle
+from conftest import T, poly_series, random_unimodular
+from test_gauge_shift import KINDS, entries
+
+
+def certified(e):
+    """What a series claims: its coefficients, whether it is exact, and
+    the window of a truncated one."""
+    return e.coeffs, e.exact, None if e.exact else e.window
+
+
+def outcome(e):
+    """certified(e) and the nominal orders of an exact series."""
+    return e.coeffs, e.exact, e.tx, e.ty
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    kinds = draw(st.sampled_from([KINDS, ("exact", "zero"), ("truncated",),
+                                  ("exact", "window-zero")]))
+    return SeriesMatrix(rows, cols,
+                        [draw(entries(kinds)) for _ in range(rows * cols)])
+
+
+shapes = st.tuples(st.integers(1, 3), st.integers(1, 3))
+
+
+@given(shapes.flatmap(lambda s: st.tuples(matrices(*s), st.sampled_from("xy"))))
+def test_echelon_inverse_matches_cofactor_oracle(args):
+    m, var = args
+    try:
+        v, red, rank, v_inv = column_echelon(m, var)
+    except TruncationExhausted:
+        return      # a pivot that is no monomial times a unit on its window
+    assert m * v == red
+    assert all(red.at(i, j).is_zero()
+               for i in range(m.rows) for j in range(rank, m.cols))
+    eye = SeriesMatrix.identity(m.cols, *v.window)
+    assert v * v_inv == eye and v_inv * v == eye
+    want = oracle.inverse(LaurentMatrix(v))
+    assert (want.px, want.py) == (0, 0)
+    for got, ref in zip(v_inv.entries, want.series.entries):
+        assert got == ref
+        if ref.exact or not got.exact:
+            assert certified(got) == certified(ref)
+
+
+def test_echelon_inverse_is_exact_where_the_adjugate_is_not():
+    # c is zero on its window (1, 1).  v has c in two entries of its last
+    # column; the (0, 0) entry of v^(-1) is an exact 0 by the row
+    # operations, while its cofactor multiplies c in and is truncated.
+    c = BiSeries({}, 1, 1)
+    one, z = BiSeries.const(1, T, T), BiSeries.zero(T, T)
+    m = SeriesMatrix.from_rows([[z, one, one], [z, c, c], [c, z, one]])
+    v, _, _, v_inv = column_echelon(m, "y")
+    want = oracle.inverse(LaurentMatrix(v))
+    got, ref = v_inv.at(0, 0), want.series.at(0, 0)
+    assert got.exact and got.is_zero()
+    assert not ref.exact and ref.window == (1, 1) and ref.is_zero()
+    assert v_inv == want.series
+
+
+@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
+def test_det_and_adjugate_match_cofactor_oracle(m):
+    det, want = m.det(), oracle.det(m)
+    assert det == want
+    if m.is_exact:
+        assert det.exact and det.coeffs == want.coeffs
+    if m.rows <= 2:
+        assert certified(det) == certified(want)
+    for got, ref in zip(m.adjugate().entries, oracle.adjugate(m).entries):
+        assert got == ref
+        if m.rows <= 3:
+            assert certified(got) == certified(ref)
+
+
+def test_det_and_adjugate_keep_window_zero_entries():
+    c = BiSeries({}, 3, 3)
+    one = BiSeries.const(1, T, T)
+    m = SeriesMatrix.from_rows([[one, one], [c, one]])
+    assert outcome(m.det()) == outcome(oracle.det(m))
+    assert ([outcome(e) for e in m.adjugate().entries]
+            == [outcome(e) for e in oracle.adjugate(m).entries])
+
+
+def chain_system():
+    """The trailing-block chain of test_regression: reducing it on x
+    completes a kept subspace to a unimodular Q4."""
+    z = BiSeries.zero(T, T)
+    x = poly_series({(1, 0): 1})
+    rows = [[z, z, z, x], [BiSeries.const(1, T, T), z, z, z],
+            [z, z, z, z], [z, z, x, z]]
+    return PfaffianSystem.make(4, 2, 0, SeriesMatrix.from_rows(rows),
+                               SeriesMatrix.zeros(4, 4, T, T), strict=False)
+
+
+def test_q4_det_and_inverse_match_cofactor_oracle(monkeypatch):
+    built = []
+    complete = moser._complete_unimodular
+
+    def record(basis, m):
+        q4 = complete(basis, m)
+        built.append(q4)
+        return q4
+
+    monkeypatch.setattr(moser, "_complete_unimodular", record)
+    base = chain_system()
+    for seed in range(4):
+        rng = random.Random(seed)
+        gauge = random_unimodular(rng, n=4, vars_=("y",), max_deg=1)
+        gauged = apply_gauge(base, gauge).to_system(strict=False)
+        for window in (None, (8, 8), (6, 7)):
+            sys_obj = gauged if window is None else PfaffianSystem.make(
+                4, gauged.p, gauged.q, gauged.amat.truncated(*window),
+                gauged.bmat.truncated(*window), strict=False)
+            _, nxt, _ = reduce_subsystem_step(sys_obj, "x")
+            assert moser_rank(nxt, "x") < moser_rank(sys_obj, "x")
+    q4s = [q4 for q4 in built if q4 is not None]
+    assert len(q4s) >= 12 and not all(q4.is_exact for q4 in q4s)
+    for q4 in q4s:
+        assert outcome(q4.det()) == outcome(oracle.det(q4))
+        got, want = LaurentMatrix(q4).inverse(), oracle.inverse(LaurentMatrix(q4))
+        assert (got.px, got.py) == (want.px, want.py)
+        assert ([outcome(e) for e in got.series.entries]
+                == [outcome(e) for e in want.series.entries])

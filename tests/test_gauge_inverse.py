@@ -1,12 +1,12 @@
 """Carried inverses: every gauge factor comes with its inverse, and
 apply_gauge never inverts a factor itself.
 
-The inverse a factor carries must be what LaurentMatrix.inverse() (the
-adjugate path) gives for it: the same coefficients, exact flags, windows,
-nominal orders and poles, compared as tests/test_gauge_shift.py compares
-gauge results.  That holds for every factor apply_gauge receives while
-reduce, expparts, katz and solve run, and for every factor those commands
-emit on the fixtures.
+The inverse a factor carries must be what the cofactor adjugate
+(tests/oracle_cofactor.py) gives for it: the same coefficients, exact
+flags, windows, nominal orders and poles, compared as
+tests/test_gauge_shift.py compares gauge results.  That holds for every
+factor apply_gauge receives while reduce, expparts, katz and solve run,
+and for every factor those commands emit on the fixtures.
 
 One kind of emitted factor is held to values only: solve lifts the gauges
 of a split block to the full space with identity entries outside the
@@ -30,6 +30,7 @@ from pfaffred.solutions import exponential_parts, formal_fundamental, katz_pair
 from pfaffred.system import GaugeTransform, PfaffianSystem, apply_gauge
 
 from conftest import random_integrable_system
+from oracle_cofactor import inverse as oracle_inverse
 
 
 def outcome(m):
@@ -79,7 +80,7 @@ def test_fixture_inverses_match_adjugate(name, window, request, monkeypatch):
     applied, emitted = run_commands(sys_obj, monkeypatch)
     assert applied
     for f, f_inv in applied + emitted:
-        assert outcome(f_inv) == outcome(f.inverse())
+        assert outcome(f_inv) == outcome(oracle_inverse(f))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -91,9 +92,9 @@ def test_generated_inverses_match_adjugate(seed, monkeypatch):
     applied, emitted = run_commands(sys_obj, monkeypatch)
     assert applied and emitted
     for f, f_inv in applied:
-        assert outcome(f_inv) == outcome(f.inverse())
+        assert outcome(f_inv) == outcome(oracle_inverse(f))
     for f, f_inv in emitted:
-        assert f_inv.equals(f.inverse())
+        assert f_inv.equals(oracle_inverse(f))
 
 
 def direct_sum(s1, s2):
@@ -122,9 +123,9 @@ def test_lifted_block_inverses(exm, exmnaive, monkeypatch):
     applied, emitted = run_commands(direct_sum(exm, exmnaive), monkeypatch)
     assert any(f_inv.px or f_inv.py for _, f_inv in emitted)
     for f, f_inv in applied:
-        assert outcome(f_inv) == outcome(f.inverse())
+        assert outcome(f_inv) == outcome(oracle_inverse(f))
     for f, f_inv in emitted:
-        assert f_inv.equals(f.inverse())
+        assert f_inv.equals(oracle_inverse(f))
 
 
 def solve_gauge(sys_obj):
@@ -149,4 +150,23 @@ def test_apply_gauge_inverts_no_factor(exm, exmnaive, monkeypatch):
         moved = apply_gauge(sys_obj, gauge).to_system(strict=False)
         back = apply_gauge(moved, gauge.inverse()).to_system(strict=False)
         assert back.same_up_to_window(sys_obj)
+    assert calls == []
+
+
+def test_commands_invert_and_expand_nothing(exm, exmnaive, monkeypatch):
+    # Every gauge factor the commands build carries its inverse from the
+    # code that made it, so neither the adjugate inverse nor a determinant
+    # runs while reduce, expparts, katz and solve do.
+    calls = []
+    for cls, name in ((LaurentMatrix, "inverse"), (SeriesMatrix, "det")):
+        method = getattr(cls, name)
+
+        def counted(self, method=method, name=name):
+            calls.append(name)
+            return method(self)
+
+        monkeypatch.setattr(cls, name, counted)
+    for sys_obj in (exm, exmnaive, direct_sum(exm, exmnaive)):
+        applied, _ = run_commands(sys_obj, monkeypatch)
+        assert applied
     assert calls == []

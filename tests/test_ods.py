@@ -145,6 +145,10 @@ def test_eigenvalue_shift_guards(exm):
     assert same is oy
     with pytest.raises(PreconditionViolated):
         eigenvalue_shift(oy, 5)  # 5 is not the eigenvalue of -6 I
+    # Pole 3 over a series part divisible by y: the leading matrix at pole
+    # 3 is zero, so no gamma != 0 is its eigenvalue.
+    with pytest.raises(PreconditionViolated):
+        eigenvalue_shift(OdsSystem("y", 2, 3, oy.amat.shift(0, 1)), -6)
 
 
 def test_moser_reduce_ods(exm):

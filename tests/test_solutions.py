@@ -160,6 +160,8 @@ def test_bivariate_shift_identity_and_guard(exm):
     assert same.same_up_to_window(exm)
     with pytest.raises(PreconditionViolated):
         bivariate_shift(exm, gammas_y={2: 17})
+    with pytest.raises(PreconditionViolated):
+        bivariate_shift(exm, gammas_y={3: -6})   # the y pole is 2
 
 
 def test_regular_fundamental_u_system():
