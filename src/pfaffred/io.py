@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, ParseError
 from .matrices import SeriesMatrix
-from .series import BiSeries
 from .system import PfaffianSystem
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
@@ -85,7 +84,7 @@ def check_window(t, where):
 def _terms_to_matrix(terms, n, tx, ty, side):
     if not isinstance(terms, list):
         raise ParseError(f"{side} must be a list of terms", field=side)
-    grids = [[{} for _ in range(n)] for _ in range(n)]
+    coeffs = {}
     for idx, term in enumerate(terms):
         where = f"{side}[{idx}]"
         if not isinstance(term, dict):
@@ -108,19 +107,15 @@ def _terms_to_matrix(terms, n, tx, ty, side):
             or any(not isinstance(row, list) or len(row) != n for row in mat)
         ):
             raise ParseError(f"matrix must be {n}x{n}", field=where)
+        grid = coeffs.setdefault((i, j), [[Fraction(0)] * n for _ in range(n)])
         for r in range(n):
             for c in range(n):
                 val = _rat(mat[r][c], f"{where}.matrix[{r}][{c}]")
                 if val:
-                    cell = grids[r][c]
-                    cell[(i, j)] = cell.get((i, j), Fraction(0)) + val
+                    grid[r][c] += val
     # Document terms describe a polynomial exactly; the declared truncation
     # orders become the default working precision of derived computations.
-    rows = [
-        [BiSeries(grids[r][c], tx, ty, exact=True) for c in range(n)]
-        for r in range(n)
-    ]
-    return SeriesMatrix.from_rows(rows)
+    return SeriesMatrix.from_coefficients(coeffs, n, tx, ty, exact=True)
 
 
 def parse_document(doc: dict) -> PfaffianSystem:
@@ -161,29 +156,17 @@ def parse_system(path) -> PfaffianSystem:
 
 def serialize_system(sys: PfaffianSystem) -> dict:
     tx, ty = sys.window
+    a, b = sys.amat.coefficients(), sys.bmat.coefficients()
     # Exact entries may carry exponents beyond the nominal window; widen
     # the declared orders so the document round-trips.
-    for mat in (sys.amat, sys.bmat):
-        for e in mat.entries:
-            for (i, j) in e.coeffs:
-                tx = max(tx, i + 1)
-                ty = max(ty, j + 1)
+    for (i, j) in (*a, *b):
+        tx = max(tx, i + 1)
+        ty = max(ty, j + 1)
 
-    def side(mat):
-        terms = {}
-        for r in range(sys.n):
-            for c in range(sys.n):
-                for (i, j), v in mat.at(r, c).coeffs.items():
-                    terms.setdefault((i, j), {})[(r, c)] = v
-        out = []
-        for (i, j) in sorted(terms):
-            grid = [
-                [_rat_str(terms[(i, j)].get((r, c), Fraction(0)))
-                 for c in range(sys.n)]
-                for r in range(sys.n)
-            ]
-            out.append({"i": i, "j": j, "matrix": grid})
-        return out
+    def side(coeffs):
+        return [{"i": i, "j": j,
+                 "matrix": [[_rat_str(c) for c in row] for row in coeffs[(i, j)]]}
+                for (i, j) in sorted(coeffs)]
 
     return {
         "n": sys.n,
@@ -191,8 +174,8 @@ def serialize_system(sys: PfaffianSystem) -> dict:
         "q": sys.q,
         "trunc_x": tx,
         "trunc_y": ty,
-        "A_terms": side(sys.amat),
-        "B_terms": side(sys.bmat),
+        "A_terms": side(a),
+        "B_terms": side(b),
     }
 
 

@@ -60,6 +60,17 @@ class SeriesMatrix:
         )
 
     @classmethod
+    def from_coefficients(cls, coeffs, n, tx, ty, exact=False):
+        """The n x n matrix sum coeffs[(i, j)] x^i y^j from constant
+        coefficient matrices over Q, truncated to the window (tx, ty) or,
+        with `exact`, exact at those nominal orders."""
+        return cls(n, n, [
+            BiSeries({e: m[r][c] for e, m in coeffs.items() if m[r][c]},
+                     tx, ty, exact=exact)
+            for r in range(n) for c in range(n)
+        ])
+
+    @classmethod
     def identity(cls, n, tx, ty):
         return cls.from_rows(
             [
@@ -110,6 +121,24 @@ class SeriesMatrix:
             tuple(self.at(i, j).coeff(0, 0) for j in range(self.cols))
             for i in range(self.rows)
         )
+
+    def coefficients(self):
+        """The coefficient matrices over Q, keyed by exponent pair (i, j):
+        self = sum coefficients()[(i, j)] x^i y^j, the pairs being those
+        with a nonzero coefficient."""
+        out = {}
+        for k, e in enumerate(self.entries):
+            r, c = divmod(k, self.cols)
+            for exp, v in e.coeffs.items():
+                if exp not in out:
+                    out[exp] = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+                out[exp][r][c] = v
+        return {exp: qlinalg.qmat(m) for exp, m in out.items()}
+
+    def transpose(self):
+        return SeriesMatrix(self.cols, self.rows,
+                            [self.at(i, j) for j in range(self.cols)
+                             for i in range(self.rows)])
 
     def is_zero(self):
         return all(e.is_zero() for e in self.entries)

@@ -296,11 +296,10 @@ def _certify_split(blocks, d, r, n, v3_basis):
         x_mat = _hstack_sm([W, C])
         rank_x = series_rank(x_mat, "y") if x_mat is not None else 0
         return rank_x < r, rank_x, None
-    q4 = _complete_unimodular(v3_basis, m)
+    q4 = _complete_unimodular(v3_basis)
     if q4 is None:
         return False, -1, None
-    q4_l = LaurentMatrix(q4)
-    q4_inv = q4_l.inverse()
+    q4_l, q4_inv = LaurentMatrix(q4[0]), LaurentMatrix(q4[1])
     k = v3_basis.cols
     c_new = _laurent_to_series(LaurentMatrix(C) * q4_l)
     d_new = _laurent_to_series(q4_inv * LaurentMatrix(D))
@@ -328,37 +327,22 @@ def _certify_split(blocks, d, r, n, v3_basis):
         stacked = _vstack_sm([x_mat, y_mat])
         if stacked is not None and series_rank(stacked, "y") != rank_x:
             return False, -1, None
-    return True, rank_x, (q4, _laurent_to_series(q4_inv))
+    return True, rank_x, q4
 
 
-def _complete_unimodular(basis: SeriesMatrix, m: int):
-    """Complete the columns of `basis` (saturated, full rank over the
-    series ring) to a unimodular m x m matrix with determinant exactly 1.
-    None if the basis is not a direct summand on this window."""
-    k = basis.cols
-    tx, ty = basis.window
-    const = basis.constant_part()
-    pivots = qlinalg.rref(qlinalg.transpose(const))[1]
-    if len(pivots) != k:
+def _complete_unimodular(basis: SeriesMatrix):
+    """Complete the span of the columns of `basis` (m x k, saturated, full
+    rank over the series ring) to a unimodular m x m matrix Q whose first k
+    columns span it; returns (Q, Q^(-1)), or None when the basis is not a
+    direct summand on this window (its constant part has rank < k).
+
+    The column reduction basis^T V = [R, 0] (column_echelon) gives both: R
+    is invertible, so basis = (V^(-1))^T [R^T; 0], and Q = (V^(-1))^T with
+    Q^(-1) = V^T."""
+    if qlinalg.rank(basis.constant_part()) < basis.cols:
         return None
-    complement = [i for i in range(m) if i not in pivots][: m - k]
-    cols = [[basis.at(i, j) for i in range(m)] for j in range(k)]
-    for c in complement:
-        cols.append([BiSeries.const(1 if i == c else 0, tx, ty) for i in range(m)])
-    q4 = SeriesMatrix.from_rows(
-        [[cols[j][i] for j in range(m)] for i in range(m)]
-    )
-    det = q4.det()
-    if det.coeff(0, 0) == 0:
-        return None
-    inv = det.invert()
-    last = m - 1
-    entries = []
-    for i in range(m):
-        for j in range(m):
-            e = q4.at(i, j)
-            entries.append(e * inv if j == last else e)
-    return SeriesMatrix(m, m, entries)
+    v, _, _, v_inv = column_echelon(basis.transpose(), "y")
+    return v_inv.transpose(), v.transpose()
 
 
 def _saturated_stages(vd_cols, e_block, m):

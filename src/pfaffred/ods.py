@@ -33,7 +33,7 @@ from .errors import (
 )
 from .matrices import LaurentMatrix, SeriesMatrix
 from .moser import reduce_axis, theta_poly
-from .polyq import factor_rational
+from .polyq import factor_rational, rational_roots
 from .series import BiSeries
 from .system import GaugeTransform, PfaffianSystem, apply_gauge
 
@@ -176,22 +176,18 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     t_coeffs = {(0, 0): eye}
     s_tilde = {(0, 0): lead0}
     solvers = {}
-    main_coeffs = _bicoeffs(main, n)
+    main_coeffs = main.coefficients()
     nx = tx if axis == "x" or any(a for a, _ in main_coeffs) else 1
     ny = ty if axis == "y" or any(b for _, b in main_coeffs) else 1
     for i, j in sorted(product(range(nx), range(ny)), key=sum)[1:]:
-        terms = [(1, s_c, t_coeffs[(i - ci, j - cj)])
-                 for (ci, cj), s_c in main_coeffs.items()
-                 if (ci, cj) != (0, 0) and (i - ci, j - cj) in t_coeffs]
-        terms += [(-1, t_c, s_tilde[(i - ti, j - tj)])
-                  for (ti, tj), t_c in t_coeffs.items()
-                  if (ti, tj) != (0, 0) and (i - ti, j - tj) in s_tilde]
+        terms = _known_terms(main_coeffs, t_coeffs, s_tilde, (i, j))
         shift = 0
         if pole >= 1:
+            # -v^p delta(T) has -kk T_key at (i, j), so R gains kk T_key.
             key = (i - pole, j) if axis == "x" else (i, j - pole)
             kk = key[0] if axis == "x" else key[1]
             if kk >= 1 and key in t_coeffs:
-                terms.append((-kk, t_coeffs[key], eye))
+                terms.append((kk, t_coeffs[key], eye))
         else:
             shift = i if axis == "x" else j
         step = _split_order(qlinalg.dot(terms, (n, n)), offs, blocks0, shift,
@@ -229,16 +225,22 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     return const_gauge.compose(series_gauge), blocks
 
 
-def _bicoeffs(mat: SeriesMatrix, n):
-    """The coefficient matrices of mat over Q, keyed by exponent pair."""
-    out = {}
-    for i in range(n):
-        for j in range(n):
-            for e, c in mat.at(i, j).coeffs.items():
-                if e not in out:
-                    out[e] = [[Fraction(0)] * n for _ in range(n)]
-                out[e][i][j] = c
-    return {k: qlinalg.qmat(v) for k, v in out.items()}
+def _known_terms(s, t, st, k):
+    """The qlinalg.dot terms of R_k, the known side of the order-k
+    equation of a gauge T = sum T_m with T[S] = S~ and T_0 = I, the
+    coefficients of S, T and S~ keyed by exponent pair.
+
+    The coefficient at k of S T - T S~ is S_0 T_k - T_k S~_0 - S~_k, the
+    unknowns, plus products of known coefficients; R_k is minus those
+    products, so the unknowns equal R_k.  t and st hold the coefficients
+    below k.  The delta(T) terms are the caller's.
+    """
+    i, j = k
+    terms = [(-1, s_c, t[(i - a, j - b)]) for (a, b), s_c in s.items()
+             if (a, b) != (0, 0) and (i - a, j - b) in t]
+    terms += [(1, t_c, st[(i - a, j - b)]) for (a, b), t_c in t.items()
+              if (a, b) != (0, 0) and (i - a, j - b) in st]
+    return terms
 
 
 def _block_ranges(sizes):
@@ -251,25 +253,25 @@ def _block_ranges(sizes):
     return offs
 
 
-def _split_order(r_known, offs, blocks0, shift, solvers):
+def _split_order(r, offs, blocks0, shift, solvers):
     """One order of a splitting recursion.
 
-    r_known is the known part of the order's coefficient of S T - T S~.
-    Its diagonal blocks are the order's coefficient of the split system
-    S~; each off-diagonal block (a, b) of T solves
-    (N_a - shift) X - X N_b = -r_known[a, b] with N the leading diagonal
-    blocks.  `solvers` keeps one Sylvester solver per (block pair, shift)
-    across orders.  Returns (T coefficient, S~ coefficient), or None when a
-    block is resonant.
+    r is the order's known part (_known_terms).  Its diagonal blocks, sign
+    flipped, are the order's coefficient of the split system S~; each
+    off-diagonal block (a, b) of T solves (N_a - shift) X - X N_b = r[a, b]
+    with N the leading diagonal blocks.  `solvers` keeps one Sylvester
+    solver per (block pair, shift) across orders.  Returns (T coefficient,
+    S~ coefficient), or None when a block is resonant with a nonzero right
+    side; a resonant block with a zero right side is solved by 0.
     """
-    n = len(r_known)
+    n = len(r)
     t_new = [[Fraction(0)] * n for _ in range(n)]
     s_new = [[Fraction(0)] * n for _ in range(n)]
     for ai, (a0, a1) in enumerate(offs):
         for bi, (b0, b1) in enumerate(offs):
             if ai == bi:
                 for i in range(a0, a1):
-                    s_new[i][b0:b1] = r_known[i][b0:b1]
+                    s_new[i][b0:b1] = [-c for c in r[i][b0:b1]]
                 continue
             key = (ai, bi, shift)
             if key not in solvers:
@@ -278,11 +280,13 @@ def _split_order(r_known, offs, blocks0, shift, solvers):
                     na = qlinalg.sub(na, qlinalg.scale(qlinalg.identity(len(na)),
                                                        shift))
                 solvers[key] = qlinalg.sylvester_solver(na, blocks0[bi])
+            blk = qlinalg.submatrix(r, range(a0, a1), range(b0, b1))
             solve = solvers[key]
             if solve is None:
+                if qlinalg.is_zero(blk):
+                    continue
                 return None
-            blk = qlinalg.submatrix(r_known, range(a0, a1), range(b0, b1))
-            for i, row in enumerate(solve(qlinalg.scale(blk, -1)), a0):
+            for i, row in enumerate(solve(blk), a0):
                 t_new[i][b0:b1] = row
     return tuple(map(tuple, t_new)), tuple(map(tuple, s_new))
 
@@ -309,41 +313,43 @@ def unipotent_gauge(t_coeffs, n, tx, ty, kind) -> GaugeTransform:
                 if not qlinalg.is_zero(u):
                     u_coeffs[(i, j)] = u
     return GaugeTransform.of_series(
-        _coeffs_to_matrix(t_coeffs, n, tx, ty), kind,
-        LaurentMatrix(_coeffs_to_matrix(u_coeffs, n, tx, ty)))
+        SeriesMatrix.from_coefficients(t_coeffs, n, tx, ty), kind,
+        LaurentMatrix(SeriesMatrix.from_coefficients(u_coeffs, n, tx, ty)))
 
 
-def _coeff_const_matrix(mat: SeriesMatrix, var, k, n):
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = mat.at(i, j)
-            c = e.coeff(k, 0) if var == "x" else e.coeff(0, k)
-            row.append(c)
-        out.append(row)
-    return qlinalg.qmat(out)
+def _triangular_solve(equations, n):
+    """Solve (L - shift) X - X L = R for X, one entry at a time, over the
+    equations [(L, shift, R)], each L upper triangular.
 
-
-def _on_axis(coeffs, var):
-    """Coefficients of v^k, listed by k, keyed by their exponent pair."""
-    return {((k, 0) if var == "x" else (0, k)): c for k, c in enumerate(coeffs)}
-
-
-def _coeffs_to_matrix(coeffs, n, tx, ty) -> SeriesMatrix:
-    """The truncated series matrix sum coeffs[(i, j)] x^i y^j on the window
-    (tx, ty), from constant coefficient matrices."""
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            for e, mat in coeffs.items():
-                if mat[i][j]:
-                    terms[e] = mat[i][j]
-            row.append(BiSeries(terms, tx, ty))
-        rows.append(row)
-    return SeriesMatrix.from_rows(rows)
+    Entries run rows bottom-up, columns left to right, so that the
+    couplings through L's off-diagonal entries are known when an entry is
+    reached.  Each entry is taken from the first equation whose
+    coefficient L[k][k] - L[l][l] - shift is nonzero.  An entry that no
+    equation determines is 0 in X and kept: the equations then hold with
+    (L - shift) X - X L - K = R, and K[k][l] is its value in each.
+    Returns (X, {(k, l): (K value per equation)}), the kept entries with a
+    nonzero value, in elimination order.
+    """
+    x = [[Fraction(0)] * n for _ in range(n)]
+    kept = {}
+    for k in range(n - 1, -1, -1):
+        for l in range(n):
+            values = []
+            for lam, shift, r in equations:
+                acc = r[k][l]
+                for m in range(k + 1, n):
+                    acc -= lam[k][m] * x[m][l]
+                for m in range(l):
+                    acc += x[k][m] * lam[m][l]
+                coef = lam[k][k] - lam[l][l] - shift
+                if coef != 0:
+                    x[k][l] = acc / coef
+                    break
+                values.append(-acc)
+            else:
+                if any(values):
+                    kept[(k, l)] = tuple(values)
+    return qlinalg.qmat(x), kept
 
 
 # -- eigenvalue shifting ----------------------------------------------------------
@@ -393,16 +399,9 @@ def _subtract_scalar(sys, axis, k, gamma):
                 f"{gamma} is not the single eigenvalue of the {axis} leading "
                 "constant"
             )
-    mono = BiSeries.monomial(
-        gamma, (pole - k) if axis == "x" else 0,
-        (pole - k) if axis == "y" else 0, tx, ty
-    )
-    gmat = SeriesMatrix.from_rows(
-        [
-            [mono if i == j else BiSeries.zero(tx, ty) for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    gmat = SeriesMatrix.from_coefficients(
+        {((pole - k, 0) if axis == "x" else (0, pole - k)):
+         qlinalg.scale(qlinalg.identity(n), gamma)}, n, tx, ty, exact=True)
     if axis == "x":
         return PfaffianSystem.make(n, sys.p, sys.q, sys.amat - gmat, sys.bmat,
                                    strict=False)
@@ -623,20 +622,18 @@ def first_kind_fundamental_ods(ods: OdsSystem) -> FirstKindSolution:
     if ods.p != 0:
         raise PreconditionViolated("first-kind solve needs pole order 0")
     n, var = ods.n, ods.var
-    trunc = ods.trunc
-    s_coeffs = [_coeff_const_matrix(ods.amat, var, k, n) for k in range(trunc)]
-    lam0 = s_coeffs[0]
-    t_coeffs = [qlinalg.identity(n)]
-    retained = []
+    s_coeffs = ods.amat.coefficients()
+    lam0 = s_coeffs.get((0, 0), qlinalg.zeros(n, n))
+    t_coeffs = {(0, 0): qlinalg.identity(n)}
+    retained = {}           # the retained terms, as the S~ of _known_terms
     tri = None
-    for m in range(1, trunc):
-        terms = [(1, s_coeffs[i], t_coeffs[m - i]) for i in range(1, m + 1)]
-        terms += [(-1, t_coeffs[m - k], mat) for k, mat in retained if m - k >= 1]
-        r_known = qlinalg.dot(terms)
+    for m in range(1, ods.trunc):
+        key = (m, 0) if var == "x" else (0, m)
+        r = qlinalg.dot(_known_terms(s_coeffs, t_coeffs, retained, key), (n, n))
         shifted = qlinalg.sub(lam0, qlinalg.scale(qlinalg.identity(n), m))
         solve = qlinalg.sylvester_solver(shifted, lam0)
         if solve is not None:
-            t_coeffs.append(solve(qlinalg.scale(r_known, -1)))
+            t_coeffs[key] = solve(r)
             continue
         # Resonant order: split solvable and retained parts in a
         # triangular eigenbasis (requires rational eigenvalues).
@@ -647,31 +644,19 @@ def first_kind_fundamental_ods(ods: OdsSystem) -> FirstKindSolution:
                     "resonance handling needs rational eigenvalues"
                 )
         u, uinv, (lam_t,) = tri
-        diag = [lam_t[i][i] for i in range(n)]
-        rr = qlinalg.mul(qlinalg.mul(uinv, qlinalg.scale(r_known, -1)), u)
-        t_m = [[Fraction(0)] * n for _ in range(n)]
+        rr = qlinalg.mul(qlinalg.mul(uinv, r), u)
+        t_m, kept = _triangular_solve([(lam_t, m, rr)], n)
         keep = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n - 1, -1, -1):
-            for j in range(n):
-                acc = rr[i][j]
-                for k in range(i + 1, n):
-                    acc -= lam_t[i][k] * t_m[k][j]
-                for k in range(0, j):
-                    acc += t_m[i][k] * lam_t[k][j]
-                coef = diag[i] - diag[j] - m
-                if coef != 0:
-                    t_m[i][j] = acc / coef
-                else:
-                    keep[i][j] = -acc
-        t_coeffs.append(qlinalg.mul(qlinalg.mul(u, qlinalg.qmat(t_m)), uinv))
+        for (i, j), (v,) in kept.items():
+            keep[i][j] = v
+        t_coeffs[key] = qlinalg.mul(qlinalg.mul(u, t_m), uinv)
         keep_back = qlinalg.mul(qlinalg.mul(u, qlinalg.qmat(keep)), uinv)
         if not qlinalg.is_zero(keep_back):
-            retained.append((m, keep_back))
-    tx, ty = ods.amat.window
-    phi = _coeffs_to_matrix(_on_axis(t_coeffs, var), n, tx, ty)
+            retained[key] = keep_back
+    phi = SeriesMatrix.from_coefficients(t_coeffs, n, *ods.amat.window)
     return FirstKindSolution(
-        phi=phi, exponent=lam0, retained=tuple(retained)
-    )
+        phi=phi, exponent=lam0,
+        retained=tuple((sum(e), mat) for e, mat in retained.items()))
 
 
 def _common_triangularize(mats):
@@ -686,16 +671,12 @@ def _common_triangularize(mats):
     # original coordinates with a shrinking complement.
     while len(u_cols) < n:
         sub_basis = _complement(u_cols, n)
-        reps = [_restrict(m, u_cols, sub_basis, n) for m in mats]
+        reps = [_restrict(m, u_cols, sub_basis) for m in mats]
         vec_sub = _common_eigvec(reps)
         if vec_sub is None:
             return None
-        vec = [Fraction(0)] * n
-        for c, col in zip(vec_sub, sub_basis):
-            for i in range(n):
-                vec[i] += c * col[i]
-        u_cols.append(tuple(vec))
-    u = tuple(tuple(u_cols[j][i] for j in range(n)) for i in range(n))
+        u_cols.append(_combine(sub_basis, [vec_sub])[0])
+    u = qlinalg.transpose(u_cols)
     uinv = qlinalg.inverse(u)
     tris = [qlinalg.mul(qlinalg.mul(uinv, m), u) for m in mats]
     for t in tris:
@@ -708,32 +689,21 @@ def _common_triangularize(mats):
 
 def _complement(u_cols, n):
     """Coordinate vectors completing u_cols to a basis."""
-    if not u_cols:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(n))
-                for j in range(n)]
-    m = tuple(tuple(col[i] for col in u_cols) for i in range(n))
-    _, pivots, _ = qlinalg.rref(qlinalg.transpose(m))
-    comp = [j for j in range(n) if j not in pivots]
-    return [tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in comp]
+    pivots = qlinalg.rref(u_cols)[1] if u_cols else []
+    return [e for j, e in enumerate(qlinalg.identity(n)) if j not in pivots]
 
 
-def _restrict(mat, u_cols, sub_basis, n):
+def _combine(cols, coords):
+    """The vectors sum_j c_j cols[j], one per coordinate tuple c."""
+    return list(qlinalg.transpose(qlinalg.mul(qlinalg.transpose(cols),
+                                              qlinalg.transpose(coords))))
+
+
+def _restrict(mat, u_cols, sub_basis):
     """Matrix of the action induced on span(sub_basis) modulo span(u_cols)."""
-    cols = list(u_cols) + list(sub_basis)
-    basis_mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    inv = qlinalg.inverse(basis_mat)
-    out = []
-    k = len(u_cols)
-    for b in sub_basis:
-        img = tuple(
-            sum(mat[i][j] * b[j] for j in range(n)) for i in range(n)
-        )
-        coords = tuple(
-            sum(inv[i][j] * img[j] for j in range(n)) for i in range(n)
-        )
-        out.append(coords[k:])
-    return tuple(tuple(out[j][i] for j in range(len(sub_basis)))
-                 for i in range(len(sub_basis)))
+    inv = qlinalg.inverse(qlinalg.transpose(list(u_cols) + list(sub_basis)))
+    coords = qlinalg.mul(qlinalg.mul(inv, mat), qlinalg.transpose(sub_basis))
+    return coords[len(u_cols):]
 
 
 def _common_eigvec(mats):
@@ -741,44 +711,30 @@ def _common_eigvec(mats):
     n = len(mats[0])
     if n == 0:
         return None
-    space = [tuple(Fraction(1 if i == j else 0) for i in range(n))
-             for j in range(n)]
+    space = list(qlinalg.identity(n))
     for m in mats:
-        rep = _matrix_on_span(m, space, n)
+        rep = _matrix_on_span(m, space)
         if rep is None:
             return None
-        from .polyq import rational_roots
-
         roots = rational_roots(qlinalg.charpoly(rep))
         if not roots:
             return None
         lam = roots[0][0]
         shifted = qlinalg.sub(rep, qlinalg.scale(qlinalg.identity(len(rep)), lam))
         ker = qlinalg.kernel(shifted)
-        new_space = []
-        for kv in ker:
-            vec = [Fraction(0)] * n
-            for c, col in zip(kv, space):
-                for i in range(n):
-                    vec[i] += c * col[i]
-            new_space.append(tuple(vec))
-        space = new_space
-        if not space:
+        if not ker:
             return None
+        space = _combine(space, ker)
     return space[0]
 
 
-def _matrix_on_span(mat, span_cols, n):
+def _matrix_on_span(mat, span_cols):
     """Matrix of `mat` restricted to its invariant subspace span_cols."""
-    k = len(span_cols)
-    basis = tuple(tuple(span_cols[j][i] for j in range(k)) for i in range(n))
+    basis = qlinalg.transpose(span_cols)
     out = []
-    for b in span_cols:
-        img = tuple(sum(mat[i][j] * b[j] for j in range(n)) for i in range(n))
-        aug_cols = [tuple(basis[i][j] for i in range(n)) for j in range(k)]
-        amat = tuple(tuple(aug_cols[j][i] for j in range(k)) for i in range(n))
-        sol = qlinalg.solve(amat, img)
+    for img in qlinalg.transpose(qlinalg.mul(mat, basis)):
+        sol = qlinalg.solve(basis, img)
         if sol is None:
             return None
         out.append(sol)
-    return tuple(tuple(out[j][i] for j in range(k)) for i in range(k))
+    return qlinalg.transpose(out)

@@ -29,12 +29,13 @@ from .errors import (
 from .matrices import LaurentMatrix, SeriesMatrix
 from .moser import _rank_reduce
 from .ods import (
-    _bicoeffs,
     _common_triangularize,
     _eigen_groups,
+    _known_terms,
     _merge_term,
     _split_system,
     _subtract_scalar,
+    _triangular_solve,
     associated_ods,
     exponential_parts_ods,
     katz_invariant_ods,
@@ -95,19 +96,13 @@ def _katz_and_rank(sys: PfaffianSystem):
 # -- bivariate splitting ----------------------------------------------------------
 
 
-def _leading_constants(sys):
-    a00 = sys.amat.constant_part()
-    b00 = sys.bmat.constant_part()
-    return a00, b00
-
-
 def _split_axis_choice(sys, positive_pole_only=False):
     """Choose the splitting axis: coprime factor groups of the leading
     constant with at least two groups; prefer an axis with a positive pole
     (its order-by-order Sylvester solve is never resonant)."""
-    a00, b00 = _leading_constants(sys)
     options = []
-    for axis, mat, pole in (("x", a00, sys.p), ("y", b00, sys.q)):
+    for axis, mat, pole in (("x", sys.amat.constant_part(), sys.p),
+                            ("y", sys.bmat.constant_part(), sys.q)):
         if positive_pole_only and pole == 0:
             continue
         groups = _eigen_groups(mat)
@@ -210,7 +205,7 @@ def regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
 
 def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     n = sys.n
-    a00, b00 = _leading_constants(sys)
+    a00, b00 = sys.amat.constant_part(), sys.bmat.constant_part()
     comm = qlinalg.sub(qlinalg.mul(a00, b00), qlinalg.mul(b00, a00))
     if not qlinalg.is_zero(comm):
         raise IntegrabilityViolation(
@@ -227,10 +222,8 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     const_gauge = GaugeTransform.of_constant(u, tx, ty, kind="constant",
                                              inverse=uinv)
     work = apply_gauge(sys, const_gauge).to_system(strict=False)
-    d1 = [l1[i][i] for i in range(n)]
-    d2 = [l2[i][i] for i in range(n)]
-    a_coeffs = _bicoeffs(work.amat, n)
-    b_coeffs = _bicoeffs(work.bmat, n)
+    a_coeffs = work.amat.coefficients()
+    b_coeffs = work.bmat.coefficients()
     t_coeffs = {(0, 0): qlinalg.identity(n)}
     at_coeffs = {(0, 0): l1}
     bt_coeffs = {(0, 0): l2}
@@ -238,46 +231,19 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     for total in range(1, tx + ty - 1):
         for i in range(max(0, total - ty + 1), min(total, tx - 1) + 1):
             j = total - i
-            rx = _conv_residual(a_coeffs, t_coeffs, at_coeffs, i, j, n)
-            ry = _conv_residual(b_coeffs, t_coeffs, bt_coeffs, i, j, n)
-            t_new = [[Fraction(0)] * n for _ in range(n)]
-            keep_here = []
-            # Entry order: rows bottom-up, columns left-right, so the
-            # triangular couplings are already known when needed.
-            for k in range(n - 1, -1, -1):
-                for l in range(n):
-                    cx = d1[k] - d1[l] - i
-                    cy = d2[k] - d2[l] - j
-                    accx = -rx[k][l]
-                    for kk in range(k + 1, n):
-                        accx -= l1[k][kk] * t_new[kk][l]
-                    for kk in range(0, l):
-                        accx += t_new[k][kk] * l1[kk][l]
-                    accy = -ry[k][l]
-                    for kk in range(k + 1, n):
-                        accy -= l2[k][kk] * t_new[kk][l]
-                    for kk in range(0, l):
-                        accy += t_new[k][kk] * l2[kk][l]
-                    if cx != 0:
-                        t_new[k][l] = accx / cx
-                    elif cy != 0:
-                        t_new[k][l] = accy / cy
-                    else:
-                        if accx != 0 or accy != 0:
-                            keep_here.append((i, j, k, l, -accx, -accy))
-            if keep_here:
-                retained.extend(keep_here)
-                for (ri, rj, rk, rl, vx, vy) in keep_here:
-                    at_coeffs.setdefault(
-                        (ri, rj), [[Fraction(0)] * n for _ in range(n)]
-                    )
-                    bt_coeffs.setdefault(
-                        (ri, rj), [[Fraction(0)] * n for _ in range(n)]
-                    )
-                    at_coeffs[(ri, rj)][rk][rl] = vx
-                    bt_coeffs[(ri, rj)][rk][rl] = vy
-            if any(any(v for v in row) for row in t_new):
-                t_coeffs[(i, j)] = qlinalg.qmat(t_new)
+            t_new, kept = _triangular_solve([
+                (l1, i, qlinalg.dot(_known_terms(a_coeffs, t_coeffs, at_coeffs,
+                                                 (i, j)), (n, n))),
+                (l2, j, qlinalg.dot(_known_terms(b_coeffs, t_coeffs, bt_coeffs,
+                                                 (i, j)), (n, n))),
+            ], n)
+            for (k, l), (vx, vy) in kept.items():
+                retained.append((i, j, k, l, vx, vy))
+                for st, v in ((at_coeffs, vx), (bt_coeffs, vy)):
+                    st.setdefault((i, j), [[Fraction(0)] * n
+                                           for _ in range(n)])[k][l] = v
+            if not qlinalg.is_zero(t_new):
+                t_coeffs[(i, j)] = t_new
     series_gauge = unipotent_gauge(t_coeffs, n, tx, ty, "regular-solve")
     gauge = const_gauge.compose(series_gauge)
     if retained:
@@ -300,19 +266,6 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
             window=res.window,
         )
     return RegularSolution(gauge, l1_m, l2_m, ())
-
-
-def _conv_residual(s_coeffs, t_coeffs, st_coeffs, i, j, n):
-    """Known part of the coefficient at (i,j) in S T - T S~: the terms
-    S_00 T_(i,j), T_(i,j) S~_00 and T_00 S~_(i,j) are the unknowns and are
-    left out."""
-    terms = [(1, s_c, t_coeffs[(i - ci, j - cj)])
-             for (ci, cj), s_c in s_coeffs.items()
-             if (ci, cj) != (0, 0) and (i - ci, j - cj) in t_coeffs]
-    terms += [(-1, t_coeffs[(i - si, j - sj)], st)
-              for (si, sj), st in st_coeffs.items()
-              if (si, sj) not in ((0, 0), (i, j)) and (i - si, j - sj) in t_coeffs]
-    return qlinalg.dot(terms, (n, n))
 
 
 # -- full assembly --------------------------------------------------------------------
@@ -437,7 +390,6 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
             _set_lambda_block(data, coords, reg.lambda1, "lambda1")
             _set_lambda_block(data, coords, reg.lambda2, "lambda2")
             return
-        a00, b00 = _leading_constants(current)
         # Pole-0 eigenvalue separation belongs to the regular solve; only
         # split along an axis whose pole is positive (never resonant).
         choice = _split_axis_choice(current, positive_pole_only=True)
@@ -451,7 +403,8 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
                 off += blk.n
             return
         shifted = False
-        for axis, lead in (("x", a00), ("y", b00)):
+        for axis, lead in (("x", current.amat.constant_part()),
+                           ("y", current.bmat.constant_part())):
             pole = current.p if axis == "x" else current.q
             if pole == 0:
                 continue
@@ -465,16 +418,10 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
                     factor=fc,
                 )
             if gamma != 0:
-                shift, current = _bivariate_shift(
-                    current,
-                    gammas_x={pole: gamma} if axis == "x" else None,
-                    gammas_y={pole: gamma} if axis == "y" else None,
-                )
-                terms = shift.x_terms if axis == "x" else shift.y_terms
+                current = _subtract_scalar(current, axis, pole, gamma)
                 store = data.q1 if axis == "x" else data.q2
                 for i in coords:
-                    for k, c in terms:
-                        _merge_term(store[i], k, c)
+                    _merge_term(store[i], pole, -gamma / pole)
                 shifted = True
         if shifted:
             continue

@@ -186,9 +186,10 @@ class GaugeTransform:
     built, by the code that knows it: a constant factor is inverted over Q,
     a unipotent series factor by its coefficient recursion, a monomial
     factor from its exponents, both column-reduce factors of a Moser step
-    by the elimination that made them (column_echelon), the trailing
-    arrangement Q4 by its adjugate.  Only a gauge from outside the library
-    is inverted at construction, once, in of_series.  The inverse equals
+    by the elimination that made them (column_echelon), and the trailing
+    arrangement Q4 by the column reduction that completes it.  Only a gauge
+    from outside the library is inverted at construction, once, in
+    of_series.  The inverse equals
     the cofactor adjugate inverse of the factor (tests/oracle_cofactor.py)
     in coefficients, truncated windows and poles, and is exact wherever
     that is.  Two kinds of factor may differ from it: an elimination

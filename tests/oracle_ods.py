@@ -1,8 +1,11 @@
 """Reference ODS splitting: the univariate order loop that split_leading
 ran before it became the bivariate splitting body (ods._split_system) on
 the ODS embedded with a zero other side.  Kept verbatim, with the
-qlinalg_conj_series conjugation it used, apart from importing the
-helpers it shares with pfaffred.ods.
+qlinalg_conj_series conjugation it used and local copies of the
+coefficient helpers that pfaffred.ods no longer has, apart from importing
+the helpers it shares with pfaffred.ods.  The shared one-order step
+ods._split_order takes the known part with its sign flipped, so the
+order loop's terms carry flipped signs.
 """
 
 from pfaffred import qlinalg
@@ -11,13 +14,11 @@ from pfaffred.matrices import SeriesMatrix
 from pfaffred.ods import (
     OdsSystem,
     _block_ranges,
-    _coeff_const_matrix,
-    _coeffs_to_matrix,
     _eigen_groups,
-    _on_axis,
     _split_order,
     unipotent_gauge,
 )
+from pfaffred.series import BiSeries
 from pfaffred.system import GaugeTransform, apply_gauge
 
 
@@ -65,10 +66,10 @@ def split_leading(ods: OdsSystem):
     solvers = {}
     p = ods.p
     for m in range(1, trunc):
-        terms = [(1, s_coeffs[i], t_coeffs[m - i]) for i in range(1, m + 1)]
-        terms += [(-1, t_coeffs[j], s_tilde[m - j]) for j in range(1, m)]
+        terms = [(-1, s_coeffs[i], t_coeffs[m - i]) for i in range(1, m + 1)]
+        terms += [(1, t_coeffs[j], s_tilde[m - j]) for j in range(1, m)]
         if p >= 1 and m - p >= 1:
-            terms.append((-(m - p), t_coeffs[m - p], eye))
+            terms.append((m - p, t_coeffs[m - p], eye))
         step = _split_order(qlinalg.dot(terms), offs, blocks0,
                             m if p == 0 else 0, solvers)
         if step is None:
@@ -105,3 +106,36 @@ def qlinalg_conj_series(mat: SeriesMatrix, vmat, vinv) -> SeriesMatrix:
     v_s = SeriesMatrix.from_rational_rows(vmat, tx, ty)
     vi_s = SeriesMatrix.from_rational_rows(vinv, tx, ty)
     return vi_s * mat * v_s
+
+
+def _coeff_const_matrix(mat: SeriesMatrix, var, k, n):
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            e = mat.at(i, j)
+            c = e.coeff(k, 0) if var == "x" else e.coeff(0, k)
+            row.append(c)
+        out.append(row)
+    return qlinalg.qmat(out)
+
+
+def _on_axis(coeffs, var):
+    """Coefficients of v^k, listed by k, keyed by their exponent pair."""
+    return {((k, 0) if var == "x" else (0, k)): c for k, c in enumerate(coeffs)}
+
+
+def _coeffs_to_matrix(coeffs, n, tx, ty) -> SeriesMatrix:
+    """The truncated series matrix sum coeffs[(i, j)] x^i y^j on the window
+    (tx, ty), from constant coefficient matrices."""
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = {}
+            for e, mat in coeffs.items():
+                if mat[i][j]:
+                    terms[e] = mat[i][j]
+            row.append(BiSeries(terms, tx, ty))
+        rows.append(row)
+    return SeriesMatrix.from_rows(rows)

@@ -123,32 +123,47 @@ def chain_system():
                                SeriesMatrix.zeros(4, 4, T, T), strict=False)
 
 
-def test_q4_det_and_inverse_match_cofactor_oracle(monkeypatch):
-    built = []
-    complete = moser._complete_unimodular
-
-    def record(basis, m):
-        q4 = complete(basis, m)
-        built.append(q4)
-        return q4
-
-    monkeypatch.setattr(moser, "_complete_unimodular", record)
+def chain_inputs():
+    """chain_system under y-only unimodular gauges, exact and cut to two
+    windows: 12 inputs whose x-step completes a Q4."""
     base = chain_system()
     for seed in range(4):
         rng = random.Random(seed)
         gauge = random_unimodular(rng, n=4, vars_=("y",), max_deg=1)
         gauged = apply_gauge(base, gauge).to_system(strict=False)
         for window in (None, (8, 8), (6, 7)):
-            sys_obj = gauged if window is None else PfaffianSystem.make(
+            yield gauged if window is None else PfaffianSystem.make(
                 4, gauged.p, gauged.q, gauged.amat.truncated(*window),
                 gauged.bmat.truncated(*window), strict=False)
-            _, nxt, _ = reduce_subsystem_step(sys_obj, "x")
-            assert moser_rank(nxt, "x") < moser_rank(sys_obj, "x")
-    q4s = [q4 for q4 in built if q4 is not None]
-    assert len(q4s) >= 12 and not all(q4.is_exact for q4 in q4s)
-    for q4 in q4s:
-        assert outcome(q4.det()) == outcome(oracle.det(q4))
-        got, want = LaurentMatrix(q4).inverse(), oracle.inverse(LaurentMatrix(q4))
-        assert (got.px, got.py) == (want.px, want.py)
-        assert ([outcome(e) for e in got.series.entries]
+
+
+def test_q4_comes_with_its_inverse(monkeypatch):
+    built = []
+    complete = moser._complete_unimodular
+
+    def record(basis):
+        q4 = complete(basis)
+        built.append((basis, q4))
+        return q4
+
+    monkeypatch.setattr(moser, "_complete_unimodular", record)
+    for sys_obj in chain_inputs():
+        _, nxt, _ = reduce_subsystem_step(sys_obj, "x")
+        assert moser_rank(nxt, "x") < moser_rank(sys_obj, "x")
+    builds = [(basis, q4) for basis, q4 in built if q4 is not None]
+    assert len(builds) >= 12
+    assert not all(q.is_exact for _, (q, _) in builds)
+    for basis, (q, q_inv) in builds:
+        m, k = basis.rows, basis.cols
+        eye = SeriesMatrix.identity(m, *q.window)
+        assert q * q_inv == eye and q_inv * q == eye
+        # The basis lies in the span of Q's first k columns: its
+        # coordinates beyond them vanish.
+        coords = q_inv * basis
+        assert all(coords.at(i, j).is_zero()
+                   for i in range(k, m) for j in range(k))
+        # The carried inverse is the adjugate's, nominal orders included.
+        want = oracle.inverse(LaurentMatrix(q))
+        assert (want.px, want.py) == (0, 0)
+        assert ([outcome(e) for e in q_inv.entries]
                 == [outcome(e) for e in want.series.entries])
