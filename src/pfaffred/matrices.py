@@ -233,23 +233,13 @@ class SeriesMatrix:
                     f"coefficient of {var}^{k} outside the window", window=e.window
                 )
             if var == "x":
-                out.append(
-                    BiSeries(
-                        {(0, j): c for (i, j), c in e.coeffs.items() if i == k},
-                        e.tx,
-                        e.ty,
-                        exact=e.exact,
-                    )
-                )
+                out.append(BiSeries._of(
+                    {(0, j): c for (i, j), c in e.coeffs.items() if i == k},
+                    e.tx, e.ty, e.exact))
             else:
-                out.append(
-                    BiSeries(
-                        {(i, 0): c for (i, j), c in e.coeffs.items() if j == k},
-                        e.tx,
-                        e.ty,
-                        exact=e.exact,
-                    )
-                )
+                out.append(BiSeries._of(
+                    {(i, 0): c for (i, j), c in e.coeffs.items() if j == k},
+                    e.tx, e.ty, e.exact))
         return SeriesMatrix(self.rows, self.cols, out)
 
     def content(self, var):

@@ -51,8 +51,8 @@ def _swap_mat(m: SeriesMatrix) -> SeriesMatrix:
         m.rows,
         m.cols,
         [
-            BiSeries({(j, i): c for (i, j), c in e.coeffs.items()}, e.ty, e.tx,
-                     exact=e.exact)
+            BiSeries._of({(j, i): c for (i, j), c in e.coeffs.items()}, e.ty,
+                         e.tx, e.exact)
             for e in m.entries
         ],
     )
@@ -149,18 +149,13 @@ def theta_poly(sys: PfaffianSystem, axis: str) -> ThetaPolynomial:
                 "criterion determinant has coefficients below x^(n-r); the "
                 "certified leading rank disagrees with the determinant"
             )
-        coeffs.append(
-            BiSeries(
-                {(0, j): v for (i, j), v in c.coeffs.items() if i == n - r},
-                c.tx,
-                c.ty,
-                exact=c.exact,
-            )
-        )
+        coeffs.append(BiSeries._of(
+            {(0, j): v for (i, j), v in c.coeffs.items() if i == n - r},
+            c.tx, c.ty, c.exact))
     if axis == "y":
         coeffs = [
-            BiSeries({(j, i): v for (i, j), v in c.coeffs.items()}, c.ty, c.tx,
-                     exact=c.exact)
+            BiSeries._of({(j, i): v for (i, j), v in c.coeffs.items()}, c.ty,
+                         c.tx, c.exact)
             for c in coeffs
         ]
         return ThetaPolynomial(tuple(coeffs), r, (ty, tx))

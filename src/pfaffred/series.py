@@ -10,6 +10,20 @@ the verdicts are unconditional.  Coefficients are fractions.Fraction in
 lowest terms; zero coefficients are never stored.  Products run on
 integer numerators over one common denominator and normalize each output
 coefficient once.
+
+The public constructor BiSeries(...) is the one validating path: it checks
+the orders and exponents, coerces each coefficient with q(), drops zeros
+and, for a truncated series, terms outside the window.  It serves parsed
+documents, the const/zero/monomial constructors and users.  Internal
+operations (sums, products, scalings, Euler derivatives, window cuts,
+monomial shifts and divisions, evaluation at zero) and the matrix-layer
+rebuilds that only move exponents or pick terms build their results with
+the trusted BiSeries._of, which stores its arguments unchecked: the
+invariants (nonzero Fraction coefficients, nonnegative exponents, terms of
+a truncated series inside its window) hold there by construction.  A
+series is immutable: its coeffs dict is never mutated after construction,
+so its integer numerators are computed once, on its first product, and
+kept in its _num slot.
 """
 
 from __future__ import annotations
@@ -40,6 +54,14 @@ def _numerators(coeffs):
     return d, [(e, c.numerator * (d // c.denominator)) for e, c in coeffs.items()]
 
 
+def _numerators_once(s):
+    """s's _numerators, computed on first use and kept in its _num slot."""
+    num = s._num
+    if num is None:
+        num = s._num = _numerators(s.coeffs)
+    return num
+
+
 def dot(pairs):
     """The sum of a * b over pairs (a, b) of BiSeries, with the window that
     the sequential sum of the products has.
@@ -67,8 +89,8 @@ def dot(pairs):
     products = []
     jmax = 0
     for a, b in pairs:
-        da, na = _numerators(a.coeffs)
-        db, nb = _numerators(b.coeffs)
+        da, na = _numerators_once(a)
+        db, nb = _numerators_once(b)
         na = [t for t in na if t[0][0] < tx and t[0][1] < ty]
         nb = sorted(t for t in nb if t[0][0] < tx and t[0][1] < ty)
         if na and nb:
@@ -95,15 +117,18 @@ def dot(pairs):
                     acc[base + j2] += x * y
     out = {divmod(e, stride): Fraction(s, den) for e, s in acc.items() if s}
     if exact:
-        return BiSeries(out, max(max(a.tx, b.tx) for a, b in pairs),
-                        max(max(a.ty, b.ty) for a, b in pairs), exact=True)
-    return BiSeries(out, tx, ty)
+        return BiSeries._of(out, max(max(a.tx, b.tx) for a, b in pairs),
+                            max(max(a.ty, b.ty) for a, b in pairs), True)
+    return BiSeries._of(out, tx, ty, False)
 
 
 class BiSeries:
-    """Formal power series in (x, y) with Fraction coefficients."""
+    """Formal power series in (x, y) with Fraction coefficients.
 
-    __slots__ = ("coeffs", "tx", "ty", "exact")
+    The _num slot holds the series' integer numerators, (d, [(exponent,
+    numerator)]), once a product has needed them, and None before."""
+
+    __slots__ = ("coeffs", "tx", "ty", "exact", "_num")
 
     def __init__(self, coeffs, tx, ty, exact=False):
         if tx < 0 or ty < 0:
@@ -115,12 +140,26 @@ class BiSeries:
             if not exact and (i >= tx or j >= ty):
                 continue
             c = q(c)
-            if c != 0:
+            if c:
                 clean[(i, j)] = c
         self.coeffs = clean
         self.tx = tx
         self.ty = ty
         self.exact = exact
+        self._num = None
+
+    @classmethod
+    def _of(cls, coeffs, tx, ty, exact):
+        """The series with exactly these fields, unchecked: coeffs must map
+        nonnegative exponents to nonzero Fractions, inside the window
+        unless exact, and must not be mutated afterwards."""
+        s = object.__new__(cls)
+        s.coeffs = coeffs
+        s.tx = tx
+        s.ty = ty
+        s.exact = exact
+        s._num = None
+        return s
 
     # -- constructors ------------------------------------------------------
 
@@ -210,24 +249,28 @@ class BiSeries:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = BiSeries.const(other, self.tx, self.ty)
-        if self.exact and other.exact:
-            out = dict(self.coeffs)
-            for e, c in other.coeffs.items():
-                out[e] = out.get(e, Fraction(0)) + c
-            return BiSeries(out, max(self.tx, other.tx), max(self.ty, other.ty),
-                            exact=True)
-        tx = min(self._eff_tx(), other._eff_tx())
-        ty = min(self._eff_ty(), other._eff_ty())
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return BiSeries(out, tx, ty)
+            s = out.get(e)
+            if s is not None:
+                c += s
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+        if self.exact and other.exact:
+            return BiSeries._of(out, max(self.tx, other.tx),
+                                max(self.ty, other.ty), True)
+        tx = min(self._eff_tx(), other._eff_tx())
+        ty = min(self._eff_ty(), other._eff_ty())
+        return BiSeries._of({e: c for e, c in out.items()
+                             if e[0] < tx and e[1] < ty}, tx, ty, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiSeries({e: -c for e, c in self.coeffs.items()}, self.tx,
-                        self.ty, exact=self.exact)
+        return BiSeries._of({e: -c for e, c in self.coeffs.items()}, self.tx,
+                            self.ty, self.exact)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -242,8 +285,8 @@ class BiSeries:
             c = q(other)
             if c == 0:
                 return BiSeries.zero(self.tx, self.ty)
-            return BiSeries({e: v * c for e, v in self.coeffs.items()},
-                            self.tx, self.ty, exact=self.exact)
+            return BiSeries._of({e: v * c for e, v in self.coeffs.items()},
+                                self.tx, self.ty, self.exact)
         return dot([(self, other)])
 
     __rmul__ = __mul__
@@ -280,29 +323,32 @@ class BiSeries:
     def delta(self, var):
         """Euler derivative: x^i y^j maps to i x^i y^j (var='x') or j x^i y^j."""
         k = 0 if var == "x" else 1
-        return BiSeries(
+        return BiSeries._of(
             {e: c * e[k] for e, c in self.coeffs.items() if e[k] != 0},
             self.tx,
             self.ty,
-            exact=self.exact,
+            self.exact,
         )
 
     # -- window and monomial manipulation -----------------------------------
 
     def truncated(self, tx, ty):
         """Hard truncation: the result is a truncated series even when the
-        input was exact."""
+        input was exact; self when the window does not change."""
         tx = min(self._eff_tx(), tx)
         ty = min(self._eff_ty(), ty)
-        return BiSeries(self.coeffs, tx, ty)
+        if not self.exact and (tx, ty) == (self.tx, self.ty):
+            return self
+        return BiSeries._of({e: c for e, c in self.coeffs.items()
+                             if e[0] < tx and e[1] < ty}, tx, ty, False)
 
     def shift(self, dx, dy):
         """Multiply by the monomial x^dx y^dy (dx, dy >= 0)."""
-        return BiSeries(
+        return BiSeries._of(
             {(i + dx, j + dy): c for (i, j), c in self.coeffs.items()},
             min(self.tx + dx, INF_ORDER),
             min(self.ty + dy, INF_ORDER),
-            exact=self.exact,
+            self.exact,
         )
 
     def divide_monomial(self, dx, dy):
@@ -315,19 +361,20 @@ class BiSeries:
                     f"series not divisible by x^{dx} y^{dy}", window=self.window
                 )
         if self.exact:
-            return BiSeries(
+            return BiSeries._of(
                 {(i - dx, j - dy): c for (i, j), c in self.coeffs.items()},
                 max(self.tx - dx, 1),
                 max(self.ty - dy, 1),
-                exact=True,
+                True,
             )
         tx, ty = self.tx - dx, self.ty - dy
         if tx < 0 or ty < 0:
             raise TruncationExhausted(
                 "window exhausted by monomial division", window=self.window
             )
-        return BiSeries(
-            {(i - dx, j - dy): c for (i, j), c in self.coeffs.items()}, tx, ty
+        return BiSeries._of(
+            {(i - dx, j - dy): c for (i, j), c in self.coeffs.items()}, tx, ty,
+            False,
         )
 
     def eval_zero(self, var):
@@ -335,8 +382,8 @@ class BiSeries:
         k = 0 if var == "x" else 1
         if not self.exact and self.window[k] < 1:
             raise TruncationExhausted(f"no {var}^0 information", window=self.window)
-        return BiSeries({e: c for e, c in self.coeffs.items() if e[k] == 0},
-                        self.tx, self.ty, exact=self.exact)
+        return BiSeries._of({e: c for e, c in self.coeffs.items() if e[k] == 0},
+                            self.tx, self.ty, self.exact)
 
     def ramify(self, var, s):
         """Substitute var by its s-th power: its exponent i becomes s*i."""

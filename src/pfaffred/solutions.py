@@ -231,12 +231,14 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     for total in range(1, tx + ty - 1):
         for i in range(max(0, total - ty + 1), min(total, tx - 1) + 1):
             j = total - i
-            t_new, kept = _triangular_solve([
-                (l1, i, qlinalg.dot(_known_terms(a_coeffs, t_coeffs, at_coeffs,
-                                                 (i, j)), (n, n))),
-                (l2, j, qlinalg.dot(_known_terms(b_coeffs, t_coeffs, bt_coeffs,
-                                                 (i, j)), (n, n))),
-            ], n)
+            equations = [(l1, i, qlinalg.dot(
+                _known_terms(a_coeffs, t_coeffs, at_coeffs, (i, j)), (n, n)))]
+            # The y-equation is read only for an entry that the x-equation
+            # leaves undetermined.
+            if any(l1[k][k] - l1[l][l] == i for k in range(n) for l in range(n)):
+                equations.append((l2, j, qlinalg.dot(
+                    _known_terms(b_coeffs, t_coeffs, bt_coeffs, (i, j)), (n, n))))
+            t_new, kept = _triangular_solve(equations, n)
             for (k, l), (vx, vy) in kept.items():
                 retained.append((i, j, k, l, vx, vy))
                 for st, v in ((at_coeffs, vx), (bt_coeffs, vy)):

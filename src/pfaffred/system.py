@@ -344,11 +344,11 @@ def _shift_entries(m: SeriesMatrix, shifts, row_orders, col_orders):
             e = m.at(i, j)
             dx, dy = shifts(i, j)
             if e.exact:
-                out.append(BiSeries(
+                out.append(BiSeries._of(
                     {(a + dx, b + dy): c for (a, b), c in e.coeffs.items()},
                     max(row_orders[i][0], col_orders[j][0]),
                     max(row_orders[i][1], col_orders[j][1]),
-                    exact=True,
+                    True,
                 ))
             else:
                 out.append(e.shift(dx, dy))
