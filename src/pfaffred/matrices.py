@@ -5,8 +5,8 @@ common truncation window (the constructor truncates every entry to the
 componentwise minimum; the pessimistic window is the contract).
 
 LaurentMatrix is x^(-px) y^(-py) times a SeriesMatrix; it is the carrier
-for gauge results whose normal-crossings status is not yet known, and for
-inverses of monomially scaled gauges.
+for gauge factors and their inverses, and for gauge results whose
+normal-crossings status is not yet known.
 
 Rank and column reduction over the one-variable series ring use exact
 elimination with minimal-valuation pivoting (ties: smallest row, then
@@ -18,11 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import qlinalg
-from .errors import (
-    DimensionMismatch,
-    SingularMatrix,
-    TruncationExhausted,
-)
+from .errors import DimensionMismatch, TruncationExhausted
 from .series import BiSeries, dot, q
 
 
@@ -248,38 +244,6 @@ class SeriesMatrix:
         A window-zero matrix has content equal to the window (full strip)."""
         return min(e.val(var) for e in self.entries)
 
-    # -- determinants ---------------------------------------------------------
-
-    def det(self) -> BiSeries:
-        """(-1)^n times the constant coefficient of Berkowitz's division-free
-        characteristic polynomial (qlinalg.charpoly)."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            raise DimensionMismatch("empty matrix")
-        c0 = qlinalg.charpoly(self.to_rows(), BiSeries.const(1, *self.window))[0]
-        return -c0 if n % 2 else c0
-
-    def adjugate(self):
-        n = self.rows
-        if n != self.cols:
-            raise DimensionMismatch("adjugate of a non-square matrix")
-        if n == 1:
-            return SeriesMatrix.from_rows([[BiSeries.const(1, *self.window)]])
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                rows = [r for r in range(n) if r != j]
-                cols = [c for c in range(n) if c != i]
-                minor = self.submatrix(rows, cols).det()
-                if (i + j) % 2:
-                    minor = -minor
-                row.append(minor)
-            out.append(row)
-        return SeriesMatrix.from_rows(out)
-
 
 class LaurentMatrix:
     """x^(-px) y^(-py) times a series matrix.  Poles may be negative
@@ -336,25 +300,6 @@ class LaurentMatrix:
             d = d - self.series.scale(a)
         return LaurentMatrix(d, self.px, self.py)
 
-    def inverse(self):
-        """Inverse via adjugate and monomial-times-unit determinant."""
-        s = self.series
-        d = s.det()
-        if d.is_zero():
-            raise SingularMatrix(
-                f"determinant vanishes on the window {d.window}"
-            )
-        vx, vy = d.val_x(), d.val_y()
-        unit = d.divide_monomial(vx, vy)
-        if unit.coeff(0, 0) == 0:
-            # det = x^a y^b * (mixed series with no constant term):
-            # no monomial-times-unit factorization on this window.
-            raise SingularMatrix(
-                "determinant is not monomial times unit within the window"
-            )
-        inv_series = s.adjugate() * unit.invert()
-        return LaurentMatrix(inv_series, vx - self.px, vy - self.py).normalize()
-
     def equals(self, other):
         a, b = self.normalize(), other.normalize()
         if a.series.is_zero() and b.series.is_zero():
@@ -403,13 +348,13 @@ def column_echelon(m: SeriesMatrix, var: str):
     v_inv is v^(-1), built in the same loop by the inverse operations: a
     column swap of v is the same row swap of v_inv, and col_j(v) -=
     col_p(v)*f is row_p(v_inv) += f*row_j(v_inv).  It agrees with the
-    adjugate inverse of v (tests/oracle_cofactor.py) in coefficients,
-    truncated windows and poles, and is exact wherever that is.  It can
-    be exact where the adjugate is truncated, since the row operations
-    never multiply in an entry whose contribution cancels: the zeros below
-    the diagonal of an upper unitriangular v are exact.  An exact entry
-    may carry other nominal orders than the adjugate's, e.g. (8, 8)
-    against (8, 9).
+    cofactor inverse of v in tests/oracle_cofactor.py, the reference, in
+    coefficients, truncated windows and poles, and is exact wherever that
+    is.  It can be exact where the cofactor inverse is truncated, since
+    the row operations never multiply in an entry whose contribution
+    cancels: the zeros below the diagonal of an upper unitriangular v are
+    exact.  An exact entry may carry other nominal orders than the
+    reference's, e.g. (8, 8) against (8, 9).
     """
     work = m.to_rows()
     nrows, ncols = m.rows, m.cols

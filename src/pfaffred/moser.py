@@ -37,7 +37,7 @@ from .matrices import (
     column_echelon,
     series_rank,
 )
-from .series import BiSeries
+from .series import INF_ORDER, BiSeries
 from .system import (
     GaugeTransform,
     PfaffianSystem,
@@ -102,8 +102,6 @@ class ThetaPolynomial:
         return all(c.exact for c in self.coeffs)
 
     def certified_window(self):
-        from .series import INF_ORDER
-
         if self.is_exact:
             return (INF_ORDER, INF_ORDER)
         return self.window
@@ -186,16 +184,18 @@ def column_reduce_leading(sys: PfaffianSystem, axis: str) -> GaussForm:
     a0_conj = _laurent_to_series(conj)
     if a0_conj is None:
         raise ReductionError("column reduction produced a pole")
-    gauge = GaugeTransform.of_series(v1, "unimodular-column-reduce", v1_inv)
+    gauge = GaugeTransform._of(LaurentMatrix(v1), v1_inv,
+                               "unimodular-column-reduce")
     d = r
     if r > 0:
         top = a0_conj.submatrix(list(range(r)), list(range(r)))
         v2, _, d, v2_inv = column_echelon(top, "y")
         if d < r:
             window = v2.window
-            gauge = gauge.compose(GaugeTransform.of_series(
-                _embed_block(v2, 0, n, *window), "unimodular-column-reduce",
-                LaurentMatrix(_embed_block(v2_inv, 0, n, *window))))
+            gauge = gauge.compose(GaugeTransform._of(
+                LaurentMatrix(_embed_block(v2, 0, n, *window)),
+                LaurentMatrix(_embed_block(v2_inv, 0, n, *window)),
+                "unimodular-column-reduce"))
     if axis == "y":
         gauge = _flip_gauge(gauge)
     return GaussForm(gauge=gauge, d=d, r=r)
@@ -430,9 +430,9 @@ def prepare_shearing(sys: PfaffianSystem, axis: str) -> ShearingForm:
             gauge = GaugeTransform.identity(n, tx, ty, "arrange-trailing")
             rho = 0
         else:
-            q4, q4_inv = (_embed_block(blk, r, n, tx, ty) for blk in q4)
-            gauge = GaugeTransform.of_series(q4, "arrange-trailing",
-                                             LaurentMatrix(q4_inv))
+            q4, q4_inv = (LaurentMatrix(_embed_block(blk, r, n, tx, ty))
+                          for blk in q4)
+            gauge = GaugeTransform._of(q4, q4_inv, "arrange-trailing")
             rho = m - basis.cols
         if axis == "y":
             gauge = _flip_gauge(gauge)

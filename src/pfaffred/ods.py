@@ -298,7 +298,8 @@ def unipotent_gauge(t_coeffs, n, tx, ty, kind) -> GaugeTransform:
     U comes from the coefficient recursion U_(0,0) = I and
     U_k = -sum_(m != 0) T_m U_(k-m), in row-major order of k, each
     coefficient one dot.  Both are truncated to the window, which is where
-    the adjugate path puts T^(-1) too (its determinant is a unit).
+    the cofactor inverse of tests/oracle_cofactor.py puts T^(-1) too (its
+    determinant is a unit).
     """
     steps = [(e, t) for e, t in t_coeffs.items()
              if e != (0, 0) and not qlinalg.is_zero(t)]
@@ -312,9 +313,9 @@ def unipotent_gauge(t_coeffs, n, tx, ty, kind) -> GaugeTransform:
                 u = qlinalg.dot(terms)
                 if not qlinalg.is_zero(u):
                     u_coeffs[(i, j)] = u
-    return GaugeTransform.of_series(
-        SeriesMatrix.from_coefficients(t_coeffs, n, tx, ty), kind,
-        LaurentMatrix(SeriesMatrix.from_coefficients(u_coeffs, n, tx, ty)))
+    return GaugeTransform._of(
+        LaurentMatrix(SeriesMatrix.from_coefficients(t_coeffs, n, tx, ty)),
+        LaurentMatrix(SeriesMatrix.from_coefficients(u_coeffs, n, tx, ty)), kind)
 
 
 def _triangular_solve(equations, n):

@@ -336,8 +336,9 @@ def _verify_commutation(lam, qdiag):
 def _embed_gauge(gauge: GaugeTransform, coords, n, tx, ty) -> GaugeTransform:
     """Lift a gauge acting on a coordinate subset to the full space; each
     factor's inverse is lifted with it.  On a proper subset the lifted
-    inverse is exact outside the block, where the adjugate of the lifted
-    factor would mark the identity entries truncated; the values agree."""
+    inverse is exact outside the block, where the cofactor inverse of the
+    lifted factor (tests/oracle_cofactor.py) marks the identity entries
+    truncated; the values agree."""
     def lift(f):
         # The identity outside the block, over f's poles (a shearing's
         # inverse has a pole): x^px y^py, with a negative pole moved into

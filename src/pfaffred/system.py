@@ -20,9 +20,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import qlinalg
-from .errors import DimensionMismatch, IntegrabilityViolation, InvariantViolation
+from .errors import (
+    DimensionMismatch,
+    IntegrabilityViolation,
+    InvariantViolation,
+    PreconditionViolated,
+    TruncationExhausted,
+)
 from .matrices import LaurentMatrix, SeriesMatrix, series_rank
-from .series import BiSeries
+from .series import INF_ORDER, BiSeries
 
 
 @dataclass(frozen=True)
@@ -152,8 +158,6 @@ def check_integrability(sys: PfaffianSystem):
         - sa * sb
     )
     if r.is_exact:
-        from .series import INF_ORDER
-
         return r.is_zero(), (INF_ORDER, INF_ORDER)
     return r.is_zero(), r.window
 
@@ -187,16 +191,16 @@ class GaugeTransform:
     a unipotent series factor by its coefficient recursion, a monomial
     factor from its exponents, both column-reduce factors of a Moser step
     by the elimination that made them (column_echelon), and the trailing
-    arrangement Q4 by the column reduction that completes it.  Only a gauge
-    from outside the library is inverted at construction, once, in
-    of_series.  The inverse equals
-    the cofactor adjugate inverse of the factor (tests/oracle_cofactor.py)
-    in coefficients, truncated windows and poles, and is exact wherever
-    that is.  Two kinds of factor may differ from it: an elimination
-    inverse can be exact where the adjugate is truncated, or carry other
-    nominal orders (see column_echelon), and solutions._embed_gauge lifts
-    are held to values (see there).  apply_gauge and inverse() never
-    invert a factor.
+    arrangement Q4 by the column reduction that completes it.  The library
+    builds these factors with _of, unchecked; a gauge from outside it
+    brings its inverse to of_series, which checks it.  The reference is
+    the cofactor inverse of tests/oracle_cofactor.py: the carried inverse
+    equals it in coefficients, truncated windows and poles, and is exact
+    wherever it is.  Two kinds of factor may differ from it: an
+    elimination inverse can be exact where the cofactor one is truncated,
+    or carry other nominal orders (see column_echelon), and
+    solutions._embed_gauge lifts are held to values (see there).
+    apply_gauge and inverse() never invert a factor.
     """
 
     factors: tuple
@@ -204,23 +208,38 @@ class GaugeTransform:
     provenance: tuple
 
     @classmethod
-    def identity(cls, n, tx, ty, kind="identity"):
-        return cls.of_series(SeriesMatrix.identity(n, tx, ty), kind)
+    def _of(cls, f: LaurentMatrix, f_inv: LaurentMatrix, kind: str):
+        """One factor f with its inverse f_inv, unchecked: for the
+        library's own factors, whose inverses are known by construction."""
+        return cls(factors=(f,), inverses=(f_inv,), provenance=(kind,))
 
     @classmethod
-    def of_series(cls, mat: SeriesMatrix, kind: str, inverse=None):
-        """One series factor with its inverse, a LaurentMatrix.  A caller
-        that does not know the inverse leaves it out: an exact diagonal of
-        monic monomials (the identity, a shearing) is then inverted from
-        its exponents, and any other factor once, here, by the adjugate
-        (LaurentMatrix.inverse).  The library passes the inverse of every
-        other factor it builds, so only a gauge from outside it is
-        inverted here."""
+    def identity(cls, n, tx, ty, kind="identity"):
+        return cls.monomial("x", [0] * n, tx, ty, kind)
+
+    @classmethod
+    def of_series(cls, mat: SeriesMatrix, kind: str, inverse: LaurentMatrix):
+        """The checked entry point for a gauge from outside the library:
+        one square series factor with its inverse, a LaurentMatrix.
+
+        F F^(-1) = I must hold on the window of the product: a wrong
+        inverse raises PreconditionViolated, and a product whose window
+        does not reach its (0, 0) coefficient raises TruncationExhausted,
+        so the check never passes on an empty window."""
+        if mat.rows != mat.cols:
+            raise DimensionMismatch("a gauge factor must be square")
         f = LaurentMatrix(mat)
-        if inverse is None:
-            exps = _monomial_diagonal(mat)
-            inverse = f.inverse() if exps is None else _monomial_inverse(f, exps)
-        return cls(factors=(f,), inverses=(inverse,), provenance=(kind,))
+        one = LaurentMatrix(SeriesMatrix.identity(mat.rows, *mat.window))
+        rest = f * inverse - one
+        s = rest.series
+        tx, ty = s.window
+        if not s.is_exact and (tx <= rest.px or ty <= rest.py):
+            raise TruncationExhausted(
+                "F F^(-1) has no (0, 0) coefficient on its window", window=(tx, ty))
+        if not s.is_zero():
+            raise PreconditionViolated(
+                f"inverse of the {kind!r} factor: F F^(-1) != I on the window")
+        return cls._of(f, inverse, kind)
 
     @classmethod
     def of_constant(cls, rows, tx, ty, kind="constant", inverse=None):
@@ -228,25 +247,19 @@ class GaugeTransform:
         caller has it, else it is computed over Q."""
         if inverse is None:
             inverse = qlinalg.inverse(rows)
-        return cls.of_series(
-            SeriesMatrix.from_rational_rows(rows, tx, ty), kind,
-            LaurentMatrix(SeriesMatrix.from_rational_rows(inverse, tx, ty)))
+        return cls._of(
+            LaurentMatrix(SeriesMatrix.from_rational_rows(rows, tx, ty)),
+            LaurentMatrix(SeriesMatrix.from_rational_rows(inverse, tx, ty)), kind)
 
     @classmethod
     def monomial(cls, var, exponents, tx, ty, kind="shearing"):
         n = len(exponents)
-        entries = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    entries.append(BiSeries.zero(tx, ty))
-                else:
-                    e = exponents[i]
-                    entries.append(
-                        BiSeries.monomial(1, e if var == "x" else 0,
-                                          e if var == "y" else 0, tx, ty)
-                    )
-        return cls.of_series(SeriesMatrix(n, n, entries), kind)
+        exps = [(e, 0) if var == "x" else (0, e) for e in exponents]
+        f = LaurentMatrix(SeriesMatrix(n, n, [
+            BiSeries.monomial(1, *exps[i], tx, ty) if i == j
+            else BiSeries.zero(tx, ty)
+            for i in range(n) for j in range(n)]))
+        return cls._of(f, _monomial_inverse(f, exps), kind)
 
     def compose(self, other: "GaugeTransform") -> "GaugeTransform":
         """Gauge applying self first, then other (matrix product self*other)."""
@@ -366,7 +379,7 @@ def _monomial_inverse(f: LaurentMatrix, exps) -> LaurentMatrix:
     """F^(-1) for F = diag(x^a_i y^b_i) / (x^px y^py) with (a_i, b_i) =
     exps: diag(x^(ma - a_i) y^(mb - b_i)) / (x^(ma - px) y^(mb - py)), with
     (ma, mb) the largest exponents.  Each entry has the nominal orders that
-    the cofactor adjugate inverse (tests/oracle_cofactor.py) gives it:
+    the cofactor inverse (tests/oracle_cofactor.py) gives it:
     entry (i, j) takes the larger of the determinant unit's and those of
     the minor without row j and column i, less the monomial content that
     normalization strips."""

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from pfaffred.matrices import SeriesMatrix
+from pfaffred.matrices import LaurentMatrix, SeriesMatrix
 from pfaffred.series import BiSeries
 from pfaffred.system import GaugeTransform, PfaffianSystem
 from pfaffred.io import parse_system
@@ -73,10 +73,20 @@ def random_unimodular(rng, n=2, tx=T, ty=T, max_deg=2, vars_=("x", "y")):
             rows.append(row)
         return SeriesMatrix.from_rows(rows)
 
-    g = GaugeTransform.of_series(tri(True), "unimodular")
-    g = g.compose(GaugeTransform.of_series(tri(False), "unimodular"))
+    g = unipotent_gauge(tri(True)).compose(unipotent_gauge(tri(False)))
     c = random_invertible_const(rng, n)
     return g.compose(GaugeTransform.of_constant(c, tx, ty, kind="constant"))
+
+
+def unipotent_gauge(m, kind="unimodular"):
+    """The gauge factor m = I - N, N nilpotent, with its exact inverse
+    sum_(k<n) N^k."""
+    eye = SeriesMatrix.identity(m.rows, *m.window)
+    nil, inv, power = eye - m, eye, eye
+    for _ in range(m.rows - 1):
+        power = power * nil
+        inv = inv + power
+    return GaugeTransform.of_series(m, kind, LaurentMatrix(inv))
 
 
 def random_invertible_const(rng, n=2):

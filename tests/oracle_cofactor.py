@@ -1,8 +1,8 @@
-"""Reference determinant and inverse: the cofactor expansion that
-SeriesMatrix.det ran before it read Berkowitz's characteristic polynomial,
-the adjugate built on it, and LaurentMatrix.inverse through that adjugate.
-Kept verbatim apart from taking the matrix as an argument and calling each
-other in place of the methods.
+"""Reference determinant and inverse of a series matrix: the cofactor
+expansion, the adjugate built on it, and the inverse through that
+adjugate and the monomial-times-unit determinant.  The library carries
+the inverse of every gauge factor it builds instead of computing one;
+these are what the carried inverses are compared with.
 """
 
 from pfaffred.errors import DimensionMismatch, SingularMatrix

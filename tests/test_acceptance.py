@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from pfaffred.cli import main
-from pfaffred.matrices import SeriesMatrix
+from pfaffred.matrices import LaurentMatrix, SeriesMatrix
 from pfaffred.moser import rank_reduce, theta_poly
 from pfaffred.ods import split_leading
 from pfaffred.series import BiSeries
@@ -72,6 +72,13 @@ def test_criterion_3_non_compatible_gauge(exmnaive, capsys):
             ]
         ),
         "external",
+        # Its inverse x^-3 y^-1 [[y, y^2], [0, x^3]].
+        LaurentMatrix(SeriesMatrix.from_rows(
+            [
+                [poly_series({(0, 1): 1}), poly_series({(0, 2): 1})],
+                [BiSeries.zero(T, T), poly_series({(3, 0): 1})],
+            ]
+        ), 3, 1),
     )
     res = apply_gauge(exmnaive, gauge)
     ax = res.ax.normalize()
@@ -134,16 +141,14 @@ def test_criterion_6_regular_solve(capsys):
     assert sorted(reg.lambda2[i][i] for i in range(2)) == [-2, -1]
     # The external involution gauge passes the substitution check: it maps
     # the normal form to constant diagonals on both sides.
-    t2 = GaugeTransform.of_series(
-        SeriesMatrix.from_rows(
-            [
-                [BiSeries.const(1, T, T), BiSeries.zero(T, T)],
-                [poly_series({(0, 1): Fraction(1, 3), (3, 0): 2}),
-                 BiSeries.const(-1, T, T)],
-            ]
-        ),
-        "external",
+    t = SeriesMatrix.from_rows(
+        [
+            [BiSeries.const(1, T, T), BiSeries.zero(T, T)],
+            [poly_series({(0, 1): Fraction(1, 3), (3, 0): 2}),
+             BiSeries.const(-1, T, T)],
+        ]
     )
+    t2 = GaugeTransform.of_series(t, "external", LaurentMatrix(t))
     res = apply_gauge(u_sys, t2).to_system()
     assert res.amat == const_mat([[-2, 0], [0, 1]])
     assert res.bmat == const_mat([[-2, 0], [0, -1]])

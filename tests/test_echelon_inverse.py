@@ -1,19 +1,11 @@
-"""One elimination, one determinant, checked against the cofactor oracle
+"""One elimination, checked against the cofactor oracle
 (tests/oracle_cofactor.py).
 
 column_echelon returns v^(-1) built by the inverse row operations.  It is
-the oracle's adjugate inverse in coefficients, truncated windows and
+the oracle's cofactor inverse in coefficients, truncated windows and
 poles, and exact wherever the oracle is exact.  It can be exact where the
-adjugate is truncated: a cofactor multiplies in truncated entries of v
+oracle is truncated: a cofactor multiplies in truncated entries of v
 whose contributions cancel, while the row operations never form them.
-
-SeriesMatrix.det reads Berkowitz's characteristic polynomial.  Up to 2 x 2
-it is the cofactor expansion term for term.  From 3 x 3 on it also forms
-products that cancel, so its truncated window can be smaller or larger than
-the expansion's, and a determinant the expansion certifies exact can come
-out truncated; the two then agree on their common window.  On exact input
-both are exact with the same coefficients.  Nominal orders of exact
-results are not compared: they follow the operands each path touches.
 """
 
 import random
@@ -87,29 +79,6 @@ def test_echelon_inverse_is_exact_where_the_adjugate_is_not():
     assert got.exact and got.is_zero()
     assert not ref.exact and ref.window == (1, 1) and ref.is_zero()
     assert v_inv == want.series
-
-
-@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
-def test_det_and_adjugate_match_cofactor_oracle(m):
-    det, want = m.det(), oracle.det(m)
-    assert det == want
-    if m.is_exact:
-        assert det.exact and det.coeffs == want.coeffs
-    if m.rows <= 2:
-        assert certified(det) == certified(want)
-    for got, ref in zip(m.adjugate().entries, oracle.adjugate(m).entries):
-        assert got == ref
-        if m.rows <= 3:
-            assert certified(got) == certified(ref)
-
-
-def test_det_and_adjugate_keep_window_zero_entries():
-    c = BiSeries({}, 3, 3)
-    one = BiSeries.const(1, T, T)
-    m = SeriesMatrix.from_rows([[one, one], [c, one]])
-    assert outcome(m.det()) == outcome(oracle.det(m))
-    assert ([outcome(e) for e in m.adjugate().entries]
-            == [outcome(e) for e in oracle.adjugate(m).entries])
 
 
 def chain_system():

@@ -23,7 +23,7 @@ import pytest
 
 from pfaffred import system
 from pfaffred.errors import PfaffredError
-from pfaffred.matrices import LaurentMatrix, SeriesMatrix
+from pfaffred.matrices import SeriesMatrix
 from pfaffred.moser import rank_reduce, reduce_subsystem_step
 from pfaffred.series import BiSeries
 from pfaffred.solutions import exponential_parts, formal_fundamental, katz_pair
@@ -134,45 +134,26 @@ def solve_gauge(sys_obj):
     return functools.reduce(GaugeTransform.compose, trace)
 
 
-def test_apply_gauge_inverts_no_factor(exm, exmnaive, monkeypatch):
-    # Reduction gauges, and solve gauges with splittings and lifted blocks.
+def test_apply_gauge_inverts_no_factor(exm, exmnaive):
+    # Reduction gauges, and solve gauges with splittings and lifted blocks,
+    # move a system and back by their carried inverses alone.
     generated = random_integrable_system(random.Random(3), n=3, p=1, q=1)
     gauges = [(exmnaive, rank_reduce(exmnaive)[0]), (exm, solve_gauge(exm)),
               (generated, solve_gauge(generated))]
-    calls = []
-    inverse = LaurentMatrix.inverse
-
-    def counted(self):
-        calls.append(self)
-        return inverse(self)
-
-    monkeypatch.setattr(LaurentMatrix, "inverse", counted)
     for sys_obj, gauge in gauges:
         moved = apply_gauge(sys_obj, gauge).to_system(strict=False)
         back = apply_gauge(moved, gauge.inverse()).to_system(strict=False)
         assert back.same_up_to_window(sys_obj)
-    assert calls == []
 
 
 def test_commands_invert_and_expand_nothing(exm, exmnaive, monkeypatch):
     # Every gauge factor the commands build carries its inverse from the
-    # code that made it, so neither the adjugate inverse nor a determinant
-    # runs while reduce, expparts, katz and solve do, nor while a Moser
-    # step completes a trailing arrangement Q4.  The chain inputs are
-    # gauged from outside the library, so they are built first.
-    chains = list(chain_inputs())
-    calls = []
-    for cls, name in ((LaurentMatrix, "inverse"), (SeriesMatrix, "det")):
-        method = getattr(cls, name)
-
-        def counted(self, method=method, name=name):
-            calls.append(name)
-            return method(self)
-
-        monkeypatch.setattr(cls, name, counted)
+    # code that made it, and the library has no series-matrix inverse or
+    # determinant to fall back on: reduce, expparts, katz and solve run,
+    # and a Moser step completes a trailing arrangement Q4, on the carried
+    # inverses alone.
     for sys_obj in (exm, exmnaive, direct_sum(exm, exmnaive)):
         applied, _ = run_commands(sys_obj, monkeypatch)
         assert applied
-    for sys_obj in chains:
+    for sys_obj in chain_inputs():
         reduce_subsystem_step(sys_obj, "x")
-    assert calls == []

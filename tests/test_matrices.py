@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from pfaffred.errors import DimensionMismatch, SingularMatrix
+from pfaffred.errors import (
+    DimensionMismatch,
+    PreconditionViolated,
+    TruncationExhausted,
+)
 from pfaffred.matrices import (
     LaurentMatrix,
     SeriesMatrix,
@@ -11,7 +15,9 @@ from pfaffred.matrices import (
     series_rank,
 )
 from pfaffred.series import BiSeries
+from pfaffred.system import GaugeTransform
 
+import oracle_cofactor
 from conftest import T, poly_series, random_unimodular
 
 
@@ -57,40 +63,6 @@ def test_involution_square_is_identity():
         assert t * t == eye()
 
 
-def test_det_examples():
-    assert eye(3).det() == BiSeries.const(1, T, T)
-    tri = SeriesMatrix.from_rows(
-        [
-            [poly_series({(0, 0): 1, (1, 0): 1}), poly_series({(0, 1): 1})],
-            [BiSeries.zero(T, T), BiSeries.const(1, T, T)],
-        ]
-    )
-    assert tri.det() == poly_series({(0, 0): 1, (1, 0): 1})
-    # Leading matrix of the rank-one example: det vanishes identically.
-    a0 = SeriesMatrix.from_rows(
-        [
-            [poly_series({(0, 1): 1}), poly_series({(0, 2): 1})],
-            [BiSeries.const(-1, T, T), poly_series({(0, 1): -1})],
-        ]
-    )
-    # Hand expansion: y*(-y) - y^2*(-1) = 0.
-    assert a0.det().is_zero()
-
-
-def test_det_keeps_window_zero_entries():
-    # c is zero only on its window (3, 3): det = 1 - c and the inverse's
-    # (1, 0) entry -c are known on that window, not exactly.
-    c = BiSeries({}, 3, 3)
-    one = BiSeries.const(1, T, T)
-    m = SeriesMatrix.from_rows([[one, one], [c, one]])
-    det = m.det()
-    assert not det.exact and det.window == (3, 3)
-    assert det == one
-    low = LaurentMatrix(m).inverse().series.at(1, 0)
-    assert not low.exact and low.window == (3, 3)
-    assert low.is_zero()
-
-
 def test_kernel_eliminates_window_zero_entries():
     # c is zero only on its window (3, 3): the kernel of [1, c] is
     # [-c, 1], whose first entry is known on that window, not exactly.
@@ -103,10 +75,20 @@ def test_kernel_eliminates_window_zero_entries():
     assert bottom.exact and bottom == BiSeries.const(1, T, T)
 
 
+# A gauge factor from outside the library brings its inverse, and
+# GaugeTransform.of_series checks F F^(-1) = I on the product's window.
+
+
+def external(t, inverse):
+    return GaugeTransform.of_series(t, "external", inverse)
+
+
 def test_invert_identity():
-    inv = LaurentMatrix(eye()).inverse()
-    assert inv.px == 0 and inv.py == 0
-    assert inv.series == eye()
+    for g in (external(eye(), LaurentMatrix(eye())),
+              GaugeTransform.identity(2, T, T)):
+        [inv] = g.inverses
+        assert inv.px == 0 and inv.py == 0
+        assert inv.series == eye()
 
 
 def test_invert_involution_example():
@@ -117,13 +99,13 @@ def test_invert_involution_example():
             [c, BiSeries.const(-1, T, T)],
         ]
     )
-    inv = LaurentMatrix(t).inverse()
+    [inv] = external(t, LaurentMatrix(t)).inverses
     assert inv.px == 0 and inv.py == 0
     assert inv.series == t  # involution
 
 
-def test_invert_monomial_scaled_gauge():
-    # T = [[y x^3, -y], [0, 1]]: inverse has the 2x2 adjugate form
+def monomial_scaled():
+    # T = [[y x^3, -y], [0, 1]] and its inverse in the 2x2 adjugate form
     # y^-1 x^-3 [[1, y], [0, y x^3]].
     t = SeriesMatrix.from_rows(
         [
@@ -131,17 +113,25 @@ def test_invert_monomial_scaled_gauge():
             [BiSeries.zero(T, T), BiSeries.const(1, T, T)],
         ]
     )
-    inv = LaurentMatrix(t).inverse()
-    prod = LaurentMatrix(t) * inv
-    prod = prod.normalize()
+    inv = SeriesMatrix.from_rows(
+        [
+            [BiSeries.const(1, T, T), poly_series({(0, 1): 1})],
+            [BiSeries.zero(T, T), poly_series({(3, 1): 1})],
+        ]
+    )
+    return t, LaurentMatrix(inv, 3, 1)
+
+
+def test_invert_monomial_scaled_gauge():
+    t, inv = monomial_scaled()
+    assert external(t, inv).inverses[0] is inv
+    prod = (LaurentMatrix(t) * inv).normalize()
     assert prod.px == 0 and prod.py == 0
     assert prod.series == eye()
-    # adjugate oracle
-    assert (inv.px, inv.py) == (3, 1)
-    assert inv.series.at(0, 0) == BiSeries.const(1, T, T)
-    assert inv.series.at(0, 1) == poly_series({(0, 1): 1})
-    assert inv.series.at(1, 0).is_zero()
-    assert inv.series.at(1, 1) == poly_series({(3, 1): 1})
+    # The same factor cut to a window that holds the product's (0, 0)
+    # coefficient, x^3 y^1 of its series, is checked there.
+    cut = LaurentMatrix(inv.series.truncated(5, 3), 3, 1)
+    assert external(t.truncated(5, 3), cut).inverses[0] is cut
 
 
 def test_invert_singular():
@@ -151,16 +141,54 @@ def test_invert_singular():
             [poly_series({(0, 1): 1}), poly_series({(0, 1): 1})],
         ]
     )
-    with pytest.raises(SingularMatrix):
-        LaurentMatrix(s).inverse()
+    # No inverse exists, so every claimed one is rejected.
+    for claimed in (LaurentMatrix(eye()), LaurentMatrix(s, 1, 0),
+                    LaurentMatrix(eye(), 1, 1)):
+        with pytest.raises(PreconditionViolated):
+            external(s, claimed)
+
+
+def test_of_series_rejects_a_wrong_inverse():
+    t, inv = monomial_scaled()
+    for wrong in (LaurentMatrix(inv.series, 3, 0), LaurentMatrix(t),
+                  LaurentMatrix(inv.series.scale(2), 3, 1)):
+        with pytest.raises(PreconditionViolated):
+            external(t, wrong)
+    # A wrong entry outside the product's window is not seen.
+    off = inv.series.at(0, 1) + poly_series({(0, 4): 1})
+    rows = inv.series.to_rows()
+    rows[0][1] = off
+    far = LaurentMatrix(SeriesMatrix.from_rows(rows).truncated(5, 3), 3, 1)
+    external(t.truncated(5, 3), far)
+    with pytest.raises(PreconditionViolated):
+        external(t, LaurentMatrix(SeriesMatrix.from_rows(rows), 3, 1))
+
+
+def test_of_series_never_passes_on_an_empty_window():
+    # The product's series is zero on its window, and the window stops
+    # before the x^3 y coefficient that I needs there: the check raises
+    # instead of passing.
+    t, inv = monomial_scaled()
+    for window in ((3, 8), (8, 1), (2, 1)):
+        with pytest.raises(TruncationExhausted):
+            external(t.truncated(*window), inv)
+    with pytest.raises(TruncationExhausted):
+        external(eye().truncated(0, 4), LaurentMatrix(eye()))
+
+
+def test_of_series_rejects_a_non_square_factor():
+    with pytest.raises(DimensionMismatch):
+        external(SeriesMatrix.zeros(2, 3, T, T),
+                 LaurentMatrix(SeriesMatrix.zeros(3, 2, T, T)))
 
 
 def test_invert_random_unimodular_roundtrip():
+    # The inverses a random gauge carries multiply with it to I, both
+    # ways, factor by factor and composed.
     rng = random.Random(17)
     for _ in range(10):
         g = random_unimodular(rng)
-        m = g.matrix()
-        inv = m.inverse()
+        m, inv = g.matrix(), g.inverse().matrix()
         prod = (m * inv).normalize()
         assert prod.px == 0 and prod.py == 0
         assert prod.series == eye()
@@ -194,10 +222,10 @@ def test_column_echelon_unimodular_and_reduced():
                 row.append(BiSeries(terms, T, T, exact=True))
             rows.append(row)
         m = SeriesMatrix.from_rows(rows)
-        v, red, rank, _ = column_echelon(m, "y")
-        # v is unimodular: determinant is a unit.
-        d = v.det()
-        assert d.coeff(0, 0) != 0
+        v, red, rank, v_inv = column_echelon(m, "y")
+        # v is unimodular: its determinant is a unit, and v_inv inverts it.
+        assert oracle_cofactor.det(v).coeff(0, 0) != 0
+        assert v * v_inv == eye(3) and v_inv * v == eye(3)
         assert m * v == red
         for j in range(rank, 3):
             assert all(red.at(i, j).is_zero() for i in range(3))

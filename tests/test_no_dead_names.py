@@ -23,6 +23,9 @@ SRC = Path(pfaffred.__file__).resolve().parent
 PUBLIC_METHODS = {
     "ods.ExponentialPart.katz",     # the Katz invariant of one part
     "solutions.SolutionData.phi",   # the paper's factor Phi of a solution
+    # The checked entry point for a gauge from outside the library; the
+    # library builds its own factors unchecked, with GaugeTransform._of.
+    "system.GaugeTransform.of_series",
 }
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pfaffred.errors import JointResonance, NotSplittable, PreconditionViolated
-from pfaffred.matrices import SeriesMatrix
+from pfaffred.matrices import LaurentMatrix, SeriesMatrix
 from pfaffred.series import BiSeries
 from pfaffred.solutions import (
     bivariate_shift,
@@ -177,16 +177,14 @@ def test_external_involution_gauge_diagonalizes_u_system():
     # The involution [[1, 0], [y/3 + 2x^3, -1]] must pass the substitution
     # check as an external gauge: it takes the normal form to constant
     # diagonal matrices on both sides.
-    t2 = GaugeTransform.of_series(
-        SeriesMatrix.from_rows(
-            [
-                [BiSeries.const(1, T, T), BiSeries.zero(T, T)],
-                [poly_series({(0, 1): Fraction(1, 3), (3, 0): 2}),
-                 BiSeries.const(-1, T, T)],
-            ]
-        ),
-        "external",
+    t = SeriesMatrix.from_rows(
+        [
+            [BiSeries.const(1, T, T), BiSeries.zero(T, T)],
+            [poly_series({(0, 1): Fraction(1, 3), (3, 0): 2}),
+             BiSeries.const(-1, T, T)],
+        ]
     )
+    t2 = GaugeTransform.of_series(t, "external", LaurentMatrix(t))
     res = apply_gauge(u_system(), t2).to_system()
     assert res.p == 0 and res.q == 0
     assert res.amat == const_mat([[-2, 0], [0, 1]])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pfaffred.errors import InvariantViolation
-from pfaffred.matrices import SeriesMatrix
+from pfaffred.matrices import LaurentMatrix, SeriesMatrix
 from pfaffred.series import BiSeries
 from pfaffred.system import (
     GaugeTransform,
@@ -35,6 +35,13 @@ def naive_gauge():
             ]
         ),
         "external",
+        # Its inverse x^-3 y^-1 [[y, y^2], [0, x^3]].
+        LaurentMatrix(SeriesMatrix.from_rows(
+            [
+                [poly_series({(0, 1): 1}), poly_series({(0, 2): 1})],
+                [BiSeries.zero(T, T), poly_series({(3, 0): 1})],
+            ]
+        ), 3, 1),
     )
 
 
