@@ -22,13 +22,18 @@ from fractions import Fraction
 from .errors import (
     AlgebraicExtensionRequired,
     IntegrabilityViolation,
-    InvariantViolation,
     JointResonance,
-    ParseError,
     PfaffredError,
     TruncationExhausted,
 )
-from .io import MAX_WINDOW, check_window, document_digest, parse_system, write_system
+from .io import (
+    MAX_WINDOW,
+    check_window,
+    document_digest,
+    parse_document,
+    read_document,
+    write_system,
+)
 from .moser import rank_reduce
 from .series import INF_ORDER
 from .solutions import _katz_and_rank, exponential_parts, formal_fundamental
@@ -62,7 +67,8 @@ def _load(args):
     for flag, value in (("--trunc-x", args.trunc_x), ("--trunc-y", args.trunc_y)):
         if value is not None:
             check_window(value, flag)
-    sys_obj = parse_system(args.path)
+    doc = read_document(args.path)
+    sys_obj = parse_document(doc)
     if args.trunc_x is not None or args.trunc_y is not None:
         tx, ty = sys_obj.window
         tx = tx if args.trunc_x is None else args.trunc_x
@@ -74,9 +80,7 @@ def _load(args):
             sys_obj.amat.truncated(tx, ty),
             sys_obj.bmat.truncated(tx, ty),
         )
-    with open(args.path, "r", encoding="utf-8") as fh:
-        digest = document_digest(json.load(fh))
-    return sys_obj, digest
+    return sys_obj, document_digest(doc)
 
 
 def _emit(args, report):
@@ -265,9 +269,7 @@ def cmd_solve(args):
 def _error_exit(command, args, err):
     kind = type(err).__name__
     code = EXIT_PARSE
-    if isinstance(err, (ParseError, InvariantViolation)):
-        code = EXIT_PARSE
-    elif isinstance(err, IntegrabilityViolation):
+    if isinstance(err, IntegrabilityViolation):
         code = EXIT_NOT_INTEGRABLE
     elif isinstance(err, TruncationExhausted):
         code = EXIT_TRUNCATION

@@ -143,15 +143,20 @@ def parse_document(doc: dict) -> PfaffianSystem:
     return PfaffianSystem.make(n, p, q, amat, bmat)
 
 
-def parse_system(path) -> PfaffianSystem:
+def read_document(path) -> dict:
+    """The decoded JSON document at path; ParseError for a missing file or
+    bad JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", field=str(path)) from None
-    return parse_document(doc)
+
+
+def parse_system(path) -> PfaffianSystem:
+    return parse_document(read_document(path))
 
 
 def serialize_system(sys: PfaffianSystem) -> dict:

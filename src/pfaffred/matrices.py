@@ -300,7 +300,9 @@ class LaurentMatrix:
             d = d - self.series.scale(a)
         return LaurentMatrix(d, self.px, self.py)
 
-    def equals(self, other):
+    def __eq__(self, other):
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         a, b = self.normalize(), other.normalize()
         if a.series.is_zero() and b.series.is_zero():
             return True
@@ -312,6 +314,8 @@ class LaurentMatrix:
                 px - b.px, py - b.py
             )
         return a.series == b.series
+
+    __hash__ = None
 
     def __repr__(self):
         return f"x^-{self.px} y^-{self.py} * {self.series!r}"

@@ -534,7 +534,7 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str,
         r_b = current.leading_rank(axis)
         m_b = moser_rank(current, axis)
         # to_system raises InvariantViolation when normal crossings break.
-        nxt = apply_gauge(current, g).to_system(strict=False)
+        nxt = apply_gauge(current, g).to_system()
         compat = nxt.p <= current.p and nxt.q <= current.q
         steps.append(
             ReductionStep(

@@ -160,7 +160,7 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     vmat = tuple(tuple(col[i] for col in basis_cols) for i in range(n))
     tx, ty = sys.window
     const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting")
-    work = apply_gauge(sys, const_gauge).to_system(strict=False)
+    work = apply_gauge(sys, const_gauge).to_system()
 
     offs = _block_ranges(sizes)
     main = work.amat if axis == "x" else work.bmat
@@ -205,7 +205,7 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     # The series factor acts on the conjugated system; the gauge of sys
     # is the constant factor, then the series factor.
     series_gauge = unipotent_gauge(t_coeffs, n, tx, ty, "splitting")
-    full = apply_gauge(work, series_gauge).to_system(strict=False)
+    full = apply_gauge(work, series_gauge).to_system()
     for mat in (full.amat, full.bmat):
         for (a, b) in offs:
             for i in range(a, b):

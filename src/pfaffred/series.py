@@ -9,7 +9,8 @@ tests and equality are certified claims about the window; on exact inputs
 the verdicts are unconditional.  Coefficients are fractions.Fraction in
 lowest terms; zero coefficients are never stored.  Products run on
 integer numerators over one common denominator and normalize each output
-coefficient once.
+coefficient once; a product by an exact monic monomial x^i y^j only moves
+the other factor's coefficients by (i, j).
 
 The public constructor BiSeries(...) is the one validating path: it checks
 the orders and exponents, coerces each coefficient with q(), drops zeros
@@ -71,24 +72,42 @@ def dot(pairs):
     over the truncated products' windows, each from the product rule (the
     unknown terms of one factor enter at the other factor's valuation, per
     variable), and only terms inside it are kept.  An exact zero factor
-    makes an exact zero product.  The terms are accumulated as integer
-    numerators over one common denominator.
+    makes an exact zero product.  When a single product is left and one of
+    its factors is an exact monic monomial x^i y^j, the sum is the other
+    factor's coefficients, the same Fraction objects, moved by (i, j);
+    otherwise the terms are accumulated as integer numerators over one
+    common denominator.
     """
     pairs = list(pairs)
+    live = []
     exact = True
     tx = ty = INF_ORDER
     for a, b in pairs:
         if (a.exact and not a.coeffs) or (b.exact and not b.coeffs):
             continue
+        live.append((a, b))
         if not (a.exact and b.exact):
             exact = False
             tx = min(tx, a.val_x() + b._eff_tx(), b.val_x() + a._eff_tx())
             ty = min(ty, a.val_y() + b._eff_ty(), b.val_y() + a._eff_ty())
+    if exact:
+        orders = (max(max(a.tx, b.tx) for a, b in pairs),
+                  max(max(a.ty, b.ty) for a, b in pairs))
+    else:
+        orders = (tx, ty)
+    if len(live) == 1:
+        [(a, b)] = live
+        for m, other in ((a, b), (b, a)):
+            if m.exact and list(m.coeffs.values()) == [1]:
+                [(di, dj)] = m.coeffs
+                return BiSeries._of({(i + di, j + dj): c
+                                     for (i, j), c in other.coeffs.items()},
+                                    *orders, exact)
     # Each product's numerators over its own denominator da * db, inside
     # the window; b's terms are grouped in rows of equal x-exponent.
     products = []
     jmax = 0
-    for a, b in pairs:
+    for a, b in live:
         da, na = _numerators_once(a)
         db, nb = _numerators_once(b)
         na = [t for t in na if t[0][0] < tx and t[0][1] < ty]
@@ -116,10 +135,7 @@ def dot(pairs):
                         break
                     acc[base + j2] += x * y
     out = {divmod(e, stride): Fraction(s, den) for e, s in acc.items() if s}
-    if exact:
-        return BiSeries._of(out, max(max(a.tx, b.tx) for a, b in pairs),
-                            max(max(a.ty, b.ty) for a, b in pairs), True)
-    return BiSeries._of(out, tx, ty, False)
+    return BiSeries._of(out, *orders, exact)
 
 
 class BiSeries:

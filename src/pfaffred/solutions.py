@@ -221,7 +221,7 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     tx, ty = sys.window
     const_gauge = GaugeTransform.of_constant(u, tx, ty, kind="constant",
                                              inverse=uinv)
-    work = apply_gauge(sys, const_gauge).to_system(strict=False)
+    work = apply_gauge(sys, const_gauge).to_system()
     a_coeffs = work.amat.coefficients()
     b_coeffs = work.bmat.coefficients()
     t_coeffs = {(0, 0): qlinalg.identity(n)}
@@ -256,7 +256,7 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
                                     tuple(retained)),
         )
     # The series factor acts on the conjugated system.
-    res = apply_gauge(work, series_gauge).to_system(strict=False)
+    res = apply_gauge(work, series_gauge).to_system()
     l1_m, l2_m = qlinalg.qmat(l1), qlinalg.qmat(l2)
     expect_a = SeriesMatrix.from_rational_rows(l1_m, *res.window)
     expect_b = SeriesMatrix.from_rational_rows(l2_m, *res.window)
@@ -466,7 +466,7 @@ def verify_solution(sys: PfaffianSystem, data: SolutionData) -> bool:
     gauge = None
     for g in data.gauge_trace:
         gauge = g if gauge is None else gauge.compose(g)
-    res = apply_gauge(sys, gauge).to_system(strict=False)
+    res = apply_gauge(sys, gauge).to_system()
     n = data.n
     tx, ty = res.window
     for axis, lam, qdiag in (("x", data.lambda1, data.q1),

@@ -91,8 +91,8 @@ class PfaffianSystem:
     def same_up_to_window(self, other) -> bool:
         return (
             self.n == other.n
-            and self.a_laurent().equals(other.a_laurent())
-            and self.b_laurent().equals(other.b_laurent())
+            and self.a_laurent() == other.a_laurent()
+            and self.b_laurent() == other.b_laurent()
         )
 
 
@@ -299,7 +299,7 @@ class GaugeResult:
         ax, by = self.ax.normalize(), self.by.normalize()
         return ax.py <= 0 and by.px <= 0
 
-    def to_system(self, strict=True) -> PfaffianSystem:
+    def to_system(self) -> PfaffianSystem:
         ax, by = self.ax.normalize(), self.by.normalize()
         if ax.py > 0 or by.px > 0:
             raise InvariantViolation(
@@ -308,64 +308,21 @@ class GaugeResult:
             )
         amat = ax.series.shift(max(-ax.px, 0), -ax.py)
         bmat = by.series.shift(-by.px, max(-by.py, 0))
-        return PfaffianSystem.make(
-            self.n, max(ax.px, 0), max(by.py, 0), amat, bmat, strict=strict
-        )
+        return PfaffianSystem.make(self.n, max(ax.px, 0), max(by.py, 0),
+                                   amat, bmat)
 
 
 def _gauge_one_factor(ax: LaurentMatrix, by: LaurentMatrix, f: LaurentMatrix,
                       f_inv: LaurentMatrix):
     """F[A] = F^(-1) (A F - delta F) on both sides, normalized, with f_inv
-    = F^(-1); the shift path for diagonal monomial factors reads only its
-    nominal orders and poles."""
-    exps = _monomial_diagonal(f.series)
-    if exps is not None:
-        return _gauge_monomial_factor(ax, by, f, f_inv, exps)
+    = F^(-1)."""
     new_ax = f_inv * (ax * f - f.delta("x"))
     new_by = f_inv * (by * f - f.delta("y"))
     return new_ax.normalize(), new_by.normalize()
 
 
-def _monomial_diagonal(s: SeriesMatrix):
-    """The exponents (a_i, b_i) when s is exactly diag(x^a_i y^b_i), else None."""
-    exps = []
-    for i in range(s.rows):
-        for j in range(s.cols):
-            e = s.at(i, j)
-            if not e.exact or len(e.coeffs) != (1 if i == j else 0):
-                return None
-            if i == j:
-                [(exp, c)] = e.coeffs.items()
-                if c != 1:
-                    return None
-                exps.append(exp)
-    return exps
-
-
 def _orders(entries):
     return (max(e.tx for e in entries), max(e.ty for e in entries))
-
-
-def _shift_entries(m: SeriesMatrix, shifts, row_orders, col_orders):
-    """m times a diagonal of monic monomials, as the product rule gives it:
-    entry (i, j) is multiplied by x^dx y^dy with (dx, dy) = shifts(i, j).  A
-    truncated entry's window moves with it; an exact entry takes the nominal
-    orders max(row_orders[i], col_orders[j]) of the operands' row and column."""
-    out = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            e = m.at(i, j)
-            dx, dy = shifts(i, j)
-            if e.exact:
-                out.append(BiSeries._of(
-                    {(a + dx, b + dy): c for (a, b), c in e.coeffs.items()},
-                    max(row_orders[i][0], col_orders[j][0]),
-                    max(row_orders[i][1], col_orders[j][1]),
-                    True,
-                ))
-            else:
-                out.append(e.shift(dx, dy))
-    return SeriesMatrix(m.rows, m.cols, out)
 
 
 def _cut(t, dx, dy):
@@ -405,35 +362,6 @@ def _monomial_inverse(f: LaurentMatrix, exps) -> LaurentMatrix:
     return LaurentMatrix(SeriesMatrix(n, n, entries), ma - f.px, mb - f.py)
 
 
-def _gauge_monomial_factor(ax, by, f: LaurentMatrix, f_inv: LaurentMatrix, exps):
-    """_gauge_one_factor for f = diag(x^a_i y^b_i) / (x^px y^py), by shifts.
-
-    Entry (i, j) is multiplied by x^(a_j - a_i) y^(b_j - b_i), and
-    diag(a_i - px) (x-side) or diag(b_i - py) (y-side) is subtracted.  The
-    steps and their windows are those of the product path: A F, minus
-    delta F, then times F^(-1) = diag(x^(ma - a_i) y^(mb - b_i)) /
-    (x^(ma - px) y^(mb - py)), with (ma, mb) the largest exponents and the
-    nominal orders of f_inv's rows."""
-    s = f.series
-    n = s.rows
-    ma = max(a for a, _ in exps)
-    mb = max(b for _, b in exps)
-    inv_rows = [_orders(f_inv.series.row(i)) for i in range(n)]
-    f_cols = [_orders(s.entries[j::n]) for j in range(n)]
-
-    def side(lm, var):
-        x = lm.series
-        prod = _shift_entries(x, lambda i, j: exps[j],
-                              [_orders(x.row(i)) for i in range(n)], f_cols)
-        m = LaurentMatrix(prod, lm.px + f.px, lm.py + f.py) - f.delta(var)
-        ms = m.series
-        out = _shift_entries(ms, lambda i, j: (ma - exps[i][0], mb - exps[i][1]),
-                             inv_rows, [_orders(ms.entries[j::n]) for j in range(n)])
-        return LaurentMatrix(out, f_inv.px + m.px, f_inv.py + m.py).normalize()
-
-    return side(ax, "x"), side(by, "y")
-
-
 def apply_gauge(sys: PfaffianSystem, gauge: GaugeTransform) -> GaugeResult:
     """Transform both subsystems by Y = T Z, factor by factor."""
     ax = sys.a_laurent()
@@ -449,5 +377,5 @@ def check_compatible(sys: PfaffianSystem, gauge: GaugeTransform) -> bool:
     res = apply_gauge(sys, gauge)
     if not res.normal_crossings():
         return False
-    out = res.to_system(strict=False)
+    out = res.to_system()
     return out.p <= sys.p and out.q <= sys.q

@@ -167,5 +167,5 @@ def random_integrable_system(rng, n=2, p=1, q=1, gauges=1):
     sys_obj = diag_seed_system(rng, n=n, p=p, q=q)
     for _ in range(gauges):
         g = random_unimodular(rng, n=n)
-        sys_obj = apply_gauge(sys_obj, g).to_system(strict=False)
+        sys_obj = apply_gauge(sys_obj, g).to_system()
     return sys_obj

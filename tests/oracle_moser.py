@@ -76,7 +76,7 @@ def family_reduces(sys_obj, members):
     m0 = x_moser_rank(sys_obj)
     for g in members:
         try:
-            moved = apply_gauge(sys_obj, g).to_system(strict=False)
+            moved = apply_gauge(sys_obj, g).to_system()
         except Exception:
             continue
         if x_moser_rank(moved) < m0:
@@ -132,7 +132,7 @@ def _random_instance_once(rng, members):
                                    strict=False)
         g = rng.choice(members)
         try:
-            moved = apply_gauge(seed, g.inverse()).to_system(strict=False)
+            moved = apply_gauge(seed, g.inverse()).to_system()
         except Exception:
             moved = seed
         # Keep only degree <= 2 polynomial instances with positive pole.

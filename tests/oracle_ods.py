@@ -91,7 +91,7 @@ def split_leading(ods: OdsSystem):
         blocks.append(OdsSystem(var, b - a, ods.p, sub).normalized())
     # Certify: off-diagonal blocks of the transformed system vanish.
     res = apply_gauge(ods.to_pfaffian(), gauge)
-    full = res.to_system(strict=False)
+    full = res.to_system()
     mat = full.amat if var == "x" else full.bmat
     for (a, b) in offs:
         for i in range(a, b):

@@ -186,12 +186,12 @@ def test_criterion_8_property_suites(exm, exmnaive, capsys):
     for _ in range(10):
         g1 = random_unimodular(rng)
         g2 = random_unimodular(rng)
-        moved = apply_gauge(exmnaive, g1).to_system(strict=False)
-        back = apply_gauge(moved, g1.inverse()).to_system(strict=False)
+        moved = apply_gauge(exmnaive, g1).to_system()
+        back = apply_gauge(moved, g1.inverse()).to_system()
         assert back.same_up_to_window(exmnaive)
-        once = apply_gauge(exm, g1.compose(g2)).to_system(strict=False)
-        twice = apply_gauge(apply_gauge(exm, g1).to_system(strict=False),
-                            g2).to_system(strict=False)
+        once = apply_gauge(exm, g1.compose(g2)).to_system()
+        twice = apply_gauge(apply_gauge(exm, g1).to_system(),
+                            g2).to_system()
         assert once.same_up_to_window(twice)
     # Exponential-part multiset invariance: 50 random compatible gauges
     # per fixture.
@@ -201,7 +201,7 @@ def test_criterion_8_property_suites(exm, exmnaive, capsys):
         bx, by = key(base_x), key(base_y)
         for _ in range(50):
             g = random_unimodular(rng)
-            moved = apply_gauge(fixture, g).to_system(strict=False)
+            moved = apply_gauge(fixture, g).to_system()
             gx, gy = exponential_parts(moved)
             assert key(gx) == bx and key(gy) == by
     # Leibniz rule for the Euler derivative.

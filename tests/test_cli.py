@@ -136,6 +136,32 @@ def test_check_missing_file(tmp_path):
     assert main(["check", str(tmp_path / "nope.json")]) == 2
 
 
+def test_unreadable_documents_keep_their_messages(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert main(["check", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error (ParseError): no such file: {missing}\n"
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error (ParseError): invalid JSON: ")
+
+
+def test_document_is_read_once(tmp_path, monkeypatch):
+    # The digest comes from the dict that was parsed, not a second read.
+    path = copy_fixture(tmp_path, "exm.json")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert main(["check", str(path), "--trunc-x", "6"]) == 0
+    assert len(opened) == 1
+
+
 def test_reduce_writes_sibling(tmp_path, capsys):
     path = copy_fixture(tmp_path, "exmnaive.json")
     report_path = tmp_path / "report.json"

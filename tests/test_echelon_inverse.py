@@ -99,7 +99,7 @@ def chain_inputs():
     for seed in range(4):
         rng = random.Random(seed)
         gauge = random_unimodular(rng, n=4, vars_=("y",), max_deg=1)
-        gauged = apply_gauge(base, gauge).to_system(strict=False)
+        gauged = apply_gauge(base, gauge).to_system()
         for window in (None, (8, 8), (6, 7)):
             yield gauged if window is None else PfaffianSystem.make(
                 4, gauged.p, gauged.q, gauged.amat.truncated(*window),

@@ -1,13 +1,16 @@
-"""Diagonal factors of monic monomials are applied by shifts; the result
-must equal the general product path (tests/oracle_gauge.py) entry for
-entry: coefficients, exact flags, windows, nominal orders and poles."""
+"""Diagonal factors of monic monomials (identities, shearings and their
+inverses) go through the products of series.dot, whose monomial case
+moves coefficients instead of multiplying them.  The gauge action must
+equal the reference (tests/oracle_gauge.py, products by the
+dict-of-Fraction kernel) entry for entry: coefficients, exact flags,
+windows, nominal orders and poles."""
 
 from hypothesis import given, strategies as st
 
 from pfaffred.matrices import LaurentMatrix, SeriesMatrix
 from pfaffred.moser import shearing_matrix
 from pfaffred.series import BiSeries
-from pfaffred.system import _gauge_one_factor, _monomial_diagonal, _monomial_inverse
+from pfaffred.system import _gauge_one_factor, _monomial_inverse
 
 from oracle_cofactor import inverse as oracle_inverse
 from oracle_gauge import _gauge_one_factor as oracle_one_factor
@@ -75,8 +78,7 @@ def outcome(fn, *args):
 
 
 def assert_same_as_products(ax, by, f):
-    exps = _monomial_diagonal(f.series)
-    assert exps is not None
+    exps = [next(iter(f.series.at(i, i).coeffs)) for i in range(f.n)]
     f_inv = oracle_inverse(f)
     # The inverse built from the exponents is the cofactor adjugate's.
     assert outcome(lambda: [_monomial_inverse(f, exps)]) == outcome(lambda: [f_inv])
@@ -104,19 +106,3 @@ def test_shearing_and_its_inverse_match_products(exmnaive):
         g = shearing_matrix(1, 0, 2, var, *exmnaive.window)
         for f in g.factors + g.inverse().factors:
             assert_same_as_products(ax, by, f)
-
-
-def test_other_factors_take_the_product_path():
-    one = BiSeries.const(1, 4, 4)
-    zero = BiSeries.zero(4, 4)
-    x = BiSeries.monomial(1, 1, 0, 4, 4)
-    for cells in (
-        [BiSeries.const(2, 4, 4), zero, zero, one],      # not monic
-        [one, x, zero, one],                              # off-diagonal term
-        [one.truncated(4, 4), zero, zero, one],           # truncated
-        [x + one, zero, zero, one],                       # not a monomial
-        [one, BiSeries({}, 4, 4), zero, one],             # window-zero
-    ):
-        assert _monomial_diagonal(SeriesMatrix(2, 2, cells)) is None
-    assert _monomial_diagonal(SeriesMatrix(2, 2, [x, zero, zero, one])) == [
-        (1, 0), (0, 0)]

@@ -149,7 +149,7 @@ def test_apply_gauge_matches_sympy(args):
 def test_round_trip_matches_sympy(args):
     sys_obj, gauge = args
     t, _, _ = laurent(gauge.matrix())
-    moved = apply_gauge(sys_obj, gauge).to_system(strict=False)
+    moved = apply_gauge(sys_obj, gauge).to_system()
     back = apply_gauge(moved, gauge.inverse())
     want_a, want_b = sym_gauge(*sym_system(moved), t.adjugate())
     assert same(laurent(back.ax), want_a)
@@ -163,6 +163,6 @@ def test_gauge_keeps_the_integrability_verdict(args):
     sys_obj, gauge = args
     verdict, _ = check_integrability(sys_obj)
     assert verdict == sym_integrable(sys_obj)
-    moved = apply_gauge(sys_obj, gauge).to_system(strict=False)
+    moved = apply_gauge(sys_obj, gauge).to_system()
     assert check_integrability(moved)[0] == verdict
     assert sym_integrable(moved) == verdict

@@ -48,6 +48,12 @@ def case_id(case):
 
 def run_case(fixture, window, command):
     """The normalized outputs of one command, as a JSON-ready dict."""
+    return run_command(fixture, command, WINDOWS[window])
+
+
+def run_command(fixture, command, flags):
+    """The normalized outputs of `command` with extra `flags` on a copy of
+    the fixture, as a JSON-ready dict."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         doc = tmp / f"{fixture}.json"
@@ -55,7 +61,7 @@ def run_case(fixture, window, command):
         report_path = tmp / "report.json"
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(doc), *WINDOWS[window],
+            code = main([command, str(doc), *flags,
                          "--report", str(report_path)])
         report = json.loads(report_path.read_text())
         report.pop("input")

@@ -4,18 +4,22 @@ dict-of-Fraction bodies they replaced (tests/oracle_kernels.py).
 Each product must give the same coefficients, the same `exact` flag and
 the same nominal orders or window as the reference, on exact, truncated,
 window-zero and mixed operands, exact zeros with differing nominal orders
-included.  The constant-matrix kernels of the order-by-order solvers,
+included.  A single product with an exact monic monomial factor moves the
+other factor's coefficients without converting either operand; every
+other single-term factor goes through the numerator loop.  The constant-matrix kernels of the order-by-order solvers,
 qlinalg.dot and qlinalg.sylvester_solver, must give the same matrices as
 the add/mul chains and the two-rref Sylvester solve they replaced,
 singular operators (None) included.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import given, strategies as st
 
 import oracle_kernels as oracle
-from pfaffred import qlinalg
+from pfaffred import qlinalg, series
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.series import BiSeries, dot
 
@@ -124,6 +128,103 @@ def test_matrix_product_of_fixture_data(exm, exmnaive):
                 got, want = a * b, oracle.matrix_mul(a, b)
                 for g, w in zip(got.entries, want.entries):
                     same_bi(g, w)
+
+
+# -- exact monic monomial operands ------------------------------------------
+
+
+orders = st.integers(1, 5)
+monic = st.builds(lambda i, j, tx, ty: BiSeries.monomial(1, i, j, tx, ty),
+                  st.integers(0, 3), st.integers(0, 3), orders, orders)
+
+
+@st.composite
+def partners(draw):
+    """Exact with terms beyond its nominal orders, truncated, or zero on
+    its window (tx or ty possibly 0)."""
+    kind = draw(st.sampled_from(("exact", "truncated", "window-zero")))
+    tx, ty = draw(orders), draw(orders)
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                                 rationals, min_size=1, max_size=8))
+    if kind == "exact":
+        return BiSeries(terms, tx, ty, exact=True)
+    if kind == "truncated":
+        return BiSeries(terms, tx, ty)
+    return BiSeries({}, draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+
+
+exact_zeros = st.builds(BiSeries.zero, st.integers(1, 9), st.integers(1, 9))
+
+
+@contextmanager
+def counting_conversions():
+    """The list of numerator conversions made inside the block."""
+    calls = []
+    inner = series._numerators
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return inner(coeffs)
+
+    with patch.object(series, "_numerators", counting):
+        yield calls
+
+
+def reference_dot(pairs):
+    want = None
+    for a, b in pairs:
+        t = oracle.bi_mul(a, b)
+        want = t if want is None else want + t
+    return want
+
+
+@given(monic, partners(), st.booleans(),
+       st.lists(st.tuples(exact_zeros, bi_series(4)).map(
+           lambda p: p if p[1].tx % 2 else p[::-1]), max_size=3))
+def test_monic_monomial_product_moves_coefficients(m, b, left, zeros):
+    # One pair with an exact monic monomial, on either side, among exact
+    # zeros with other nominal orders: the partner's coefficients are
+    # moved, the same Fraction objects, with no numerator conversion.
+    pairs = [(m, b) if left else (b, m), *zeros]
+    with counting_conversions() as calls:
+        got = dot(pairs)
+    same_bi(got, reference_dot(pairs))
+    assert not calls
+    # When b is a monic monomial too, dot may move m's coefficient instead.
+    if not (b.exact and list(b.coeffs.values()) == [1]):
+        [(di, dj)] = m.coeffs
+        for (i, j), c in b.coeffs.items():
+            assert got.coeffs[(i + di, j + dj)] is c
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(monic, exact_zeros), min_size=n, max_size=n),
+    series_matrices(n, n))), st.booleans())
+def test_monomial_diagonal_matrix_products(case, left):
+    # diag(x^a_i y^b_i), its zeros with their own nominal orders, times a
+    # matrix of exact, truncated and window-zero entries, on either side.
+    cells, a = case
+    n = len(cells)
+    d = SeriesMatrix(n, n, [cells[i][0] if i == j else cells[i][1]
+                            for i in range(n) for j in range(n)])
+    x, y = (d, a) if left else (a, d)
+    got, want = x * y, oracle.matrix_mul(x, y)
+    for g, w in zip(got.entries, want.entries):
+        same_bi(g, w)
+
+
+@given(st.integers(0, 3), st.integers(0, 3), orders, orders,
+       rationals.filter(lambda c: c != 1 and c != 0), partners(), st.booleans())
+def test_other_single_terms_take_the_general_loop(i, j, tx, ty, c, b, left):
+    # c x^i y^j exact with c != 1, and x^i y^j truncated: the product is
+    # accumulated over numerators, and equals the reference.
+    for t in (BiSeries.monomial(c, i, j, tx, ty),
+              BiSeries({(i, j): 1}, i + tx, j + ty)):
+        pairs = [(t, b) if left else (b, t)]
+        with counting_conversions() as calls:
+            got = dot(pairs)
+        same_bi(got, reference_dot(pairs))
+        assert calls
 
 
 def const_matrices(rows, cols, values=rationals):

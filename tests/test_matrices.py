@@ -91,17 +91,32 @@ def test_invert_identity():
         assert inv.series == eye()
 
 
-def test_invert_involution_example():
+def involution():
     c = poly_series({(0, 1): Fraction(1, 3), (3, 0): 2})
-    t = SeriesMatrix.from_rows(
+    return SeriesMatrix.from_rows(
         [
             [BiSeries.const(1, T, T), BiSeries.zero(T, T)],
             [c, BiSeries.const(-1, T, T)],
         ]
     )
+
+
+def test_invert_involution_example():
+    t = involution()
     [inv] = external(t, LaurentMatrix(t)).inverses
     assert inv.px == 0 and inv.py == 0
     assert inv.series == t  # involution
+
+
+def test_laurent_matrices_compare_by_value():
+    t = involution()
+    assert external(t, LaurentMatrix(t)).inverses == (LaurentMatrix(t),)
+    assert external(t, LaurentMatrix(t)) == external(t, LaurentMatrix(t))
+    # The same value under other poles: x^-1 (x T) = T; x^-1 T differs.
+    assert LaurentMatrix(t.shift(1, 0), 1, 0) == LaurentMatrix(t)
+    assert LaurentMatrix(t, 1, 0) != LaurentMatrix(t)
+    with pytest.raises(TypeError):
+        hash(LaurentMatrix(t))
 
 
 def monomial_scaled():

@@ -110,7 +110,7 @@ def _gauss_form_postcondition(sys_obj, axis, d, r):
 def test_column_reduce_examples(exmnaive):
     gf = column_reduce_leading(exmnaive, "x")
     assert gf.r == 1 and gf.d in (0, 1)
-    moved = apply_gauge(exmnaive, gf.gauge).to_system(strict=False)
+    moved = apply_gauge(exmnaive, gf.gauge).to_system()
     assert _gauss_form_postcondition(moved, "x", gf.d, gf.r)
     # Already-reduced leading matrix: the gauge is the identity.
     a = SeriesMatrix.from_rows(
@@ -122,7 +122,7 @@ def test_column_reduce_examples(exmnaive):
     sys2 = PfaffianSystem.make(2, 1, 0, a, SeriesMatrix.zeros(2, 2, T, T))
     gf2 = column_reduce_leading(sys2, "x")
     assert (gf2.d, gf2.r) == (0, 1)
-    moved2 = apply_gauge(sys2, gf2.gauge).to_system(strict=False)
+    moved2 = apply_gauge(sys2, gf2.gauge).to_system()
     assert moved2.same_up_to_window(sys2)
     # Zero leading matrix (pole 0): r = 0, d = 0, identity gauge.
     z = SeriesMatrix.zeros(2, 2, T, T)
@@ -133,7 +133,7 @@ def test_column_reduce_examples(exmnaive):
 
 def test_prepare_shearing_postconditions(exmnaive):
     gf = column_reduce_leading(exmnaive, "x")
-    work = apply_gauge(exmnaive, gf.gauge).to_system(strict=False)
+    work = apply_gauge(exmnaive, gf.gauge).to_system()
     form = prepare_shearing(work, "x")
     assert 0 <= form.rho <= work.n - form.r
     assert form.rank_kept < form.r
@@ -168,7 +168,7 @@ def test_prepare_shearing_exhaustive_2x2():
         if not th.is_zero():
             continue
         gf = column_reduce_leading(sys_obj, "x")
-        work = apply_gauge(sys_obj, gf.gauge).to_system(strict=False)
+        work = apply_gauge(sys_obj, gf.gauge).to_system()
         if (work.p if True else 0) <= 0:
             continue
         form = prepare_shearing(work, "x")

@@ -82,7 +82,7 @@ def test_split_leading_distinct_eigenvalues():
     gauge, blocks = split_leading(ods)
     assert [b.n for b in blocks] == [1, 1]
     # Off-diagonal residual of the transformed embedding vanishes.
-    res = apply_gauge(ods.to_pfaffian(), gauge).to_system(strict=False)
+    res = apply_gauge(ods.to_pfaffian(), gauge).to_system()
     assert res.amat.at(0, 1).is_zero()
     assert res.amat.at(1, 0).is_zero()
 
@@ -260,7 +260,7 @@ def test_exponential_parts_gauge_invariance(exm):
     base = [(p.q_terms, p.multiplicity) for p in exponential_parts_ods(ox)]
     for _ in range(5):
         g = random_unimodular(rng, vars_=("x",))
-        moved = apply_gauge(ox.to_pfaffian(), g).to_system(strict=False)
+        moved = apply_gauge(ox.to_pfaffian(), g).to_system()
         ods2 = OdsSystem.from_pfaffian(moved, "x")
         got = [(p.q_terms, p.multiplicity) for p in exponential_parts_ods(ods2)]
         assert sorted(got) == sorted(base)

@@ -69,11 +69,11 @@ def test_randomized_reducible_loop():
                                 q=rng.randint(0, 1))
         g = random_unimodular(rng, n=n)
         try:
-            sys_obj = apply_gauge(seed, g).to_system(strict=False)
+            sys_obj = apply_gauge(seed, g).to_system()
             mono = GaugeTransform.monomial(
                 "x", [rng.randint(0, 1) for _ in range(n)], T, T
             )
-            sys_obj = apply_gauge(sys_obj, mono).to_system(strict=False)
+            sys_obj = apply_gauge(sys_obj, mono).to_system()
         except InvariantViolation:
             continue  # the un-reduction broke normal crossings; skip
         if not check_integrability(sys_obj)[0]:
@@ -104,7 +104,7 @@ def test_two_block_full_solve():
     seed = PfaffianSystem.make(4, 1, 1, a, b, strict=False)
     rng = random.Random(5)
     g = random_unimodular(rng, n=4)
-    sys_obj = apply_gauge(seed, g).to_system(strict=False)
+    sys_obj = apply_gauge(seed, g).to_system()
     data = formal_fundamental(sys_obj)
     assert data.complete()
     assert verify_solution(sys_obj, data)
@@ -145,7 +145,7 @@ def test_randomized_block_solves_verify():
         seed = PfaffianSystem.make(n, p, q, side(p, "x", lam1),
                                    side(q, "y", lam2), strict=False)
         g = random_unimodular(rng, n=n)
-        sys_obj = apply_gauge(seed, g).to_system(strict=False)
+        sys_obj = apply_gauge(seed, g).to_system()
         data = formal_fundamental(sys_obj)
         if data.complete():
             assert verify_solution(sys_obj, data)
@@ -214,5 +214,5 @@ def test_pole0_split_solves_resonant_blocks_with_zero_right_side():
     gauge, blocks = split_leading(ods)
     assert [(b.n, b.p) for b in blocks] == [(1, 0), (1, 0)]
     assert sorted(b.amat.at(0, 0).coeff(0, 0) for b in blocks) == [0, 1]
-    moved = apply_gauge(ods.to_pfaffian(), gauge).to_system(strict=False)
+    moved = apply_gauge(ods.to_pfaffian(), gauge).to_system()
     assert moved.amat.at(0, 1).is_zero() and moved.amat.at(1, 0).is_zero()

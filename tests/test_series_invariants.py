@@ -21,7 +21,7 @@ from pfaffred.errors import PfaffredError, TruncationExhausted
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.moser import _swap_mat, theta_poly
 from pfaffred.series import BiSeries, dot
-from pfaffred.system import PfaffianSystem, _shift_entries
+from pfaffred.system import PfaffianSystem
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
@@ -112,19 +112,6 @@ def test_coefficient_matrix_and_swap(m, var, k):
     except TruncationExhausted:
         return
     for e in coeff.entries:
-        valid(e)
-
-
-@given(series_matrices(2, 3),
-       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                min_size=3, max_size=3),
-       st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
-                min_size=2, max_size=2),
-       st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
-                min_size=3, max_size=3))
-def test_shifted_entries(m, shifts, row_orders, col_orders):
-    out = _shift_entries(m, lambda i, j: shifts[j], row_orders, col_orders)
-    for e in out.entries:
         valid(e)
 
 

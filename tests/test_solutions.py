@@ -110,11 +110,11 @@ def test_bivariate_splitting_diagonalizes():
     rng = random.Random(3)
     base = splittable_system()
     g = random_unimodular(rng)
-    sys_obj = apply_gauge(base, g).to_system(strict=False)
+    sys_obj = apply_gauge(base, g).to_system()
     assert check_integrability(sys_obj)[0]
     gauge, blocks = bivariate_splitting(sys_obj)
     assert [b.n for b in blocks] == [1, 1]
-    res = apply_gauge(sys_obj, gauge).to_system(strict=False)
+    res = apply_gauge(sys_obj, gauge).to_system()
     for mat in (res.amat, res.bmat):
         assert mat.at(0, 1).is_zero()
         assert mat.at(1, 0).is_zero()
@@ -141,7 +141,7 @@ def test_bivariate_splitting_already_diagonal():
     for i in range(2):
         for j in range(2):
             assert m.series.at(i, j) == BiSeries.const(const[i][j], T, T)
-    res = apply_gauge(sys_obj, gauge).to_system(strict=False)
+    res = apply_gauge(sys_obj, gauge).to_system()
     assert res.amat.at(0, 1).is_zero() and res.amat.at(1, 0).is_zero()
     assert res.bmat.at(0, 1).is_zero() and res.bmat.at(1, 0).is_zero()
 
@@ -207,7 +207,7 @@ def test_regular_fundamental_random_nonresonant():
         lam2 = const_mat([[Fraction(1, 2), 0], [0, 0]])
         seed = PfaffianSystem.make(2, 0, 0, lam1, lam2)
         g = random_unimodular(rng)
-        sys_obj = apply_gauge(seed, g).to_system(strict=False)
+        sys_obj = apply_gauge(seed, g).to_system()
         reg = regular_fundamental(sys_obj)  # internally substitution-checked
         assert sorted(reg.lambda1[i][i] for i in range(2)) == [0, Fraction(1, 3)]
         assert sorted(reg.lambda2[i][i] for i in range(2)) == [0, Fraction(1, 2)]
@@ -292,7 +292,7 @@ def test_lambda_spectrum_invariance_under_constant_conjugation():
     for _ in range(5):
         c = random_invertible_const(rng)
         g = GaugeTransform.of_constant(c, T, T)
-        moved = apply_gauge(base, g).to_system(strict=False)
+        moved = apply_gauge(base, g).to_system()
         reg = regular_fundamental(moved)
         assert sorted(reg.lambda1[i][i] for i in range(2)) == spec1
         assert sorted(reg.lambda2[i][i] for i in range(2)) == spec2
@@ -316,7 +316,7 @@ def test_exponential_parts_invariance_under_compatible_gauges(exm, exmnaive):
         bx, by = key(base_x), key(base_y)
         for _ in range(8):
             g = random_unimodular(rng)
-            moved = apply_gauge(fixture, g).to_system(strict=False)
+            moved = apply_gauge(fixture, g).to_system()
             gx, gy = exponential_parts(moved)
             assert key(gx) == bx
             assert key(gy) == by

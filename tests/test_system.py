@@ -124,8 +124,8 @@ def test_gauge_roundtrip_property():
         sys_obj = random_integrable_system(rng, p=rng.randint(0, 2),
                                            q=rng.randint(0, 2))
         g = random_unimodular(rng)
-        moved = apply_gauge(sys_obj, g).to_system(strict=False)
-        back = apply_gauge(moved, g.inverse()).to_system(strict=False)
+        moved = apply_gauge(sys_obj, g).to_system()
+        back = apply_gauge(moved, g.inverse()).to_system()
         assert back.same_up_to_window(sys_obj)
 
 
@@ -135,10 +135,10 @@ def test_gauge_composition_property():
         sys_obj = random_integrable_system(rng, p=1, q=1)
         g1 = random_unimodular(rng)
         g2 = random_unimodular(rng)
-        once = apply_gauge(sys_obj, g1.compose(g2)).to_system(strict=False)
+        once = apply_gauge(sys_obj, g1.compose(g2)).to_system()
         twice = apply_gauge(
-            apply_gauge(sys_obj, g1).to_system(strict=False), g2
-        ).to_system(strict=False)
+            apply_gauge(sys_obj, g1).to_system(), g2
+        ).to_system()
         assert once.same_up_to_window(twice)
 
 
@@ -149,7 +149,7 @@ def test_integrability_is_gauge_invariant():
                                            q=rng.randint(0, 2))
         assert check_integrability(sys_obj)[0]
         g = random_unimodular(rng)
-        moved = apply_gauge(sys_obj, g).to_system(strict=False)
+        moved = apply_gauge(sys_obj, g).to_system()
         assert check_integrability(moved)[0]
 
 
@@ -161,7 +161,7 @@ def test_leading_ranks_invariant_under_constant_conjugation(exmnaive):
     for _ in range(6):
         c = random_invertible_const(rng)
         g = GaugeTransform.of_constant(c, T, T)
-        moved = apply_gauge(exmnaive, g).to_system(strict=False)
+        moved = apply_gauge(exmnaive, g).to_system()
         ld2 = leading_data(moved)
         assert (ld2.rank_a0, ld2.rank_b0) == (ld.rank_a0, ld.rank_b0)
 
