@@ -43,15 +43,11 @@ from .moser import (
 )
 from .ods import (
     ExponentialPart,
-    OdsSystem,
     associated_ods,
-    eigenvalue_shift,
     exponential_parts_ods,
     first_kind_fundamental_ods,
     katz_invariant_ods,
-    moser_reduce_ods,
     ramify_ods,
-    split_leading,
 )
 from .solutions import (
     SolutionData,

@@ -114,15 +114,15 @@ def _window_limited(window):
 def cmd_check(args):
     sys_obj, digest = _load(args)
     ok, window = check_integrability(sys_obj)
+    if ok and args.strict and _window_limited(window):
+        raise TruncationExhausted(
+            f"integrability is only certified on window {_fmt_window(window)} "
+            "and --strict is set", window=window)
     report = _report_base("check", args, digest)
     report["results"] = {"integrable": ok}
     report["windows"].append({"what": "integrability residual",
                               "window": list(window)})
     _emit(args, report)
-    if ok and args.strict and _window_limited(window):
-        print(f"integrability is only certified on window {_fmt_window(window)} "
-              "and --strict is set")
-        return EXIT_TRUNCATION
     if ok:
         print(f"integrable; residual window: {_fmt_window(window)}")
         return EXIT_OK
@@ -137,9 +137,11 @@ def cmd_reduce(args):
         limited = [z for z in red_report.zero_acceptances
                    if _window_limited(z["window"])]
         if limited:
-            print(f"{len(limited)} zero acceptance(s) are only window-"
-                  "certified and --strict is set")
-            return EXIT_TRUNCATION
+            raise TruncationExhausted(
+                f"{len(limited)} zero acceptance(s) are only window-certified "
+                "and --strict is set",
+                window=(min(z["window"][0] for z in limited),
+                        min(z["window"][1] for z in limited)))
     report = _report_base("reduce", args, digest)
     steps = []
     for s in red_report.steps:

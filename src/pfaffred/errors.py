@@ -18,8 +18,7 @@ class DimensionMismatch(PfaffredError):
 
 
 class SingularMatrix(PfaffredError):
-    """No monomial-times-unit factorization of the determinant exists
-    within the certified truncation window."""
+    """A constant matrix over Q has no inverse (qlinalg.inverse)."""
 
 
 class TruncationExhausted(PfaffredError):

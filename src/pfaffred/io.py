@@ -32,8 +32,8 @@ from .system import PfaffianSystem
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
-# Largest accepted system size.  Far past what the cofactor determinants
-# reach; it bounds the grids allocated while parsing.
+# Largest accepted system size.  It bounds the grids allocated while
+# parsing.
 MAX_N = 32
 
 # Largest accepted truncation order, in the document and on the command

@@ -1,13 +1,19 @@
-"""Univariate formal reduction: splitting, eigenvalue shifting, Moser
-reduction, ramification, Katz invariant and exponential parts of a linear
-singular ODS in delta form,
+"""Univariate formal reduction: ramification, Katz invariant, exponential
+parts and the first-kind solve of a linear singular ODS in delta form,
 
-    v dY/dv = v^(-p) * (S0 + S1 v + ...) * Y.
+    v dY/dv = v^(-p) * (S0 + S1 v + ...) * Y,
 
-The matrix lives on one variable ("x" or "y") of the bivariate series
-ring, so a system with the other subsystem identically zero embeds every
-ODS into the bivariate machinery unchanged: the Moser reduction and the
-splitting (_split_system, shared with solutions) run on that embedding.
+together with the kernels that the bivariate steps share with it: the
+splitting recursion (_split_system), the scalar shift (_subtract_scalar)
+and the order-by-order solves.
+
+An ODS is a PfaffianSystem: associated_ods(sys, axis) freezes the other
+variable of sys at 0, normalizes the pole and puts an exact zero on the
+other side, at the window of the axis side.  The Moser reduction, the
+splitting and the shift run on that system unchanged; a gauge can leave a
+truncated zero on the other side, so the system each of them returns is
+embedded again.  The public functions take (sys, axis) and work on the
+ODS of sys on that axis.
 
 Exponential parts are returned in integrated form: the diagonal entries of
 Q are sums of c * v^(-k) with k a positive rational; the logarithmic
@@ -38,57 +44,28 @@ from .series import BiSeries
 from .system import GaugeTransform, PfaffianSystem, apply_gauge
 
 
-@dataclass(frozen=True)
-class OdsSystem:
-    var: str                 # "x" or "y"
-    n: int
-    p: int
-    amat: SeriesMatrix       # series part, entries supported on var only
-
-    def __post_init__(self):
-        for e in self.amat.entries:
-            if not e.only_var(self.var):
-                raise PreconditionViolated(
-                    f"ODS matrix entry involves the other variable: {e!r}"
-                )
-
-    @property
-    def trunc(self):
-        tx, ty = self.amat.window
-        return tx if self.var == "x" else ty
-
-    def leading(self):
-        """Constant leading matrix S(0)."""
-        m = self.amat.eval_zero_matrix("y" if self.var == "x" else "x")
-        return m.constant_part()
-
-    def to_pfaffian(self) -> PfaffianSystem:
-        tx, ty = self.amat.window
-        zero = SeriesMatrix.zeros(self.n, self.n, tx, ty)
-        if self.var == "x":
-            return PfaffianSystem.make(self.n, self.p, 0, self.amat, zero,
-                                       strict=False)
-        return PfaffianSystem.make(self.n, 0, self.p, zero, self.amat,
-                                   strict=False)
-
-    @classmethod
-    def from_pfaffian(cls, sys: PfaffianSystem, var: str):
-        mat = sys.amat if var == "x" else sys.bmat
-        p = sys.p if var == "x" else sys.q
-        return cls(var, sys.n, p, mat)
-
-    def normalized(self) -> "OdsSystem":
-        return OdsSystem.from_pfaffian(self.to_pfaffian(), self.var)
-
-    def same_up_to_window(self, other) -> bool:
-        return self.to_pfaffian().same_up_to_window(other.to_pfaffian())
+def associated_ods(sys: PfaffianSystem, axis: str) -> PfaffianSystem:
+    """The ODS of sys on `axis`: the other variable frozen at 0, the pole
+    normalized, and an exact zero on the other side at the window of the
+    axis side.  It is its own associated ODS."""
+    return _embed(axis, sys.n, _pole(sys, axis),
+                  _side(sys, axis).eval_zero_matrix("y" if axis == "x" else "x"))
 
 
-def associated_ods(sys: PfaffianSystem, axis: str) -> OdsSystem:
-    """Freeze the other variable at 0, keeping the pole order."""
+def _embed(axis, n, pole, mat):
+    """The ODS v dY/dv = v^(-pole) mat Y on `axis`, mat in v alone."""
+    zero = SeriesMatrix.zeros(n, n, *mat.window)
     if axis == "x":
-        return OdsSystem("x", sys.n, sys.p, sys.amat.eval_zero_matrix("y"))
-    return OdsSystem("y", sys.n, sys.q, sys.bmat.eval_zero_matrix("x"))
+        return PfaffianSystem.make(n, pole, 0, mat, zero, strict=False)
+    return PfaffianSystem.make(n, 0, pole, zero, mat, strict=False)
+
+
+def _pole(sys, axis):
+    return sys.p if axis == "x" else sys.q
+
+
+def _side(sys, axis):
+    return sys.amat if axis == "x" else sys.bmat
 
 
 # -- splitting ------------------------------------------------------------------
@@ -119,23 +96,6 @@ def _poly_mul(a, b):
     return out
 
 
-def split_leading(ods: OdsSystem):
-    """Decouple along coprime characteristic factors of the leading matrix.
-
-    Returns (gauge, [blocks]): the splitting of the ODS as a bivariate
-    system whose other side is zero (_split_system); the output blocks'
-    characteristic polynomials are the coprime factors.
-    """
-    groups = _eigen_groups(ods.leading())
-    if len(groups) < 2:
-        raise NotSplittable(
-            "characteristic polynomial of the leading matrix is a power of "
-            "one irreducible factor"
-        )
-    gauge, blocks = _split_system(ods.to_pfaffian(), ods.var, groups)
-    return gauge, [OdsSystem.from_pfaffian(b, ods.var) for b in blocks]
-
-
 def _split_system(sys: PfaffianSystem, axis, groups):
     """Block-decouple both subsystems along the factor groups (from
     _eigen_groups, at least two) of the leading constant on `axis`.
@@ -147,7 +107,7 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     transformed subsystems are certified block diagonal on the window.
     Returns (gauge, [blocks]).
     """
-    lead = (sys.amat if axis == "x" else sys.bmat).constant_part()
+    lead = _side(sys, axis).constant_part()
     n = sys.n
     basis_cols = []
     sizes = []
@@ -163,8 +123,8 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     work = apply_gauge(sys, const_gauge).to_system()
 
     offs = _block_ranges(sizes)
-    main = work.amat if axis == "x" else work.bmat
-    pole = work.p if axis == "x" else work.q
+    main = _side(work, axis)
+    pole = _pole(work, axis)
     lead0 = main.constant_part()
     blocks0 = [qlinalg.submatrix(lead0, range(a, b), range(a, b)) for a, b in offs]
 
@@ -356,44 +316,19 @@ def _triangular_solve(equations, n):
 # -- eigenvalue shifting ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftRecord:
-    """Scalar term gamma * v^(-p) removed from the system; its formal
-    integral contributes -(gamma/p) v^(-p) to Q for p >= 1, and a constant
-    exponent gamma for p = 0."""
-
-    gamma: Fraction
-    pole: int
-    var: str
-
-    def q_term(self):
-        if self.pole == 0:
-            return None
-        return (Fraction(self.pole), -self.gamma / self.pole)
-
-
-def eigenvalue_shift(ods: OdsSystem, gamma) -> tuple[ShiftRecord, OdsSystem]:
-    gamma = Fraction(gamma)
-    if gamma == 0:
-        return ShiftRecord(gamma, ods.p, ods.var), ods
-    shifted = _subtract_scalar(ods.to_pfaffian(), ods.var, ods.p, gamma)
-    return (ShiftRecord(gamma, ods.p, ods.var),
-            OdsSystem.from_pfaffian(shifted, ods.var))
-
-
 def _subtract_scalar(sys, axis, k, gamma):
     """Remove gamma * var^(p-k) from the axis side's series part, p its
     pole and k <= p; for k = p, validate that the leading constant had
     gamma as its single eigenvalue."""
     n = sys.n
     tx, ty = sys.window
-    pole = sys.p if axis == "x" else sys.q
+    pole = _pole(sys, axis)
     if k > pole:
         raise PreconditionViolated(
             f"shift order {k} exceeds the current pole {pole} on {axis}"
         )
     if k == pole:
-        lead = (sys.amat if axis == "x" else sys.bmat).constant_part()
+        lead = _side(sys, axis).constant_part()
         shifted = qlinalg.sub(lead, qlinalg.scale(qlinalg.identity(n), gamma))
         if not qlinalg.is_nilpotent(shifted):
             raise PreconditionViolated(
@@ -413,36 +348,31 @@ def _subtract_scalar(sys, axis, k, gamma):
 # -- Moser reduction and Katz invariant --------------------------------------------
 
 
-def moser_reduce_ods(ods: OdsSystem):
-    """Reduce to Moser-irreducible form; (gauge, reduced)."""
-    sysp = ods.to_pfaffian()
-    gauge, out = reduce_axis(sysp, ods.var)
-    if gauge is None:
-        tx, ty = ods.amat.window
-        gauge = GaugeTransform.identity(ods.n, tx, ty)
-    return gauge, OdsSystem.from_pfaffian(out, ods.var)
+def _reduce_ods(ods: PfaffianSystem, axis):
+    """The Moser-irreducible form of an ODS, embedded again when a step
+    ran; ods itself, with its cached leading ranks, when none did."""
+    gauge, out = reduce_axis(ods, axis)
+    return ods if gauge is None else associated_ods(out, axis)
 
 
-def is_moser_irreducible(ods: OdsSystem) -> bool:
-    ods = ods.normalized()
-    if ods.p == 0:
-        return True
-    return not theta_poly(ods.to_pfaffian(), ods.var).is_zero()
+def katz_invariant_ods(sys: PfaffianSystem, axis: str) -> Fraction:
+    """Largest slope of the characteristic-polynomial Newton polygon of
+    the ODS of sys on `axis`, floored at 0.  Requires a Moser-irreducible
+    ODS."""
+    return _katz(associated_ods(sys, axis), axis)
 
 
-def katz_invariant_ods(ods: OdsSystem) -> Fraction:
-    """Largest slope of the characteristic-polynomial Newton polygon,
-    floored at 0.  Requires a Moser-irreducible input."""
-    ods = ods.normalized()
-    if not is_moser_irreducible(ods):
-        raise PreconditionViolated("Katz invariant needs a Moser-irreducible input")
-    if ods.p == 0:
+def _katz(ods: PfaffianSystem, axis) -> Fraction:
+    p = _pole(ods, axis)
+    if p == 0:
         return Fraction(0)
-    n, p, var = ods.n, ods.p, ods.var
-    tx, ty = ods.amat.window
+    if theta_poly(ods, axis).is_zero():
+        raise PreconditionViolated("Katz invariant needs a Moser-irreducible input")
+    mat = _side(ods, axis)
+    n = ods.n
     # det(l v^p I - A) = sum_k c_k(A) v^(pk) l^k, read relative to v^(np).
-    cp = qlinalg.charpoly(ods.amat.to_rows(), BiSeries.const(1, tx, ty))
-    pts = [(k, c.val(var) + p * k - n * p)
+    cp = qlinalg.charpoly(mat.to_rows(), BiSeries.const(1, *mat.window))
+    pts = [(k, c.val(axis) + p * k - n * p)
            for k, c in enumerate(cp) if not c.is_zero()]
     return _max_lower_hull_slope(pts)
 
@@ -468,15 +398,20 @@ def _max_lower_hull_slope(pts) -> Fraction:
     return best
 
 
-def ramify_ods(ods: OdsSystem, m: int) -> OdsSystem:
-    """Substitute v = t^m: the matrix becomes m * S(t^m) with pole m*p."""
+def ramify_ods(sys: PfaffianSystem, axis: str, m: int) -> PfaffianSystem:
+    """The ODS of sys on `axis` after v = t^m: the matrix becomes
+    m * S(t^m) with pole m*p."""
     if m < 1:
         raise PreconditionViolated("ramification index must be >= 1")
+    return _ramify(associated_ods(sys, axis), axis, m)
+
+
+def _ramify(ods: PfaffianSystem, axis, m):
     if m == 1:
         return ods
-    amat = SeriesMatrix(ods.n, ods.n,
-                        [e.ramify(ods.var, m) * m for e in ods.amat.entries])
-    return OdsSystem(ods.var, ods.n, ods.p * m, amat).normalized()
+    mat = SeriesMatrix(ods.n, ods.n, [e.ramify(axis, m) * m
+                                      for e in _side(ods, axis).entries])
+    return _embed(axis, ods.n, _pole(ods, axis) * m, mat)
 
 
 # -- exponential parts ---------------------------------------------------------------
@@ -514,12 +449,13 @@ class ExponentialPart:
         return self.q_terms
 
 
-def exponential_parts_ods(ods: OdsSystem) -> list[ExponentialPart]:
-    """Full recursion: split, shift, Moser-reduce, ramify, recurse."""
+def exponential_parts_ods(sys: PfaffianSystem, axis: str) -> list[ExponentialPart]:
+    """Exponential parts of the ODS of sys on `axis`; full recursion:
+    split, shift, Moser-reduce, ramify, recurse."""
     out = []
-    _exp_recurse(ods.normalized(), Fraction(1), {}, out, depth=0)
+    _exp_recurse(associated_ods(sys, axis), axis, Fraction(1), {}, out, depth=0)
     out.sort(key=lambda p: (p.key(), p.multiplicity))
-    if sum(p.multiplicity for p in out) != ods.n:
+    if sum(p.multiplicity for p in out) != sys.n:
         raise ReductionError("exponential-part multiplicities do not sum to n")
     return out
 
@@ -533,32 +469,33 @@ def _merge_term(collected, k, c):
         del collected[k]
 
 
-def _exp_recurse(ods: OdsSystem, scale: Fraction, collected: dict, out, depth):
-    """scale = 1/s where the current variable t satisfies t = x^(1/s);
-    collected maps absolute exponents of x to Q coefficients."""
-    if depth > 16 + 4 * ods.n * (ods.p + 2):
+def _exp_recurse(ods: PfaffianSystem, axis, scale: Fraction, collected: dict,
+                 out, depth):
+    """ods is an ODS on `axis` (associated_ods); scale = 1/s where the
+    current variable t satisfies t = v^(1/s); collected maps absolute
+    exponents of v to Q coefficients."""
+    n, p = ods.n, _pole(ods, axis)
+    if depth > 16 + 4 * n * (p + 2):
         raise ReductionError("exponential-part recursion exceeded its bound")
-    ods = ods.normalized()
-    n, p = ods.n, ods.p
     if p == 0:
         out.append(ExponentialPart.make(dict(collected), n))
         return
+    mat = _side(ods, axis)
     if n == 1:
         col = dict(collected)
-        e = ods.amat.at(0, 0)
+        e = mat.at(0, 0)
         for j in range(p):
-            a_j = e.coeff(j, 0) if ods.var == "x" else e.coeff(0, j)
+            a_j = e.coeff(j, 0) if axis == "x" else e.coeff(0, j)
             if a_j:
                 _merge_term(col, Fraction(p - j) * scale, -a_j / (p - j))
         out.append(ExponentialPart.make(col, 1))
         return
-    a0 = ods.leading()
-    groups = _eigen_groups(a0)
+    groups = _eigen_groups(mat.constant_part())
     if len(groups) >= 2:
-        _, blocks = _split_system(ods.to_pfaffian(), ods.var, groups)
+        _, blocks = _split_system(ods, axis, groups)
         for b in blocks:
-            _exp_recurse(OdsSystem.from_pfaffian(b, ods.var), scale,
-                         dict(collected), out, depth + 1)
+            _exp_recurse(associated_ods(b, axis), axis, scale, dict(collected),
+                         out, depth + 1)
         return
     fc, _, _ = groups[0]
     if len(fc) == 2:
@@ -572,20 +509,20 @@ def _exp_recurse(ods: OdsSystem, scale: Fraction, collected: dict, out, depth):
             factor=fc,
         )
     if gamma != 0:
-        rec, shifted = eigenvalue_shift(ods, gamma)
-        qt = rec.q_term()
+        # The formal integral of gamma * v^(-p) is -(gamma/p) v^(-p).
         col = dict(collected)
-        if qt is not None:
-            _merge_term(col, qt[0] * scale, qt[1])
-        _exp_recurse(shifted, scale, col, out, depth + 1)
+        _merge_term(col, p * scale, -gamma / p)
+        shifted = _subtract_scalar(ods, axis, p, gamma)
+        _exp_recurse(associated_ods(shifted, axis), axis, scale, col, out,
+                     depth + 1)
         return
     # Nilpotent leading matrix: Moser-reduce, then ramify by the Katz
     # denominator and recurse (the split is then guaranteed).
-    if not is_moser_irreducible(ods):
-        _, reduced = moser_reduce_ods(ods)
-        _exp_recurse(reduced, scale, collected, out, depth + 1)
+    reduced = _reduce_ods(ods, axis)
+    if reduced is not ods:
+        _exp_recurse(reduced, axis, scale, collected, out, depth + 1)
         return
-    kappa = katz_invariant_ods(ods)
+    kappa = _katz(ods, axis)
     if kappa == 0:
         raise ReductionError(
             "Moser-irreducible system with positive pole has Katz invariant 0"
@@ -596,9 +533,8 @@ def _exp_recurse(ods: OdsSystem, scale: Fraction, collected: dict, out, depth):
             "nilpotent Moser-irreducible system with integer Katz invariant; "
             "outside the certified recursion"
         )
-    ram = ramify_ods(ods, m)
-    _, reduced = moser_reduce_ods(ram)
-    _exp_recurse(reduced, scale / m, collected, out, depth + 1)
+    _exp_recurse(_reduce_ods(_ramify(ods, axis, m), axis), axis, scale / m,
+                 collected, out, depth + 1)
 
 
 # -- first-kind fundamental solution ---------------------------------------------------
@@ -611,25 +547,26 @@ class FirstKindSolution:
     retained: tuple             # ((order, matrix), ...) resonant normal-form terms
 
 
-def first_kind_fundamental_ods(ods: OdsSystem) -> FirstKindSolution:
-    """Solve Y = Phi * v^Lambda for a pole-order-zero system.
+def first_kind_fundamental_ods(sys: PfaffianSystem, axis: str) -> FirstKindSolution:
+    """Solve Y = Phi * v^Lambda for the ODS of sys on `axis`, of pole
+    order zero.
 
     Phi = I + sum Phi_k v^k is found order by order; at resonant orders
     (integer eigenvalue differences) the offending entries are retained in
     the exponent side (upper-triangular coupling) instead of being
     eliminated.
     """
-    ods = ods.normalized()
-    if ods.p != 0:
+    ods = associated_ods(sys, axis)
+    if _pole(ods, axis) != 0:
         raise PreconditionViolated("first-kind solve needs pole order 0")
-    n, var = ods.n, ods.var
-    s_coeffs = ods.amat.coefficients()
+    n, mat = ods.n, _side(ods, axis)
+    s_coeffs = mat.coefficients()
     lam0 = s_coeffs.get((0, 0), qlinalg.zeros(n, n))
     t_coeffs = {(0, 0): qlinalg.identity(n)}
     retained = {}           # the retained terms, as the S~ of _known_terms
     tri = None
-    for m in range(1, ods.trunc):
-        key = (m, 0) if var == "x" else (0, m)
+    for m in range(1, mat.window[0 if axis == "x" else 1]):
+        key = (m, 0) if axis == "x" else (0, m)
         r = qlinalg.dot(_known_terms(s_coeffs, t_coeffs, retained, key), (n, n))
         shifted = qlinalg.sub(lam0, qlinalg.scale(qlinalg.identity(n), m))
         solve = qlinalg.sylvester_solver(shifted, lam0)
@@ -654,7 +591,7 @@ def first_kind_fundamental_ods(ods: OdsSystem) -> FirstKindSolution:
         keep_back = qlinalg.mul(qlinalg.mul(u, qlinalg.qmat(keep)), uinv)
         if not qlinalg.is_zero(keep_back):
             retained[key] = keep_back
-    phi = SeriesMatrix.from_coefficients(t_coeffs, n, *ods.amat.window)
+    phi = SeriesMatrix.from_coefficients(t_coeffs, n, *mat.window)
     return FirstKindSolution(
         phi=phi, exponent=lam0,
         retained=tuple((sum(e), mat) for e, mat in retained.items()))

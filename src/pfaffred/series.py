@@ -263,10 +263,25 @@ class BiSeries:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
+        return self._merge(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def __rsub__(self, other):
+        return BiSeries.const(other, self.tx, self.ty)._merge(self, -1)
+
+    def _merge(self, other, sign):
+        """self + sign * other for sign 1 or -1: other's terms, negated for
+        -1, are merged into a copy of self's."""
         if isinstance(other, (int, Fraction)):
             other = BiSeries.const(other, self.tx, self.ty)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
+            if sign < 0:
+                c = -c
             s = out.get(e)
             if s is not None:
                 c += s
@@ -282,19 +297,9 @@ class BiSeries:
         return BiSeries._of({e: c for e, c in out.items()
                              if e[0] < tx and e[1] < ty}, tx, ty, False)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return BiSeries._of({e: -c for e, c in self.coeffs.items()}, self.tx,
                             self.ty, self.exact)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiSeries.const(other, self.tx, self.ty)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -412,9 +417,4 @@ class BiSeries:
                             min(self.tx * s, INF_ORDER), self.ty, exact=self.exact)
         return BiSeries({(i, j * s): c for (i, j), c in self.coeffs.items()},
                         self.tx, min(self.ty * s, INF_ORDER), exact=self.exact)
-
-    def only_var(self, var):
-        """True if every stored term involves only the given variable."""
-        k = 1 if var == "x" else 0
-        return all(e[k] == 0 for e in self.coeffs)
 

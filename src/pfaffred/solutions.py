@@ -31,15 +31,16 @@ from .moser import _rank_reduce
 from .ods import (
     _common_triangularize,
     _eigen_groups,
+    _katz,
     _known_terms,
     _merge_term,
+    _pole,
+    _reduce_ods,
     _split_system,
     _subtract_scalar,
     _triangular_solve,
     associated_ods,
     exponential_parts_ods,
-    katz_invariant_ods,
-    moser_reduce_ods,
     unipotent_gauge,
 )
 from .series import BiSeries
@@ -57,10 +58,7 @@ from .system import (
 def exponential_parts(sys: PfaffianSystem):
     """Exponential parts of both axes, via the associated ODS."""
     require_integrable(sys)
-    return (
-        exponential_parts_ods(associated_ods(sys, "x")),
-        exponential_parts_ods(associated_ods(sys, "y")),
-    )
+    return exponential_parts_ods(sys, "x"), exponential_parts_ods(sys, "y")
 
 
 def katz_pair(sys: PfaffianSystem):
@@ -81,9 +79,9 @@ def _katz_and_rank(sys: PfaffianSystem):
     from one Moser reduction of each associated ODS."""
     katz, ranks = [], []
     for axis in ("x", "y"):
-        _, reduced = moser_reduce_ods(associated_ods(sys, axis))
-        rank = reduced.p
-        kappa = katz_invariant_ods(reduced)
+        reduced = _reduce_ods(associated_ods(sys, axis), axis)
+        rank = _pole(reduced, axis)
+        kappa = _katz(reduced, axis)
         if not (kappa <= rank <= kappa + 1):
             raise ReductionError(
                 f"true rank {rank} violates the Katz bound for {kappa}"
@@ -441,7 +439,7 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
         data.s = (k1.denominator, k2.denominator)
         data.blocked = "ramified-bivariate-assembly"
         for axis, store in (("x", data.q1), ("y", data.q2)):
-            parts = exponential_parts_ods(associated_ods(current, axis))
+            parts = exponential_parts_ods(current, axis)
             idx = 0
             for part in parts:
                 for _ in range(part.multiplicity):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from pfaffred.matrices import LaurentMatrix, SeriesMatrix
+from pfaffred.ods import associated_ods
 from pfaffred.series import BiSeries
 from pfaffred.system import GaugeTransform, PfaffianSystem
 from pfaffred.io import parse_system
@@ -47,6 +48,23 @@ def poly_series(coeffs, tx=T, ty=T):
 
 def const_mat(rows, tx=T, ty=T):
     return SeriesMatrix.from_rational_rows(rows, tx, ty)
+
+
+def ods_system(var, mat, p, t=T, exact=True):
+    """The ODS v dY/dv = v^(-p) mat Y on axis var, as the PfaffianSystem
+    that associated_ods returns (its other side an exact zero).  mat is a
+    SeriesMatrix in var alone, or rows of {order: coefficient} entries,
+    each a series on the window (t, t), exact or truncated."""
+    if not isinstance(mat, SeriesMatrix):
+        mat = SeriesMatrix.from_rows([
+            [BiSeries({((k, 0) if var == "x" else (0, k)): c
+                       for k, c in terms.items()}, t, t, exact=exact)
+             for terms in row] for row in mat])
+    n = mat.rows
+    zero = SeriesMatrix.zeros(n, n, *mat.window)
+    if var == "x":
+        return associated_ods(PfaffianSystem(n, p, 0, mat, zero), "x")
+    return associated_ods(PfaffianSystem(n, 0, p, zero, mat), "y")
 
 
 def random_unimodular(rng, n=2, tx=T, ty=T, max_deg=2, vars_=("x", "y")):

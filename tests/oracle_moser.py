@@ -219,17 +219,19 @@ def lambda_theta_coeffs(sys, axis, r):
     return out
 
 
-def lambda_katz(ods):
+def lambda_katz(ods, var):
     """Katz invariant from the Newton polygon of det(l v^p I - A), by the
-    cofactor expansion; ods must be normalized and Moser-irreducible."""
-    n, p, var = ods.n, ods.p, ods.var
+    cofactor expansion; ods must be an ODS on var (ods.associated_ods) and
+    Moser-irreducible."""
+    n = ods.n
+    p, amat = (ods.p, ods.amat) if var == "x" else (ods.q, ods.bmat)
     if p == 0:
         return Fraction(0)
-    tx, ty = ods.amat.window
+    tx, ty = amat.window
     zero = BiSeries.zero(tx, ty)
     pole_mon = BiSeries.monomial(1, p if var == "x" else 0,
                                  p if var == "y" else 0, tx, ty)
-    rows = [[[-ods.amat.at(i, j), pole_mon if i == j else zero]
+    rows = [[[-amat.at(i, j), pole_mon if i == j else zero]
              for j in range(n)] for i in range(n)]
     det = _lambda_det(rows, n, zero)
     pts = [(k, c.val(var) - n * p) for k, c in enumerate(det) if not c.is_zero()]

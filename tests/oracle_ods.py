@@ -1,18 +1,18 @@
-"""Reference ODS splitting: the univariate order loop that split_leading
-ran before it became the bivariate splitting body (ods._split_system) on
-the ODS embedded with a zero other side.  Kept verbatim, with the
-qlinalg_conj_series conjugation it used and local copies of the
-coefficient helpers that pfaffred.ods no longer has, apart from importing
-the helpers it shares with pfaffred.ods.  The shared one-order step
-ods._split_order takes the known part with its sign flipped, so the
-order loop's terms carry flipped signs.
+"""Reference ODS splitting: the univariate order loop that the ODS
+splitting ran before it became the bivariate splitting body
+(ods._split_system) on the ODS embedded with a zero other side.  Kept
+verbatim but for its input, now the ODS as associated_ods returns it and
+its axis, with the qlinalg_conj_series conjugation it used and local
+copies of the coefficient helpers that pfaffred.ods no longer has, apart
+from importing the helpers it shares with pfaffred.ods.  The shared
+one-order step ods._split_order takes the known part with its sign
+flipped, so the order loop's terms carry flipped signs.
 """
 
 from pfaffred import qlinalg
 from pfaffred.errors import NotSplittable, ReductionError
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.ods import (
-    OdsSystem,
     _block_ranges,
     _eigen_groups,
     _split_order,
@@ -21,16 +21,20 @@ from pfaffred.ods import (
 from pfaffred.series import BiSeries
 from pfaffred.system import GaugeTransform, apply_gauge
 
+from conftest import ods_system
 
-def split_leading(ods: OdsSystem):
-    """Decouple along coprime characteristic factors of the leading matrix.
+
+def split_leading(ods, var):
+    """Decouple the ODS `ods` on axis `var` along coprime characteristic
+    factors of the leading matrix.
 
     Returns (gauge, [blocks]): gauge is a constant conjugation making the
     leading matrix block diagonal, composed with I + higher-order
     corrections solved order by order through Sylvester equations; the
     output blocks' characteristic polynomials are the coprime factors.
     """
-    a0 = ods.leading()
+    amat = ods.amat if var == "x" else ods.bmat
+    a0 = amat.constant_part()
     groups = _eigen_groups(a0)
     if len(groups) < 2:
         raise NotSplittable(
@@ -49,13 +53,13 @@ def split_leading(ods: OdsSystem):
         raise ReductionError("kernel projections do not fill the space")
     vmat = tuple(tuple(col[i] for col in basis_cols) for i in range(n))
     vinv = qlinalg.inverse(vmat)
-    tx, ty = ods.amat.window
+    tx, ty = amat.window
     const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting",
                                              inverse=vinv)
     # Series coefficients of the conjugated system.
-    conj = qlinalg_conj_series(ods.amat, vmat, vinv)
-    trunc = ods.trunc
-    s_coeffs = [_coeff_const_matrix(conj, ods.var, k, n) for k in range(trunc)]
+    conj = qlinalg_conj_series(amat, vmat, vinv)
+    trunc = tx if var == "x" else ty
+    s_coeffs = [_coeff_const_matrix(conj, var, k, n) for k in range(trunc)]
     n0 = s_coeffs[0]
     offs = _block_ranges(sizes)
     blocks0 = [qlinalg.submatrix(n0, range(a, b), range(a, b)) for a, b in offs]
@@ -64,7 +68,7 @@ def split_leading(ods: OdsSystem):
     t_coeffs = [eye]
     s_tilde = [n0]
     solvers = {}
-    p = ods.p
+    p = ods.p if var == "x" else ods.q
     for m in range(1, trunc):
         terms = [(-1, s_coeffs[i], t_coeffs[m - i]) for i in range(1, m + 1)]
         terms += [(1, t_coeffs[j], s_tilde[m - j]) for j in range(1, m)]
@@ -81,16 +85,15 @@ def split_leading(ods: OdsSystem):
             )
         t_coeffs.append(step[0])
         s_tilde.append(step[1])
-    var = ods.var
     gauge = const_gauge.compose(
         unipotent_gauge(_on_axis(t_coeffs, var), n, tx, ty, "splitting"))
     new_mat = _coeffs_to_matrix(_on_axis(s_tilde, var), n, tx, ty)
     blocks = []
     for (a, b), (_, _, _) in zip(offs, groups):
         sub = new_mat.submatrix(list(range(a, b)), list(range(a, b)))
-        blocks.append(OdsSystem(var, b - a, ods.p, sub).normalized())
+        blocks.append(ods_system(var, sub, p))
     # Certify: off-diagonal blocks of the transformed system vanish.
-    res = apply_gauge(ods.to_pfaffian(), gauge)
+    res = apply_gauge(ods, gauge)
     full = res.to_system()
     mat = full.amat if var == "x" else full.bmat
     for (a, b) in offs:

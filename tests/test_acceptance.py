@@ -11,9 +11,9 @@ from fractions import Fraction
 from pfaffred.cli import main
 from pfaffred.matrices import LaurentMatrix, SeriesMatrix
 from pfaffred.moser import rank_reduce, theta_poly
-from pfaffred.ods import split_leading
 from pfaffred.series import BiSeries
 from pfaffred.solutions import (
+    bivariate_splitting,
     exponential_parts,
     formal_fundamental,
     katz_pair,
@@ -217,7 +217,7 @@ def test_criterion_8_property_suites(exm, exmnaive, capsys):
         for var in ("x", "y"):
             assert (a * b).delta(var) == a.delta(var) * b + a * b.delta(var)
     # Characteristic polynomial factorization through the splitting.
-    from test_ods import uni_x
+    from conftest import ods_system
 
     diag = [1, 2, 7]
     terms = [
@@ -225,12 +225,12 @@ def test_criterion_8_property_suites(exm, exmnaive, capsys):
           1: rand_frac(rng)} for j in range(3)]
         for i in range(3)
     ]
-    ods = uni_x(terms, 3, 1)
-    _, blocks = split_leading(ods)
-    cp_in = qlinalg.charpoly(ods.leading())
+    ods = ods_system("x", terms, 1)
+    _, blocks = bivariate_splitting(ods)
+    cp_in = qlinalg.charpoly(ods.amat.constant_part())
     prod = [Fraction(1)]
     for blk in blocks:
-        cp_b = qlinalg.charpoly(blk.leading())
+        cp_b = qlinalg.charpoly(blk.amat.constant_part())
         new = [Fraction(0)] * (len(prod) + len(cp_b) - 1)
         for i, xc in enumerate(prod):
             for j, yc in enumerate(cp_b):

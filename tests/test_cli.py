@@ -307,6 +307,22 @@ def test_strict_mode():
                  "--trunc-x", "6", "--trunc-y", "6"]) == 3
 
 
+@pytest.mark.parametrize("command, window", [("reduce", "8"), ("check", "6")])
+def test_strict_refusal_writes_the_error_report(tmp_path, command, window):
+    # A --strict refusal is a TruncationExhausted error: exit 3, and the
+    # report (here over a stale one) carries the error.
+    doc = copy_fixture(tmp_path, "exmnaive.json")
+    report = tmp_path / "r.json"
+    report.write_text('{"stale": true}\n')
+    code = main([command, str(doc), "--trunc-x", window, "--trunc-y", window,
+                 "--strict", "--report", str(report)])
+    written = json.loads(report.read_text())
+    assert code == 3
+    assert written["error"]["code"] == 3
+    assert written["error"]["kind"] == "TruncationExhausted"
+    assert written["windows"][0]["what"] == "failure window"
+
+
 def test_invariant_violation_zero_leading(tmp_path):
     doc = {
         "n": 1, "p": 2, "q": 0, "trunc_x": 4, "trunc_y": 4,

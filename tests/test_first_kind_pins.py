@@ -24,20 +24,17 @@ import pytest
 
 from pfaffred import qlinalg
 from pfaffred.errors import PfaffredError
-from pfaffred.matrices import SeriesMatrix
-from pfaffred.ods import OdsSystem, first_kind_fundamental_ods
-from pfaffred.series import BiSeries
+from pfaffred.ods import first_kind_fundamental_ods
+
+from conftest import ods_system
 
 PINS = Path(__file__).resolve().parent / "first_kind_pins.json"
 SEEDS = range(60)
 
 
 def uni(var, entries_terms, t=8, exact=True):
-    """An ODS of pole 0 on var from {order: coefficient} entries."""
-    rows = [[BiSeries({((k, 0) if var == "x" else (0, k)): c
-                       for k, c in terms.items()}, t, t, exact=exact)
-             for terms in row] for row in entries_terms]
-    return OdsSystem(var, len(rows), 0, SeriesMatrix.from_rows(rows))
+    """(var, the ODS of pole 0 on var) from {order: coefficient} entries."""
+    return var, ods_system(var, entries_terms, 0, t, exact)
 
 
 def ods_suite_inputs():
@@ -93,10 +90,11 @@ def qmat_doc(m):
     return [[frac(c) for c in row] for row in m]
 
 
-def outcome(ods):
-    """The solve's output as a JSON-ready dict."""
+def outcome(case):
+    """The solve's output on a (var, ODS) case as a JSON-ready dict."""
+    var, ods = case
     try:
-        sol = first_kind_fundamental_ods(ods)
+        sol = first_kind_fundamental_ods(ods, var)
     except PfaffredError as err:
         return {"error": type(err).__name__, "message": str(err)}
     return {
@@ -130,8 +128,8 @@ def test_pins_reach_resonant_orders(pins):
 
 
 def write_all():
-    lines = [f"{json.dumps(name)}: {json.dumps(outcome(ods), sort_keys=True)}"
-             for name, ods in INPUTS.items()]
+    lines = [f"{json.dumps(name)}: {json.dumps(outcome(case), sort_keys=True)}"
+             for name, case in INPUTS.items()]
     PINS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {PINS.name}")
 

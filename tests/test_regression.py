@@ -7,10 +7,10 @@ import pytest
 
 from pfaffred.errors import InvariantViolation, TruncationExhausted
 from pfaffred.matrices import SeriesMatrix
-from pfaffred.ods import OdsSystem, split_leading
 from pfaffred.moser import moser_rank, rank_reduce, reduce_subsystem_step, theta_poly
 from pfaffred.series import BiSeries
 from pfaffred.solutions import (
+    bivariate_splitting,
     exponential_parts,
     formal_fundamental,
     verify_solution,
@@ -22,7 +22,8 @@ from pfaffred.system import (
     check_integrability,
 )
 
-from conftest import T, diag_seed_system, poly_series, rand_frac, random_unimodular
+from conftest import (T, diag_seed_system, ods_system, poly_series, rand_frac,
+                      random_unimodular)
 
 
 def parts_key(parts):
@@ -209,10 +210,10 @@ def test_pole0_split_solves_resonant_blocks_with_zero_right_side():
     # diag(0, 1) with pole 0: at order (1, 0) the Sylvester operator of one
     # coupling block is singular (eigenvalue difference 1), but its right
     # side is 0, so the block is solved by 0 and the constant ODS splits.
-    ods = OdsSystem("x", 2, 0, SeriesMatrix.from_rational_rows(
-        [[0, 0], [0, 1]], 4, 1))
-    gauge, blocks = split_leading(ods)
-    assert [(b.n, b.p) for b in blocks] == [(1, 0), (1, 0)]
+    ods = ods_system("x", SeriesMatrix.from_rational_rows([[0, 0], [0, 1]], 4, 1),
+                     0)
+    gauge, blocks = bivariate_splitting(ods)
+    assert [(b.n, b.p, b.q) for b in blocks] == [(1, 0, 0), (1, 0, 0)]
     assert sorted(b.amat.at(0, 0).coeff(0, 0) for b in blocks) == [0, 1]
-    moved = apply_gauge(ods.to_pfaffian(), gauge).to_system()
+    moved = apply_gauge(ods, gauge).to_system()
     assert moved.amat.at(0, 1).is_zero() and moved.amat.at(1, 0).is_zero()

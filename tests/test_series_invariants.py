@@ -68,6 +68,26 @@ def test_scalar_product(a, c):
     valid(a - c)
 
 
+def same(r, s):
+    """r and s have the same coefficients, window and exactness."""
+    assert (r.coeffs, r.tx, r.ty, r.exact) == (s.coeffs, s.tx, s.ty, s.exact)
+
+
+@given(bi_series(), bi_series())
+def test_difference_is_the_sum_with_the_negation(a, b):
+    # Differences merge the terms of the subtrahend with their signs
+    # flipped, in the loop that sums; the result is that of a + (-b).
+    same(a - b, a + (-b))
+    same(b - a, b + (-a))
+
+
+@given(bi_series(), st.integers(-3, 3) | rationals)
+def test_scalar_difference_is_the_sum_with_the_negation(a, c):
+    valid(c - a)
+    same(a - c, a + (-c))
+    same(c - a, (-a) + c)
+
+
 @given(bi_series(), axes)
 def test_delta_and_eval_zero(a, var):
     valid(a.delta(var))

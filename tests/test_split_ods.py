@@ -1,11 +1,12 @@
-"""Differential tests: ods.split_leading, now the bivariate splitting body
-run on the ODS with a zero other side, against the univariate order loop
-it replaced (tests/oracle_ods.py).
+"""Differential tests: bivariate_splitting, run on an ODS (the system
+that associated_ods returns, with a zero other side), against the
+univariate order loop that the ODS splitting ran before it
+(tests/oracle_ods.py).
 
-The blocks must agree in size, pole, coefficients, exact flags, windows
+The blocks must agree in size, poles, coefficients, exact flags, windows
 and leading characteristic polynomials, and the gauges factor by factor,
-inverses included; an input one side rejects, the other must reject with
-the same error.  Inputs are the splitting inputs of the other suites and
+inverses included; the other side of each block must stay zero.  An
+input one side rejects, the other must reject with the same error.  Inputs are the splitting inputs of the other suites and
 seeded ODS on both axes for n = 2..4, exact and truncated, poles 0..2.
 """
 
@@ -19,11 +20,10 @@ import oracle_ods
 from pfaffred import qlinalg
 from pfaffred.errors import PfaffredError
 from pfaffred.matrices import SeriesMatrix
-from pfaffred.ods import OdsSystem, split_leading
 from pfaffred.series import BiSeries
+from pfaffred.solutions import bivariate_splitting
 
-from conftest import random_invertible_const
-from test_ods import uni_x
+from conftest import ods_system, random_invertible_const
 
 
 def same_matrix(got, want):
@@ -34,14 +34,14 @@ def same_matrix(got, want):
         assert a.window == b.window
 
 
-def same_split(ods):
+def same_split(ods, var="x"):
     try:
-        want = oracle_ods.split_leading(ods)
+        want = oracle_ods.split_leading(ods, var)
     except PfaffredError as err:
         with pytest.raises(type(err)):
-            split_leading(ods)
+            bivariate_splitting(ods)
         return None
-    gauge, blocks = split_leading(ods)
+    gauge, blocks = bivariate_splitting(ods)
     want_gauge, want_blocks = want
     assert gauge.provenance == want_gauge.provenance
     for got_fs, want_fs in ((gauge.factors, want_gauge.factors),
@@ -51,29 +51,33 @@ def same_split(ods):
             same_matrix(f.series, g.series)
     assert len(blocks) == len(want_blocks)
     for b, w in zip(blocks, want_blocks):
-        assert (b.var, b.n, b.p) == (w.var, w.n, w.p)
-        same_matrix(b.amat, w.amat)
-        assert qlinalg.charpoly(b.leading()) == qlinalg.charpoly(w.leading())
+        assert (b.n, b.p, b.q) == (w.n, w.p, w.q)
+        main, other = (b.amat, b.bmat) if var == "x" else (b.bmat, b.amat)
+        want_main = w.amat if var == "x" else w.bmat
+        same_matrix(main, want_main)
+        assert other.is_zero()
+        assert (qlinalg.charpoly(main.constant_part())
+                == qlinalg.charpoly(want_main.constant_part()))
     return blocks
 
 
 def test_existing_split_inputs():
     rng = random.Random(7)
     a1 = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
-    distinct = uni_x([[{0: 1, 1: a1[0][0]}, {1: a1[0][1]}],
-                      [{1: a1[1][0]}, {0: 2, 1: a1[1][1]}]], 2, 1)
+    distinct = ods_system("x", [[{0: 1, 1: a1[0][0]}, {1: a1[0][1]}],
+                                [{1: a1[1][0]}, {0: 2, 1: a1[1][1]}]], 1)
     cmat = random_invertible_const(random.Random(11), 3)
     lead = qlinalg.mul(qlinalg.mul(cmat, qlinalg.qmat([[0, -1, 0], [1, 0, 0],
                                                        [0, 0, 1]])),
                        qlinalg.inverse(cmat))
-    quadratic = uni_x([[{0: lead[i][j], 1: Fraction((i + j) % 3 - 1)}
-                        for j in range(3)] for i in range(3)], 3, 1)
-    nilpotent = uni_x([[{}, {0: 1}], [{}, {}]], 2, 1)
+    quadratic = ods_system("x", [[{0: lead[i][j], 1: Fraction((i + j) % 3 - 1)}
+                                  for j in range(3)] for i in range(3)], 1)
+    nilpotent = ods_system("x", [[{}, {0: 1}], [{}, {}]], 1)
     rng = random.Random(17)
     diag = [1, 2, 7]
-    three = uni_x([[{0: Fraction(diag[i]) if i == j else Fraction(0),
-                     1: Fraction(rng.randint(-2, 2))} for j in range(3)]
-                   for i in range(3)], 3, 1)
+    three = ods_system("x", [[{0: Fraction(diag[i]) if i == j else Fraction(0),
+                              1: Fraction(rng.randint(-2, 2))} for j in range(3)]
+                            for i in range(3)], 1)
     assert [b.n for b in same_split(distinct)] == [1, 1]
     assert sorted(b.n for b in same_split(quadratic)) == [1, 2]
     assert same_split(nilpotent) is None
@@ -112,7 +116,7 @@ def splittable_ods(draw, var, n):
             row.append(BiSeries({(k, 0) if var == "x" else (0, k): v
                                  for k, v in terms.items()}, t, t, exact=exact))
         rows.append(row)
-    return OdsSystem(var, n, p, SeriesMatrix.from_rows(rows)).normalized()
+    return ods_system(var, SeriesMatrix.from_rows(rows), p)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -121,6 +125,6 @@ def test_seeded_ods_split_matches_reference(var, n):
     @settings(max_examples=15)
     @given(splittable_ods(var, n))
     def check(ods):
-        same_split(ods)
+        same_split(ods, var)
 
     check()
