@@ -78,7 +78,7 @@ def _eigen_groups(a0):
     per irreducible factor; power_coeffs = factor^multiplicity expanded.
     """
     cp = qlinalg.charpoly(a0)
-    _, factors = factor_rational(cp)
+    factors = factor_rational(cp)
     groups = []
     for fc, mult in factors:
         power = [Fraction(1)]

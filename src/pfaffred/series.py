@@ -24,7 +24,8 @@ invariants (nonzero Fraction coefficients, nonnegative exponents, terms of
 a truncated series inside its window) hold there by construction.  A
 series is immutable: its coeffs dict is never mutated after construction,
 so its integer numerators are computed once, on its first product, and
-kept in its _num slot.
+kept in its _num slot, and its valuations once, on first use, and kept in
+its _val slot.
 """
 
 from __future__ import annotations
@@ -63,6 +64,18 @@ def _numerators_once(s):
     return num
 
 
+def _valuations_once(s):
+    """(val_x, val_y) of s, computed on first use and kept in its _val slot."""
+    v = s._val
+    if v is None:
+        if s.coeffs:
+            v = (min(i for i, _ in s.coeffs), min(j for _, j in s.coeffs))
+        else:
+            v = (s._eff_tx(), s._eff_ty())
+        s._val = v
+    return v
+
+
 def dot(pairs):
     """The sum of a * b over pairs (a, b) of BiSeries, with the window that
     the sequential sum of the products has.
@@ -88,8 +101,9 @@ def dot(pairs):
         live.append((a, b))
         if not (a.exact and b.exact):
             exact = False
-            tx = min(tx, a.val_x() + b._eff_tx(), b.val_x() + a._eff_tx())
-            ty = min(ty, a.val_y() + b._eff_ty(), b.val_y() + a._eff_ty())
+            (vax, vay), (vbx, vby) = _valuations_once(a), _valuations_once(b)
+            tx = min(tx, vax + b._eff_tx(), vbx + a._eff_tx())
+            ty = min(ty, vay + b._eff_ty(), vby + a._eff_ty())
     if exact:
         orders = (max(max(a.tx, b.tx) for a, b in pairs),
                   max(max(a.ty, b.ty) for a, b in pairs))
@@ -142,9 +156,11 @@ class BiSeries:
     """Formal power series in (x, y) with Fraction coefficients.
 
     The _num slot holds the series' integer numerators, (d, [(exponent,
-    numerator)]), once a product has needed them, and None before."""
+    numerator)]), once a product has needed them, and None before; the
+    _val slot holds (val_x, val_y) once they have been read, and None
+    before."""
 
-    __slots__ = ("coeffs", "tx", "ty", "exact", "_num")
+    __slots__ = ("coeffs", "tx", "ty", "exact", "_num", "_val")
 
     def __init__(self, coeffs, tx, ty, exact=False):
         if tx < 0 or ty < 0:
@@ -162,7 +178,7 @@ class BiSeries:
         self.tx = tx
         self.ty = ty
         self.exact = exact
-        self._num = None
+        self._num = self._val = None
 
     @classmethod
     def _of(cls, coeffs, tx, ty, exact):
@@ -174,7 +190,7 @@ class BiSeries:
         s.tx = tx
         s.ty = ty
         s.exact = exact
-        s._num = None
+        s._num = s._val = None
         return s
 
     # -- constructors ------------------------------------------------------
@@ -217,10 +233,10 @@ class BiSeries:
     def val_x(self) -> int:
         """Certified x-valuation; the window for a truncated zero series,
         effectively infinite for an exact zero."""
-        return min((i for i, _ in self.coeffs), default=self._eff_tx())
+        return _valuations_once(self)[0]
 
     def val_y(self) -> int:
-        return min((j for _, j in self.coeffs), default=self._eff_ty())
+        return _valuations_once(self)[1]
 
     def val(self, var) -> int:
         return self.val_x() if var == "x" else self.val_y()
