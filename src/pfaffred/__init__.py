@@ -22,12 +22,10 @@ from .series import BiSeries
 from .matrices import LaurentMatrix, SeriesMatrix
 from .system import (
     GaugeTransform,
-    LeadingData,
     PfaffianSystem,
     apply_gauge,
     check_compatible,
     check_integrability,
-    leading_data,
     require_integrable,
 )
 from .moser import (

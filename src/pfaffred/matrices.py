@@ -321,6 +321,24 @@ class LaurentMatrix:
         return f"x^-{self.px} y^-{self.py} * {self.series!r}"
 
 
+def embed_block(block: LaurentMatrix, coords, n, tx, ty) -> LaurentMatrix:
+    """The n x n identity with `block` on the rows and columns `coords`,
+    over the block's poles: outside the block, x^px y^py on the diagonal,
+    exact at nominal orders (tx, ty), with a negative pole moved into the
+    block.  The lift of a block's inverse is the inverse of its lift."""
+    px, py = max(block.px, 0), max(block.py, 0)
+    s = block.series
+    if (px, py) != (block.px, block.py):
+        s = s.shift(px - block.px, py - block.py)
+    at = {c: k for k, c in enumerate(coords)}
+    one = BiSeries.monomial(1, px, py, tx, ty)
+    zero = BiSeries.zero(tx, ty)
+    return LaurentMatrix(SeriesMatrix.from_rows([
+        [s.at(at[i], at[j]) if i in at and j in at
+         else one if i == j else zero for j in range(n)]
+        for i in range(n)]), px, py)
+
+
 # -- elimination over the one-variable series ring ---------------------------
 
 

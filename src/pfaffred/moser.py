@@ -21,6 +21,7 @@ no pole elevation), and every zero acceptance is recorded with its window.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .matrices import (
     LaurentMatrix,
     SeriesMatrix,
     column_echelon,
+    embed_block,
     series_rank,
 )
 from .series import INF_ORDER, BiSeries
@@ -61,6 +63,22 @@ def _swap_mat(m: SeriesMatrix) -> SeriesMatrix:
 def _flip(sys: PfaffianSystem) -> PfaffianSystem:
     """Swap the roles of the two subsystems (and of x and y)."""
     return PfaffianSystem(sys.n, sys.q, sys.p, _swap_mat(sys.bmat), _swap_mat(sys.amat))
+
+
+@contextmanager
+def _on_axis(sys: PfaffianSystem, axis: str):
+    """The system with `axis` as its x-axis: sys itself, or _flip(sys) for
+    axis y.  The window of a failure raised on the flipped copy is in its
+    swapped order; it is reversed here, once, into the order of sys."""
+    if axis == "x":
+        yield sys
+        return
+    try:
+        yield _flip(sys)
+    except (TruncationExhausted, IntegrabilityViolation) as err:
+        if err.window is not None:
+            err.window = err.window[::-1]
+        raise
 
 
 def _flip_gauge(g: GaugeTransform) -> GaugeTransform:
@@ -123,33 +141,33 @@ def theta_poly(sys: PfaffianSystem, axis: str) -> ThetaPolynomial:
         raise PreconditionViolated(
             f"criterion polynomial needs Moser rank > 1 on axis {axis}"
         )
-    work = sys if axis == "x" else _flip(sys)
-    n = work.n
-    a0 = work.amat.coeff_matrix("x", 0)
-    a1 = work.amat.coeff_matrix("x", 1)
     r = sys.leading_rank(axis)
-    tx, ty = work.amat.window
-    x = BiSeries.monomial(1, 1, 0, tx, ty)
-    minus_m = [[-(a0.at(i, j) + x * a1.at(i, j)) for j in range(n)]
-               for i in range(n)]
-    cp = qlinalg.charpoly(minus_m, BiSeries.const(1, tx, ty))
-    coeffs = []
-    for k in range(n - r + 1):
-        c = cp[k].shift(k, 0)
-        if not c.exact and c.tx <= n - r:
-            raise TruncationExhausted(
-                "window too small to read the criterion coefficient",
-                window=c.window,
-            )
-        low = {e: v for e, v in c.coeffs.items() if e[0] < n - r}
-        if low:
-            raise ReductionError(
-                "criterion determinant has coefficients below x^(n-r); the "
-                "certified leading rank disagrees with the determinant"
-            )
-        coeffs.append(BiSeries._of(
-            {(0, j): v for (i, j), v in c.coeffs.items() if i == n - r},
-            c.tx, c.ty, c.exact))
+    with _on_axis(sys, axis) as work:
+        n = work.n
+        a0 = work.amat.coeff_matrix("x", 0)
+        a1 = work.amat.coeff_matrix("x", 1)
+        tx, ty = work.amat.window
+        x = BiSeries.monomial(1, 1, 0, tx, ty)
+        minus_m = [[-(a0.at(i, j) + x * a1.at(i, j)) for j in range(n)]
+                   for i in range(n)]
+        cp = qlinalg.charpoly(minus_m, BiSeries.const(1, tx, ty))
+        coeffs = []
+        for k in range(n - r + 1):
+            c = cp[k].shift(k, 0)
+            if not c.exact and c.tx <= n - r:
+                raise TruncationExhausted(
+                    "window too small to read the criterion coefficient",
+                    window=c.window,
+                )
+            low = {e: v for e, v in c.coeffs.items() if e[0] < n - r}
+            if low:
+                raise ReductionError(
+                    "criterion determinant has coefficients below x^(n-r); "
+                    "the certified leading rank disagrees with the determinant"
+                )
+            coeffs.append(BiSeries._of(
+                {(0, j): v for (i, j), v in c.coeffs.items() if i == n - r},
+                c.tx, c.ty, c.exact))
     if axis == "y":
         coeffs = [
             BiSeries._of({(j, i): v for (i, j), v in c.coeffs.items()}, c.ty,
@@ -175,27 +193,26 @@ def column_reduce_leading(sys: PfaffianSystem, axis: str) -> GaussForm:
     leading matrix has its column space in the first r columns (trailing
     n-r columns zero on the window) and a rank-d top-left corner whose
     last r-d columns vanish in the top r rows."""
-    work = sys if axis == "x" else _flip(sys)
-    n = work.n
-    a0 = work.amat.coeff_matrix("x", 0).eval_zero_matrix("x")
-    v1, _, r, v1_inv = column_echelon(a0, "y")
-    v1_inv = LaurentMatrix(v1_inv)
-    conj = v1_inv * LaurentMatrix(a0) * LaurentMatrix(v1)
-    a0_conj = _laurent_to_series(conj)
-    if a0_conj is None:
-        raise ReductionError("column reduction produced a pole")
-    gauge = GaugeTransform._of(LaurentMatrix(v1), v1_inv,
-                               "unimodular-column-reduce")
-    d = r
-    if r > 0:
-        top = a0_conj.submatrix(list(range(r)), list(range(r)))
-        v2, _, d, v2_inv = column_echelon(top, "y")
-        if d < r:
-            window = v2.window
-            gauge = gauge.compose(GaugeTransform._of(
-                LaurentMatrix(_embed_block(v2, 0, n, *window)),
-                LaurentMatrix(_embed_block(v2_inv, 0, n, *window)),
-                "unimodular-column-reduce"))
+    with _on_axis(sys, axis) as work:
+        n = work.n
+        a0 = work.amat.coeff_matrix("x", 0).eval_zero_matrix("x")
+        v1, _, r, v1_inv = column_echelon(a0, "y")
+        v1_inv = LaurentMatrix(v1_inv)
+        conj = v1_inv * LaurentMatrix(a0) * LaurentMatrix(v1)
+        a0_conj = _laurent_to_series(conj)
+        if a0_conj is None:
+            raise ReductionError("column reduction produced a pole")
+        gauge = GaugeTransform._of(LaurentMatrix(v1), v1_inv,
+                                   "unimodular-column-reduce")
+        d = r
+        if r > 0:
+            top = a0_conj.submatrix(list(range(r)), list(range(r)))
+            v2, _, d, v2_inv = column_echelon(top, "y")
+            if d < r:
+                gauge = gauge.compose(GaugeTransform._of(
+                    *(embed_block(LaurentMatrix(blk), range(r), n, *v2.window)
+                      for blk in (v2, v2_inv)),
+                    "unimodular-column-reduce"))
     if axis == "y":
         gauge = _flip_gauge(gauge)
     return GaussForm(gauge=gauge, d=d, r=r)
@@ -411,47 +428,40 @@ def prepare_shearing(sys: PfaffianSystem, axis: str) -> ShearingForm:
         raise PreconditionViolated(
             "criterion polynomial does not vanish; subsystem is Moser-irreducible"
         )
-    work = sys if axis == "x" else _flip(sys)
-    n = work.n
+    # theta_poly reports its own failure windows; only the work below runs
+    # on the flipped copy.
     r = theta.rank_leading
-    a0 = work.amat.coeff_matrix("x", 0).eval_zero_matrix("x")
-    top = a0.submatrix(list(range(r)), list(range(r))) if r else None
-    d = series_rank(top, "y") if top is not None else 0
-    if not _verify_gauss_form(a0, d, r, n):
-        raise PreconditionViolated("subsystem is not in the reduced leading form")
-    blocks = _gauss_blocks(work, d, r)
-    m = n - r
-    tx, ty = work.window
-    for basis in _candidate_subspaces(blocks, d, r, n):
-        ok, rank_kept, q4 = _certify_split(blocks, d, r, n, basis)
-        if not ok:
-            continue
-        if q4 is None:
-            gauge = GaugeTransform.identity(n, tx, ty, "arrange-trailing")
-            rho = 0
-        else:
-            q4, q4_inv = (LaurentMatrix(_embed_block(blk, r, n, tx, ty))
-                          for blk in q4)
-            gauge = GaugeTransform._of(q4, q4_inv, "arrange-trailing")
-            rho = m - basis.cols
-        if axis == "y":
-            gauge = _flip_gauge(gauge)
-        return ShearingForm(gauge=gauge, rho=rho, d=d, r=r, rank_kept=rank_kept)
+    with _on_axis(sys, axis) as work:
+        n = work.n
+        a0 = work.amat.coeff_matrix("x", 0).eval_zero_matrix("x")
+        top = a0.submatrix(list(range(r)), list(range(r))) if r else None
+        d = series_rank(top, "y") if top is not None else 0
+        if not _verify_gauss_form(a0, d, r, n):
+            raise PreconditionViolated(
+                "subsystem is not in the reduced leading form")
+        blocks = _gauss_blocks(work, d, r)
+        m = n - r
+        tx, ty = work.window
+        for basis in _candidate_subspaces(blocks, d, r, n):
+            ok, rank_kept, q4 = _certify_split(blocks, d, r, n, basis)
+            if not ok:
+                continue
+            if q4 is None:
+                gauge = GaugeTransform.identity(n, tx, ty, "arrange-trailing")
+                rho = 0
+            else:
+                gauge = GaugeTransform._of(
+                    *(embed_block(LaurentMatrix(blk), range(r, n), n, tx, ty)
+                      for blk in q4), "arrange-trailing")
+                rho = m - basis.cols
+            if axis == "y":
+                gauge = _flip_gauge(gauge)
+            return ShearingForm(gauge=gauge, rho=rho, d=d, r=r,
+                                rank_kept=rank_kept)
     raise ReductionError(
         "no certified arrangement of the trailing block was found although "
         "the criterion polynomial vanishes; the window may be too small"
     )
-
-
-def _embed_block(block: SeriesMatrix, start, n, tx, ty) -> SeriesMatrix:
-    """The n x n identity with `block` on the diagonal from row `start`; the
-    identity part exact at nominal orders (tx, ty)."""
-    inside = range(start, start + block.rows)
-    return SeriesMatrix.from_rows([
-        [block.at(i - start, j - start) if i in inside and j in inside
-         else BiSeries.const(1 if i == j else 0, tx, ty) for j in range(n)]
-        for i in range(n)
-    ])
 
 
 def shearing_matrix(r, rho, n, var, tx, ty) -> GaugeTransform:
@@ -493,20 +503,20 @@ class ReductionReport:
 def _check_shear_null_blocks(sys, axis, r, rho):
     """The other subsystem's blocks that the shearing scales by 1/var must
     vanish at var = 0; guaranteed by integrability, verified exactly."""
-    work = sys if axis == "x" else _flip(sys)
-    n = work.n
-    other0 = work.bmat.eval_zero_matrix("x")
-    kept = list(range(r, n - rho))
-    scaled_rows = list(range(r)) + list(range(n - rho, n))
-    for i in scaled_rows:
-        for j in kept:
-            if not other0.at(i, j).is_zero():
-                raise IntegrabilityViolation(
-                    "shearing would introduce a pole in the other subsystem: "
-                    f"entry ({i},{j}) is nonzero at the axis origin",
-                    window=other0.window,
-                )
-    return other0.window
+    with _on_axis(sys, axis) as work:
+        n = work.n
+        other0 = work.bmat.eval_zero_matrix("x")
+        kept = list(range(r, n - rho))
+        scaled_rows = list(range(r)) + list(range(n - rho, n))
+        for i in scaled_rows:
+            for j in kept:
+                if not other0.at(i, j).is_zero():
+                    raise IntegrabilityViolation(
+                        "shearing would introduce a pole in the other "
+                        f"subsystem: entry ({i},{j}) is nonzero at the axis "
+                        "origin",
+                        window=other0.window,
+                    )
 
 
 def reduce_subsystem_step(sys: PfaffianSystem, axis: str,

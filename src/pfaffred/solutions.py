@@ -26,7 +26,7 @@ from .errors import (
     ReductionError,
     TruncationExhausted,
 )
-from .matrices import LaurentMatrix, SeriesMatrix
+from .matrices import LaurentMatrix, SeriesMatrix, embed_block
 from .moser import _rank_reduce
 from .ods import (
     _common_triangularize,
@@ -332,33 +332,17 @@ def _verify_commutation(lam, qdiag):
 
 
 def _embed_gauge(gauge: GaugeTransform, coords, n, tx, ty) -> GaugeTransform:
-    """Lift a gauge acting on a coordinate subset to the full space; each
-    factor's inverse is lifted with it.  On a proper subset the lifted
-    inverse is exact outside the block, where the cofactor inverse of the
-    lifted factor (tests/oracle_cofactor.py) marks the identity entries
-    truncated; the values agree."""
-    def lift(f):
-        # The identity outside the block, over f's poles (a shearing's
-        # inverse has a pole): x^px y^py, with a negative pole moved into
-        # the block.
-        px, py = max(f.px, 0), max(f.py, 0)
-        block = f.series
-        if (px, py) != (f.px, f.py):
-            block = block.shift(px - f.px, py - f.py)
-        one = BiSeries.monomial(1, px, py, tx, ty)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if i in coords and j in coords:
-                    row.append(block.at(coords.index(i), coords.index(j)))
-                else:
-                    row.append(one if i == j else BiSeries.zero(tx, ty))
-            rows.append(row)
-        return LaurentMatrix(SeriesMatrix.from_rows(rows), px, py)
+    """Lift a gauge acting on a coordinate subset to the full space, each
+    factor and its inverse by embed_block.  A shearing's inverse has a
+    pole, which the identity outside the block carries.  On a proper
+    subset the lifted inverse is exact outside the block, where the
+    cofactor inverse of the lifted factor (tests/oracle_cofactor.py) marks
+    the identity entries truncated; the values agree."""
+    def lift(mats):
+        return tuple(embed_block(f, coords, n, tx, ty) for f in mats)
 
-    return GaugeTransform(factors=tuple(map(lift, gauge.factors)),
-                          inverses=tuple(map(lift, gauge.inverses)),
+    return GaugeTransform(factors=lift(gauge.factors),
+                          inverses=lift(gauge.inverses),
                           provenance=gauge.provenance)
 
 
@@ -418,12 +402,17 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
                     f"{axis}",
                     factor=fc,
                 )
-            if gamma != 0:
-                current = _subtract_scalar(current, axis, pole, gamma)
-                store = data.q1 if axis == "x" else data.q2
-                for i in coords:
-                    _merge_term(store[i], pole, -gamma / pole)
-                shifted = True
+            # One axis per call: an x shift is recorded before a y-side
+            # raise blocks the assembly.
+            gammas = {pole: gamma}
+            shift, current = _bivariate_shift(
+                current, *((gammas, None) if axis == "x" else (None, gammas)))
+            for store, terms in ((data.q1, shift.x_terms),
+                                 (data.q2, shift.y_terms)):
+                for k, c in terms:
+                    for i in coords:
+                        _merge_term(store[i], k, c)
+                    shifted = True
         if shifted:
             continue
         # Leading pair nilpotent with a positive pole: Moser-reduce.

@@ -118,28 +118,6 @@ def _normalize_side(p, mat, var, strict):
     return p, mat
 
 
-@dataclass(frozen=True)
-class LeadingData:
-    a0: SeriesMatrix          # Amat at x = 0, a matrix in y only
-    b0: SeriesMatrix          # Bmat at y = 0, a matrix in x only
-    a00: tuple                # constant matrices over Q
-    b00: tuple
-    rank_a0: int
-    rank_b0: int
-
-
-def leading_data(sys: PfaffianSystem) -> LeadingData:
-    a0, b0 = sys.leading
-    return LeadingData(
-        a0=a0,
-        b0=b0,
-        a00=a0.constant_part(),
-        b00=b0.constant_part(),
-        rank_a0=sys.rank_x,
-        rank_b0=sys.rank_y,
-    )
-
-
 def check_integrability(sys: PfaffianSystem):
     """Evaluate the commutation identity on the full Laurent coefficients.
 
@@ -193,13 +171,15 @@ class GaugeTransform:
     by the elimination that made them (column_echelon), and the trailing
     arrangement Q4 by the column reduction that completes it.  The library
     builds these factors with _of, unchecked; a gauge from outside it
-    brings its inverse to of_series, which checks it.  The reference is
-    the cofactor inverse of tests/oracle_cofactor.py: the carried inverse
-    equals it in coefficients, truncated windows and poles, and is exact
-    wherever it is.  Two kinds of factor may differ from it: an
-    elimination inverse can be exact where the cofactor one is truncated,
-    or carry other nominal orders (see column_echelon), and
-    solutions._embed_gauge lifts are held to values (see there).
+    brings its inverse to of_series, which checks it.
+
+    The reference is the cofactor inverse of tests/oracle_cofactor.py, and
+    every carried inverse equals it in value.  An exact monomial inverse
+    carries its factor's nominal orders, where the cofactor one would take
+    those of its minors.  An elimination inverse can be exact where the
+    cofactor one is truncated, or carry other nominal orders (see
+    column_echelon), and a block lifted by embed_block is exact outside
+    the block.
     apply_gauge and inverse() never invert a factor.
     """
 
@@ -253,13 +233,24 @@ class GaugeTransform:
 
     @classmethod
     def monomial(cls, var, exponents, tx, ty, kind="shearing"):
+        """diag(v^e_i) in the variable v = var, with its inverse
+        v^(-m) diag(v^(m - e_i)), m = max e_i, read off the exponents; both
+        exact at the nominal orders (tx, ty)."""
         n = len(exponents)
-        exps = [(e, 0) if var == "x" else (0, e) for e in exponents]
-        f = LaurentMatrix(SeriesMatrix(n, n, [
-            BiSeries.monomial(1, *exps[i], tx, ty) if i == j
-            else BiSeries.zero(tx, ty)
-            for i in range(n) for j in range(n)]))
-        return cls._of(f, _monomial_inverse(f, exps), kind)
+        m = max(exponents)
+
+        def at(e):
+            return (e, 0) if var == "x" else (0, e)
+
+        def diag(exps):
+            return SeriesMatrix(n, n, [
+                BiSeries.monomial(1, *at(exps[i]), tx, ty) if i == j
+                else BiSeries.zero(tx, ty)
+                for i in range(n) for j in range(n)])
+
+        return cls._of(LaurentMatrix(diag(exponents)),
+                       LaurentMatrix(diag([m - e for e in exponents]), *at(m)),
+                       kind)
 
     def compose(self, other: "GaugeTransform") -> "GaugeTransform":
         """Gauge applying self first, then other (matrix product self*other)."""
@@ -319,47 +310,6 @@ def _gauge_one_factor(ax: LaurentMatrix, by: LaurentMatrix, f: LaurentMatrix,
     new_ax = f_inv * (ax * f - f.delta("x"))
     new_by = f_inv * (by * f - f.delta("y"))
     return new_ax.normalize(), new_by.normalize()
-
-
-def _orders(entries):
-    return (max(e.tx for e in entries), max(e.ty for e in entries))
-
-
-def _cut(t, dx, dy):
-    """The nominal orders t of an exact series divided by x^dx y^dy."""
-    if dx == 0 and dy == 0:
-        return t
-    return (max(t[0] - dx, 1), max(t[1] - dy, 1))
-
-
-def _monomial_inverse(f: LaurentMatrix, exps) -> LaurentMatrix:
-    """F^(-1) for F = diag(x^a_i y^b_i) / (x^px y^py) with (a_i, b_i) =
-    exps: diag(x^(ma - a_i) y^(mb - b_i)) / (x^(ma - px) y^(mb - py)), with
-    (ma, mb) the largest exponents.  Each entry has the nominal orders that
-    the cofactor inverse (tests/oracle_cofactor.py) gives it:
-    entry (i, j) takes the larger of the determinant unit's and those of
-    the minor without row j and column i, less the monomial content that
-    normalization strips."""
-    s = f.series
-    n = s.rows
-    ma = max(a for a, _ in exps)
-    mb = max(b for _, b in exps)
-    sa = sum(a for a, _ in exps)
-    sb = sum(b for _, b in exps)
-    whole = s.window
-    unit = _cut(whole, sa, sb)
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            minor = whole if n == 1 else _orders(
-                [s.at(r, c) for r in range(n) for c in range(n)
-                 if r != j and c != i])
-            tx, ty = _cut((max(minor[0], unit[0]), max(minor[1], unit[1])),
-                          sa - ma, sb - mb)
-            entries.append(
-                BiSeries.monomial(1, ma - exps[i][0], mb - exps[i][1], tx, ty)
-                if i == j else BiSeries.zero(tx, ty))
-    return LaurentMatrix(SeriesMatrix(n, n, entries), ma - f.px, mb - f.py)
 
 
 def apply_gauge(sys: PfaffianSystem, gauge: GaugeTransform) -> GaugeResult:

@@ -187,3 +187,12 @@ def random_integrable_system(rng, n=2, p=1, q=1, gauges=1):
         g = random_unimodular(rng, n=n)
         sys_obj = apply_gauge(sys_obj, g).to_system()
     return sys_obj
+
+
+def report_changes(old, new):
+    """Print how many stored digests a regeneration changed, and which:
+    the --write modes of the digest tests show their extent this way."""
+    changed = sorted(k for k in new if old.get(k) != new[k])
+    print(f"{len(changed)} digest(s) changed")
+    for k in changed:
+        print(f"  {k}")

@@ -11,7 +11,8 @@ SHA-256 digest of these per run.
 Like tests/test_window_sweep.py this pins today's outputs, failures
 included, and makes no claim that an output is correct.  It guards
 refactors that must not change any output.  A change that means to change
-an output regenerates it deliberately, and records that in CHANGES.md:
+an output regenerates it deliberately, and records that in CHANGES.md;
+--write prints the keys whose digests it changed:
 
     PYTHONPATH=src python tests/test_bench_cases.py --write
 """
@@ -32,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402  (perfbench/inputs.py, imported, never edited)
+from conftest import report_changes  # noqa: E402
 
 DIGESTS = Path(__file__).resolve().parent / "bench_cases.json"
 WORKLOADS = ("worked", "dense", "blocks", "defects")
@@ -94,12 +96,14 @@ def test_bench_cases(workload, seed):
 
 
 def write_all():
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     out = {}
     for workload in WORKLOADS:
         for seed in SEEDS:
             out.update(digests(workload, seed))
     DIGESTS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(out)} digests to {DIGESTS.name}")
+    report_changes(old, out)
 
 
 if __name__ == "__main__":

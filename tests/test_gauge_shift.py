@@ -3,14 +3,19 @@ inverses) go through the products of series.dot, whose monomial case
 moves coefficients instead of multiplying them.  The gauge action must
 equal the reference (tests/oracle_gauge.py, products by the
 dict-of-Fraction kernel) entry for entry: coefficients, exact flags,
-windows, nominal orders and poles."""
+windows, nominal orders and poles.
+
+The inverse that GaugeTransform.monomial carries is read off the
+exponents.  It equals the cofactor adjugate's (tests/oracle_cofactor.py)
+in coefficients, exact flags and poles, and carries its factor's own
+nominal orders, where the adjugate's would be those of its minors."""
 
 from hypothesis import given, strategies as st
 
 from pfaffred.matrices import LaurentMatrix, SeriesMatrix
 from pfaffred.moser import shearing_matrix
 from pfaffred.series import BiSeries
-from pfaffred.system import _gauge_one_factor, _monomial_inverse
+from pfaffred.system import GaugeTransform, _gauge_one_factor
 
 from oracle_cofactor import inverse as oracle_inverse
 from oracle_gauge import _gauge_one_factor as oracle_one_factor
@@ -77,11 +82,9 @@ def outcome(fn, *args):
         return type(exc).__name__
 
 
-def assert_same_as_products(ax, by, f):
-    exps = [next(iter(f.series.at(i, i).coeffs)) for i in range(f.n)]
-    f_inv = oracle_inverse(f)
-    # The inverse built from the exponents is the cofactor adjugate's.
-    assert outcome(lambda: [_monomial_inverse(f, exps)]) == outcome(lambda: [f_inv])
+def assert_same_as_products(ax, by, f, f_inv=None):
+    if f_inv is None:
+        f_inv = oracle_inverse(f)
     want = outcome(oracle_one_factor, ax, by, f, f_inv)
     assert outcome(_gauge_one_factor, ax, by, f, f_inv) == want
 
@@ -104,5 +107,24 @@ def test_shearing_and_its_inverse_match_products(exmnaive):
     ax, by = exmnaive.a_laurent(), exmnaive.b_laurent()
     for var in ("x", "y"):
         g = shearing_matrix(1, 0, 2, var, *exmnaive.window)
-        for f in g.factors + g.inverse().factors:
-            assert_same_as_products(ax, by, f)
+        for h in (g, g.inverse()):
+            for f, f_inv in zip(h.factors, h.inverses):
+                assert_same_as_products(ax, by, f)
+                assert_same_as_products(ax, by, f, f_inv)
+
+
+def values(m):
+    return (m.px, m.py, [(e.coeffs, e.exact) for e in m.series.entries])
+
+
+def nominal_orders(m):
+    return [(e.tx, e.ty) for e in m.series.entries]
+
+
+@given(st.sampled_from("xy"), st.lists(st.integers(0, 3), min_size=1,
+                                       max_size=4), orders, orders)
+def test_monomial_inverse_from_exponents(var, exponents, tx, ty):
+    g = GaugeTransform.monomial(var, exponents, tx, ty)
+    [f], [f_inv] = g.factors, g.inverses
+    assert values(f_inv) == values(oracle_inverse(f))
+    assert nominal_orders(f_inv) == nominal_orders(f)

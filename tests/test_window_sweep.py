@@ -10,8 +10,10 @@ This pins today's outputs, wrong ones included: 84 of its 800 reduce,
 expparts, katz and solve runs exit 0 with an answer that is wrong on its
 window (ROADMAP item 1 counts them).
 The sweep guards refactors that must not change any output; it makes no
-claim that an output is correct.  A change that fixes those answers
-regenerates it deliberately, and records that in CHANGES.md:
+claim that an output is correct, with one exception: every failure window
+in a report lies within the requested window (tx, ty).  A change that
+fixes those answers regenerates it deliberately, and records that in
+CHANGES.md; --write prints the keys whose digests it changed:
 
     PYTHONPATH=src python tests/test_window_sweep.py --write
 """
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import report_changes
 from test_golden import COMMANDS, run_command
 
 DIGESTS = Path(__file__).resolve().parent / "window_sweep.json"
@@ -34,28 +37,44 @@ def key(fixture, command, tx, ty):
     return f"{fixture}.{command}.{tx}x{ty}"
 
 
-def digest(fixture, command, tx, ty):
-    outcome = run_command(fixture, command,
-                          ["--trunc-x", str(tx), "--trunc-y", str(ty)])
-    text = json.dumps(outcome, sort_keys=True, separators=(",", ":"))
+def outcome(fixture, command, tx, ty):
+    return run_command(fixture, command,
+                       ["--trunc-x", str(tx), "--trunc-y", str(ty)])
+
+
+def digest(out):
+    text = json.dumps(out, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def failure_windows(out):
+    return [w["window"] for w in out["report"]["windows"]
+            if w["what"] == "failure window"]
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
 @pytest.mark.parametrize("command", COMMANDS)
 def test_window_sweep(fixture, command):
     stored = json.loads(DIGESTS.read_text())
-    changed = [key(fixture, command, tx, ty) for tx, ty in WINDOWS
-               if digest(fixture, command, tx, ty)
-               != stored[key(fixture, command, tx, ty)]]
+    changed, outside = [], []
+    for tx, ty in WINDOWS:
+        k = key(fixture, command, tx, ty)
+        out = outcome(fixture, command, tx, ty)
+        if digest(out) != stored[k]:
+            changed.append(k)
+        if any(wx > tx or wy > ty for wx, wy in failure_windows(out)):
+            outside.append(k)
+    assert not outside
     assert not changed
 
 
 def write_all():
-    digests = {key(f, c, tx, ty): digest(f, c, tx, ty)
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    digests = {key(f, c, tx, ty): digest(outcome(f, c, tx, ty))
                for f in FIXTURES for c in COMMANDS for tx, ty in WINDOWS}
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS.name}")
+    report_changes(old, digests)
 
 
 if __name__ == "__main__":
