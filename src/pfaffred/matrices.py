@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import qlinalg
 from .errors import DimensionMismatch, TruncationExhausted
-from .series import BiSeries, dot, q
+from .series import BiSeries, dot, exponent, q
 
 
 class SeriesMatrix:
@@ -344,8 +344,7 @@ def embed_block(block: LaurentMatrix, coords, n, tx, ty) -> LaurentMatrix:
 
 def _divide(a: BiSeries, b: BiSeries, var: str) -> BiSeries:
     """a / b where val_var(a) >= val_var(b) and b = var^v * unit."""
-    v = b.val(var)
-    dx, dy = (v, 0) if var == "x" else (0, v)
+    dx, dy = exponent(var, b.val(var))
     b0 = b.divide_monomial(dx, dy)
     if b0.coeff(0, 0) == 0:
         raise TruncationExhausted(

@@ -1,27 +1,30 @@
 """Moser reducibility criterion and compatible rank reduction.
 
-The reduction loop works on one subsystem at a time (axis "x" or "y"); the
-other axis plays the role of the coefficient ring.  One pass of the loop,
-for a subsystem x^(-p)(A0(y) + A1(y) x + ...) with r = rank A0 and p >= 1:
+The reduction loop works on one subsystem at a time, on an axis v ("x" or
+"y"); w, the other variable, plays the role of the coefficient ring.  One
+pass of the loop, for a subsystem v^(-p)(A0(w) + A1(w) v + ...) with
+r = rank A0 and p >= 1:
 
-  1. a unimodular column reduction over the y-series ring puts A0 into a
+  1. a unimodular column reduction over the w-series ring puts A0 into a
      block form with its column space in the first r columns and the rank-d
      top-left corner exposed;
-  2. the criterion polynomial theta(lambda), the x^(n-r) coefficient of
-     det(A0 + x(A1 + lambda I)), is tested for identical vanishing;
+  2. the criterion polynomial theta(lambda), the v^(n-r) coefficient of
+     det(A0 + v(A1 + lambda I)), is tested for identical vanishing;
   3. if it vanishes, a unimodular Q (det 1) arranges the trailing
      coordinates into a "kept" group and a group of rho coordinates that
-     the diagonal monomial gauge S = diag(x I_r, I, x I_rho) also scales;
+     the diagonal monomial gauge S = diag(v I_r, I, v I_rho) also scales;
      two exact rank conditions certify that the leading rank then strictly
      drops.
 
-Every emitted gauge is certified compatible (normal crossings preserved,
-no pole elevation), and every zero acceptance is recorded with its window.
+The step reads its subsystem through sys.side(axis), sys.pole(axis) and
+the cached leading matrix, and does its linear algebra over the w-series
+ring, so both axes run the same code.  Every emitted gauge is certified
+compatible (normal crossings preserved, no pole elevation), and every zero
+acceptance is recorded with its window.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,7 +42,7 @@ from .matrices import (
     embed_block,
     series_rank,
 )
-from .series import INF_ORDER, BiSeries
+from .series import INF_ORDER, BiSeries, exponent, other
 from .system import (
     GaugeTransform,
     PfaffianSystem,
@@ -48,47 +51,9 @@ from .system import (
 )
 
 
-def _swap_mat(m: SeriesMatrix) -> SeriesMatrix:
-    return SeriesMatrix(
-        m.rows,
-        m.cols,
-        [
-            BiSeries._of({(j, i): c for (i, j), c in e.coeffs.items()}, e.ty,
-                         e.tx, e.exact)
-            for e in m.entries
-        ],
-    )
-
-
-def _flip(sys: PfaffianSystem) -> PfaffianSystem:
-    """Swap the roles of the two subsystems (and of x and y)."""
-    return PfaffianSystem(sys.n, sys.q, sys.p, _swap_mat(sys.bmat), _swap_mat(sys.amat))
-
-
-@contextmanager
-def _on_axis(sys: PfaffianSystem, axis: str):
-    """The system with `axis` as its x-axis: sys itself, or _flip(sys) for
-    axis y.  The window of a failure raised on the flipped copy is in its
-    swapped order; it is reversed here, once, into the order of sys."""
-    if axis == "x":
-        yield sys
-        return
-    try:
-        yield _flip(sys)
-    except (TruncationExhausted, IntegrabilityViolation) as err:
-        if err.window is not None:
-            err.window = err.window[::-1]
-        raise
-
-
-def _flip_gauge(g: GaugeTransform) -> GaugeTransform:
-    """Swap x and y in every factor and its inverse (exactness preserved by
-    _swap_mat)."""
-    def flip(mats):
-        return tuple(LaurentMatrix(_swap_mat(f.series), f.py, f.px) for f in mats)
-
-    return GaugeTransform(factors=flip(g.factors), inverses=flip(g.inverses),
-                          provenance=g.provenance)
+def _leading(sys: PfaffianSystem, axis: str) -> SeriesMatrix:
+    """A0 of the subsystem on `axis`: its cached entry of sys.leading."""
+    return sys.leading["xy".index(axis)]
 
 
 # -- Moser rank ----------------------------------------------------------------
@@ -96,8 +61,8 @@ def _flip_gauge(g: GaugeTransform) -> GaugeTransform:
 
 def moser_rank(sys: PfaffianSystem, axis: str) -> Fraction:
     """max(0, p + r/n) for the chosen subsystem, as an exact rational."""
-    p = sys.p if axis == "x" else sys.q
-    return max(Fraction(0), Fraction(p) + Fraction(sys.leading_rank(axis), sys.n))
+    return max(Fraction(0),
+               Fraction(sys.pole(axis)) + Fraction(sys.leading_rank(axis), sys.n))
 
 
 # -- criterion polynomial --------------------------------------------------------
@@ -131,51 +96,43 @@ class ThetaPolynomial:
 def theta_poly(sys: PfaffianSystem, axis: str) -> ThetaPolynomial:
     """Criterion polynomial of one subsystem.
 
-    Computed as the coefficient of main^(n-r) in det(A0 + main*(A1 + l I)),
-    which equals the pole-cleared determinant formula because every lower
-    coefficient mixes more than r columns of the rank-r matrix A0.  With
-    M = A0 + main*A1, det(M + l*main*I) = sum_k c_k(-M) main^k l^k, where
-    c_k is the t^k coefficient of the characteristic polynomial.
+    Computed as the coefficient of v^(n-r) in det(A0 + v*(A1 + l I)), v the
+    axis variable, which equals the pole-cleared determinant formula
+    because every lower coefficient mixes more than r columns of the rank-r
+    matrix A0.  With M = A0 + v*A1, det(M + l*v*I) = sum_k c_k(-M) v^k l^k,
+    where c_k is the t^k coefficient of the characteristic polynomial.
     """
     if moser_rank(sys, axis) <= 1:
         raise PreconditionViolated(
             f"criterion polynomial needs Moser rank > 1 on axis {axis}"
         )
     r = sys.leading_rank(axis)
-    with _on_axis(sys, axis) as work:
-        n = work.n
-        a0 = work.amat.coeff_matrix("x", 0)
-        a1 = work.amat.coeff_matrix("x", 1)
-        tx, ty = work.amat.window
-        x = BiSeries.monomial(1, 1, 0, tx, ty)
-        minus_m = [[-(a0.at(i, j) + x * a1.at(i, j)) for j in range(n)]
-                   for i in range(n)]
-        cp = qlinalg.charpoly(minus_m, BiSeries.const(1, tx, ty))
-        coeffs = []
-        for k in range(n - r + 1):
-            c = cp[k].shift(k, 0)
-            if not c.exact and c.tx <= n - r:
-                raise TruncationExhausted(
-                    "window too small to read the criterion coefficient",
-                    window=c.window,
-                )
-            low = {e: v for e, v in c.coeffs.items() if e[0] < n - r}
-            if low:
-                raise ReductionError(
-                    "criterion determinant has coefficients below x^(n-r); "
-                    "the certified leading rank disagrees with the determinant"
-                )
-            coeffs.append(BiSeries._of(
-                {(0, j): v for (i, j), v in c.coeffs.items() if i == n - r},
-                c.tx, c.ty, c.exact))
-    if axis == "y":
-        coeffs = [
-            BiSeries._of({(j, i): v for (i, j), v in c.coeffs.items()}, c.ty,
-                         c.tx, c.exact)
-            for c in coeffs
-        ]
-        return ThetaPolynomial(tuple(coeffs), r, (ty, tx))
-    return ThetaPolynomial(tuple(coeffs), r, (tx, ty))
+    n, side, k_axis = sys.n, sys.side(axis), "xy".index(axis)
+    a0 = _leading(sys, axis)
+    a1 = side.coeff_matrix(axis, 1)
+    tx, ty = side.window
+    v = BiSeries.monomial(1, *exponent(axis, 1), tx, ty)
+    minus_m = [[-(a0.at(i, j) + v * a1.at(i, j)) for j in range(n)]
+               for i in range(n)]
+    cp = qlinalg.charpoly(minus_m, BiSeries.const(1, tx, ty))
+    coeffs = []
+    for k in range(n - r + 1):
+        c = cp[k].shift(*exponent(axis, k))
+        if not c.exact and c.window[k_axis] <= n - r:
+            raise TruncationExhausted(
+                "window too small to read the criterion coefficient",
+                window=c.window,
+            )
+        if any(e[k_axis] < n - r for e in c.coeffs):
+            raise ReductionError(
+                f"criterion determinant has coefficients below {axis}^(n-r); "
+                "the certified leading rank disagrees with the determinant"
+            )
+        coeffs.append(BiSeries._of(
+            {exponent(axis, 0, e[1 - k_axis]): val
+             for e, val in c.coeffs.items() if e[k_axis] == n - r},
+            c.tx, c.ty, c.exact))
+    return ThetaPolynomial(tuple(coeffs), r, side.window)
 
 
 # -- column reduction into the leading block form ---------------------------------
@@ -193,36 +150,33 @@ def column_reduce_leading(sys: PfaffianSystem, axis: str) -> GaussForm:
     leading matrix has its column space in the first r columns (trailing
     n-r columns zero on the window) and a rank-d top-left corner whose
     last r-d columns vanish in the top r rows."""
-    with _on_axis(sys, axis) as work:
-        n = work.n
-        a0 = work.amat.coeff_matrix("x", 0).eval_zero_matrix("x")
-        v1, _, r, v1_inv = column_echelon(a0, "y")
-        v1_inv = LaurentMatrix(v1_inv)
-        conj = v1_inv * LaurentMatrix(a0) * LaurentMatrix(v1)
-        a0_conj = _laurent_to_series(conj)
-        if a0_conj is None:
-            raise ReductionError("column reduction produced a pole")
-        gauge = GaugeTransform._of(LaurentMatrix(v1), v1_inv,
-                                   "unimodular-column-reduce")
-        d = r
-        if r > 0:
-            top = a0_conj.submatrix(list(range(r)), list(range(r)))
-            v2, _, d, v2_inv = column_echelon(top, "y")
-            if d < r:
-                gauge = gauge.compose(GaugeTransform._of(
-                    *(embed_block(LaurentMatrix(blk), range(r), n, *v2.window)
-                      for blk in (v2, v2_inv)),
-                    "unimodular-column-reduce"))
-    if axis == "y":
-        gauge = _flip_gauge(gauge)
+    n, w = sys.n, other(axis)
+    a0 = _leading(sys, axis)
+    v1, _, r, v1_inv = column_echelon(a0, w)
+    v1_inv = LaurentMatrix(v1_inv)
+    conj = v1_inv * LaurentMatrix(a0) * LaurentMatrix(v1)
+    a0_conj = _laurent_to_series(conj)
+    if a0_conj is None:
+        raise ReductionError("column reduction produced a pole")
+    gauge = GaugeTransform._of(LaurentMatrix(v1), v1_inv,
+                               "unimodular-column-reduce")
+    d = r
+    if r > 0:
+        top = a0_conj.submatrix(list(range(r)), list(range(r)))
+        v2, _, d, v2_inv = column_echelon(top, w)
+        if d < r:
+            gauge = gauge.compose(GaugeTransform._of(
+                *(embed_block(LaurentMatrix(blk), range(r), n, *v2.window)
+                  for blk in (v2, v2_inv)),
+                "unimodular-column-reduce"))
     return GaussForm(gauge=gauge, d=d, r=r)
 
 
-def _gauss_blocks(work: PfaffianSystem, d, r):
-    """W, D, C, E blocks of a Gauss-formed x-subsystem (other variable y)."""
-    n = work.n
-    a0 = work.amat.coeff_matrix("x", 0).eval_zero_matrix("x")
-    a1 = work.amat.coeff_matrix("x", 1).eval_zero_matrix("x")
+def _gauss_blocks(sys: PfaffianSystem, axis, d, r):
+    """W, D, C, E blocks of the Gauss-formed subsystem on `axis`."""
+    n = sys.n
+    a0 = _leading(sys, axis)
+    a1 = sys.side(axis).coeff_matrix(axis, 1)
     all_r = list(range(r))
     ker = list(range(r, n))
     return {
@@ -230,12 +184,13 @@ def _gauss_blocks(work: PfaffianSystem, d, r):
         "D": a0.submatrix(ker, all_r) if (r and ker) else None,
         "C": a1.submatrix(all_r, ker) if (r and ker) else None,
         "E": a1.submatrix(ker, ker) if ker else None,
-        "A0": a0,
-        "A1": a1,
     }
 
 
-def _verify_gauss_form(a0: SeriesMatrix, d, r, n):
+def _verify_gauss_form(a0: SeriesMatrix, d, r, axis):
+    """True iff the leading matrix a0 of the subsystem on `axis` is in the
+    reduced leading form with ranks (d, r)."""
+    n, w = a0.rows, other(axis)
     for i in range(n):
         for j in range(r, n):
             if not a0.at(i, j).is_zero():
@@ -244,9 +199,9 @@ def _verify_gauss_form(a0: SeriesMatrix, d, r, n):
         for j in range(d, r):
             if not a0.at(i, j).is_zero():
                 return False
-    if r and series_rank(a0.submatrix(list(range(n)), list(range(r))), "y") != r:
+    if r and series_rank(a0.submatrix(list(range(n)), list(range(r))), w) != r:
         return False
-    if d and series_rank(a0.submatrix(list(range(r)), list(range(d))), "y") != d:
+    if d and series_rank(a0.submatrix(list(range(r)), list(range(d))), w) != d:
         return False
     return True
 
@@ -297,18 +252,18 @@ def _laurent_to_series(l: LaurentMatrix):
     return l.series.shift(max(-l.px, 0), max(-l.py, 0))
 
 
-def _certify_split(blocks, d, r, n, v3_basis):
+def _certify_split(blocks, d, r, n, v3_basis, axis):
     """Check the shearing-form conditions for a candidate kept-subspace
     basis of the trailing coordinate space.  Returns (ok, rank_kept, q4):
     q4 is the pair (Q4, its inverse as a series matrix), or None when the
     candidate is the whole space (rho = 0)."""
-    m = n - r
+    m, w = n - r, other(axis)
     W, D, C, E = blocks["W"], blocks["D"], blocks["C"], blocks["E"]
     if v3_basis is None or v3_basis.cols == m:
         x_mat = _hstack_sm([W, C])
-        rank_x = series_rank(x_mat, "y") if x_mat is not None else 0
+        rank_x = series_rank(x_mat, w) if x_mat is not None else 0
         return rank_x < r, rank_x, None
-    q4 = _complete_unimodular(v3_basis)
+    q4 = _complete_unimodular(v3_basis, axis)
     if q4 is None:
         return False, -1, None
     q4_l, q4_inv = LaurentMatrix(q4[0]), LaurentMatrix(q4[1])
@@ -332,35 +287,37 @@ def _certify_split(blocks, d, r, n, v3_basis):
             e_new.submatrix(g4, g3) if g3 else None,
         ]
     )
-    rank_x = series_rank(x_mat, "y") if x_mat is not None else 0
+    rank_x = series_rank(x_mat, w) if x_mat is not None else 0
     if rank_x >= r:
         return False, -1, None
     if y_mat is not None:
         stacked = _vstack_sm([x_mat, y_mat])
-        if stacked is not None and series_rank(stacked, "y") != rank_x:
+        if stacked is not None and series_rank(stacked, w) != rank_x:
             return False, -1, None
     return True, rank_x, q4
 
 
-def _complete_unimodular(basis: SeriesMatrix):
+def _complete_unimodular(basis: SeriesMatrix, axis):
     """Complete the span of the columns of `basis` (m x k, saturated, full
     rank over the series ring) to a unimodular m x m matrix Q whose first k
     columns span it; returns (Q, Q^(-1)), or None when the basis is not a
-    direct summand on this window (its constant part has rank < k).
+    direct summand on this window (its constant part has rank < k).  The
+    ring is the series ring in the other variable of `axis`.
 
     The column reduction basis^T V = [R, 0] (column_echelon) gives both: R
     is invertible, so basis = (V^(-1))^T [R^T; 0], and Q = (V^(-1))^T with
     Q^(-1) = V^T."""
     if qlinalg.rank(basis.constant_part()) < basis.cols:
         return None
-    v, _, _, v_inv = column_echelon(basis.transpose(), "y")
+    v, _, _, v_inv = column_echelon(basis.transpose(), other(axis))
     return v_inv.transpose(), v.transpose()
 
 
-def _saturated_stages(vd_cols, e_block, m):
+def _saturated_stages(vd_cols, e_block, m, axis):
     """Bases of the span of vd_cols closed step by step under the trailing
-    block, saturated over the series ring.  Stops at rank stability or the
-    whole space."""
+    block, saturated over the series ring in the other variable of `axis`.
+    Stops at rank stability or the whole space."""
+    w = other(axis)
     stages = []
     current = vd_cols
     prev_rank = -1
@@ -368,15 +325,15 @@ def _saturated_stages(vd_cols, e_block, m):
         mat = SeriesMatrix.from_rows(
             [[col[i] for col in current] for i in range(m)]
         )
-        _, red, rank, _ = column_echelon(mat, "y")
+        _, red, rank, _ = column_echelon(mat, w)
         if rank == 0 or rank == prev_rank:
             break
         sat_cols = []
         for j in range(rank):
             col = [red.at(i, j) for i in range(m)]
-            c = min(e.val("y") for e in col)
+            c = min(e.val(w) for e in col)
             if c:
-                col = [e.divide_monomial(0, c) for e in col]
+                col = [e.divide_monomial(*exponent(axis, 0, c)) for e in col]
             sat_cols.append(col)
         stages.append(
             SeriesMatrix.from_rows([[c[i] for c in sat_cols] for i in range(m)])
@@ -394,7 +351,7 @@ def _saturated_stages(vd_cols, e_block, m):
     return stages
 
 
-def _candidate_subspaces(blocks, d, r, n):
+def _candidate_subspaces(blocks, d, r, n, axis):
     """Candidate kept-subspaces of the trailing coordinate space: the whole
     space first (rho = 0), then closures of the span of the lower-left
     leading-block columns d..r under the trailing block, most closed first."""
@@ -407,7 +364,7 @@ def _candidate_subspaces(blocks, d, r, n):
     if not vd_cols:
         return
     seen = set()
-    for basis in reversed(_saturated_stages(vd_cols, E, m)):
+    for basis in reversed(_saturated_stages(vd_cols, E, m, axis)):
         if basis.cols in seen or basis.cols == m:
             continue
         seen.add(basis.cols)
@@ -428,36 +385,29 @@ def prepare_shearing(sys: PfaffianSystem, axis: str) -> ShearingForm:
         raise PreconditionViolated(
             "criterion polynomial does not vanish; subsystem is Moser-irreducible"
         )
-    # theta_poly reports its own failure windows; only the work below runs
-    # on the flipped copy.
     r = theta.rank_leading
-    with _on_axis(sys, axis) as work:
-        n = work.n
-        a0 = work.amat.coeff_matrix("x", 0).eval_zero_matrix("x")
-        top = a0.submatrix(list(range(r)), list(range(r))) if r else None
-        d = series_rank(top, "y") if top is not None else 0
-        if not _verify_gauss_form(a0, d, r, n):
-            raise PreconditionViolated(
-                "subsystem is not in the reduced leading form")
-        blocks = _gauss_blocks(work, d, r)
-        m = n - r
-        tx, ty = work.window
-        for basis in _candidate_subspaces(blocks, d, r, n):
-            ok, rank_kept, q4 = _certify_split(blocks, d, r, n, basis)
-            if not ok:
-                continue
-            if q4 is None:
-                gauge = GaugeTransform.identity(n, tx, ty, "arrange-trailing")
-                rho = 0
-            else:
-                gauge = GaugeTransform._of(
-                    *(embed_block(LaurentMatrix(blk), range(r, n), n, tx, ty)
-                      for blk in q4), "arrange-trailing")
-                rho = m - basis.cols
-            if axis == "y":
-                gauge = _flip_gauge(gauge)
-            return ShearingForm(gauge=gauge, rho=rho, d=d, r=r,
-                                rank_kept=rank_kept)
+    n = sys.n
+    a0 = _leading(sys, axis)
+    top = a0.submatrix(list(range(r)), list(range(r))) if r else None
+    d = series_rank(top, other(axis)) if top is not None else 0
+    if not _verify_gauss_form(a0, d, r, axis):
+        raise PreconditionViolated("subsystem is not in the reduced leading form")
+    blocks = _gauss_blocks(sys, axis, d, r)
+    m = n - r
+    tx, ty = sys.window
+    for basis in _candidate_subspaces(blocks, d, r, n, axis):
+        ok, rank_kept, q4 = _certify_split(blocks, d, r, n, basis, axis)
+        if not ok:
+            continue
+        if q4 is None:
+            gauge = GaugeTransform.identity(n, tx, ty, "arrange-trailing")
+            rho = 0
+        else:
+            gauge = GaugeTransform._of(
+                *(embed_block(LaurentMatrix(blk), range(r, n), n, tx, ty)
+                  for blk in q4), "arrange-trailing")
+            rho = m - basis.cols
+        return ShearingForm(gauge=gauge, rho=rho, d=d, r=r, rank_kept=rank_kept)
     raise ReductionError(
         "no certified arrangement of the trailing block was found although "
         "the criterion polynomial vanishes; the window may be too small"
@@ -503,20 +453,19 @@ class ReductionReport:
 def _check_shear_null_blocks(sys, axis, r, rho):
     """The other subsystem's blocks that the shearing scales by 1/var must
     vanish at var = 0; guaranteed by integrability, verified exactly."""
-    with _on_axis(sys, axis) as work:
-        n = work.n
-        other0 = work.bmat.eval_zero_matrix("x")
-        kept = list(range(r, n - rho))
-        scaled_rows = list(range(r)) + list(range(n - rho, n))
-        for i in scaled_rows:
-            for j in kept:
-                if not other0.at(i, j).is_zero():
-                    raise IntegrabilityViolation(
-                        "shearing would introduce a pole in the other "
-                        f"subsystem: entry ({i},{j}) is nonzero at the axis "
-                        "origin",
-                        window=other0.window,
-                    )
+    n = sys.n
+    other0 = sys.side(other(axis)).eval_zero_matrix(axis)
+    kept = list(range(r, n - rho))
+    scaled_rows = list(range(r)) + list(range(n - rho, n))
+    for i in scaled_rows:
+        for j in kept:
+            if not other0.at(i, j).is_zero():
+                raise IntegrabilityViolation(
+                    "shearing would introduce a pole in the other "
+                    f"subsystem: entry ({i},{j}) is nonzero at the axis "
+                    "origin",
+                    window=other0.window,
+                )
 
 
 def reduce_subsystem_step(sys: PfaffianSystem, axis: str,
@@ -527,7 +476,7 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str,
     caller has it already.  Returns (gauge, new_system, step_records).  The
     pair (pole, leading rank) strictly decreases lexicographically.
     """
-    p = sys.p if axis == "x" else sys.q
+    p = sys.pole(axis)
     if p <= 0:
         raise PreconditionViolated("pole order is zero on this axis")
     if theta is None:
@@ -540,7 +489,7 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str,
 
     def push(g, kind):
         nonlocal gauge_total, current
-        p_b = current.p if axis == "x" else current.q
+        p_b = current.pole(axis)
         r_b = current.leading_rank(axis)
         m_b = moser_rank(current, axis)
         # to_system raises InvariantViolation when normal crossings break.
@@ -551,7 +500,7 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str,
                 axis=axis,
                 kind=kind,
                 p_before=p_b,
-                p_after=nxt.p if axis == "x" else nxt.q,
+                p_after=nxt.pole(axis),
                 rank_before=r_b,
                 rank_after=nxt.leading_rank(axis),
                 moser_before=m_b,
@@ -570,7 +519,7 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str,
     # A unimodular gauge keeps the leading matrix nonzero, so a pole that
     # fell here means the conjugated leading matrix vanishes only on a
     # window shrunk by the reduction's unit inversions.
-    if (current.p if axis == "x" else current.q) < p:
+    if current.pole(axis) < p:
         raise TruncationExhausted(
             "column reduction left a leading matrix that vanishes only on "
             f"its window (axis {axis})",
@@ -580,10 +529,10 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str,
     push(form.gauge, "arrange-trailing")
     _check_shear_null_blocks(current, axis, form.r, form.rho)
     tx, ty = current.window
-    p_before = current.p if axis == "x" else current.q
+    p_before = current.pole(axis)
     r_before = current.leading_rank(axis)
     push(shearing_matrix(form.r, form.rho, current.n, axis, tx, ty), "shearing")
-    p_after = current.p if axis == "x" else current.q
+    p_after = current.pole(axis)
     r_after = current.leading_rank(axis)
     if (p_after, r_after) >= (p_before, r_before):
         raise ReductionError(
@@ -599,8 +548,7 @@ def reduce_axis(sys: PfaffianSystem, axis: str, report: ReductionReport | None =
     gauge_total = None
     current = sys
     while True:
-        p = current.p if axis == "x" else current.q
-        if p <= 0:
+        if current.pole(axis) <= 0:
             break
         theta = theta_poly(current, axis)
         if not theta.is_zero():

@@ -40,7 +40,7 @@ from .errors import (
 from .matrices import LaurentMatrix, SeriesMatrix
 from .moser import reduce_axis, theta_poly
 from .polyq import factor_rational, rational_roots
-from .series import BiSeries
+from .series import BiSeries, exponent, other
 from .system import GaugeTransform, PfaffianSystem, apply_gauge
 
 
@@ -48,8 +48,8 @@ def associated_ods(sys: PfaffianSystem, axis: str) -> PfaffianSystem:
     """The ODS of sys on `axis`: the other variable frozen at 0, the pole
     normalized, and an exact zero on the other side at the window of the
     axis side.  It is its own associated ODS."""
-    return _embed(axis, sys.n, _pole(sys, axis),
-                  _side(sys, axis).eval_zero_matrix("y" if axis == "x" else "x"))
+    return _embed(axis, sys.n, sys.pole(axis),
+                  sys.side(axis).eval_zero_matrix(other(axis)))
 
 
 def _embed(axis, n, pole, mat):
@@ -58,14 +58,6 @@ def _embed(axis, n, pole, mat):
     if axis == "x":
         return PfaffianSystem.make(n, pole, 0, mat, zero, strict=False)
     return PfaffianSystem.make(n, 0, pole, zero, mat, strict=False)
-
-
-def _pole(sys, axis):
-    return sys.p if axis == "x" else sys.q
-
-
-def _side(sys, axis):
-    return sys.amat if axis == "x" else sys.bmat
 
 
 # -- splitting ------------------------------------------------------------------
@@ -107,7 +99,7 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     transformed subsystems are certified block diagonal on the window.
     Returns (gauge, [blocks]).
     """
-    lead = _side(sys, axis).constant_part()
+    lead = sys.side(axis).constant_part()
     n = sys.n
     basis_cols = []
     sizes = []
@@ -123,8 +115,8 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     work = apply_gauge(sys, const_gauge).to_system()
 
     offs = _block_ranges(sizes)
-    main = _side(work, axis)
-    pole = _pole(work, axis)
+    main = work.side(axis)
+    pole = work.pole(axis)
     lead0 = main.constant_part()
     blocks0 = [qlinalg.submatrix(lead0, range(a, b), range(a, b)) for a, b in offs]
 
@@ -141,15 +133,16 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     ny = ty if axis == "y" or any(b for _, b in main_coeffs) else 1
     for i, j in sorted(product(range(nx), range(ny)), key=sum)[1:]:
         terms = _known_terms(main_coeffs, t_coeffs, s_tilde, (i, j))
+        kv, kw = exponent(axis, i, j)   # exponents of v and the other variable
         shift = 0
         if pole >= 1:
             # -v^p delta(T) has -kk T_key at (i, j), so R gains kk T_key.
-            key = (i - pole, j) if axis == "x" else (i, j - pole)
-            kk = key[0] if axis == "x" else key[1]
+            kk = kv - pole
+            key = exponent(axis, kk, kw)
             if kk >= 1 and key in t_coeffs:
                 terms.append((kk, t_coeffs[key], eye))
         else:
-            shift = i if axis == "x" else j
+            shift = kv
         step = _split_order(qlinalg.dot(terms, (n, n)), offs, blocks0, shift,
                             solvers)
         if step is None:
@@ -322,13 +315,13 @@ def _subtract_scalar(sys, axis, k, gamma):
     gamma as its single eigenvalue."""
     n = sys.n
     tx, ty = sys.window
-    pole = _pole(sys, axis)
+    pole = sys.pole(axis)
     if k > pole:
         raise PreconditionViolated(
             f"shift order {k} exceeds the current pole {pole} on {axis}"
         )
     if k == pole:
-        lead = _side(sys, axis).constant_part()
+        lead = sys.side(axis).constant_part()
         shifted = qlinalg.sub(lead, qlinalg.scale(qlinalg.identity(n), gamma))
         if not qlinalg.is_nilpotent(shifted):
             raise PreconditionViolated(
@@ -336,8 +329,8 @@ def _subtract_scalar(sys, axis, k, gamma):
                 "constant"
             )
     gmat = SeriesMatrix.from_coefficients(
-        {((pole - k, 0) if axis == "x" else (0, pole - k)):
-         qlinalg.scale(qlinalg.identity(n), gamma)}, n, tx, ty, exact=True)
+        {exponent(axis, pole - k): qlinalg.scale(qlinalg.identity(n), gamma)},
+        n, tx, ty, exact=True)
     if axis == "x":
         return PfaffianSystem.make(n, sys.p, sys.q, sys.amat - gmat, sys.bmat,
                                    strict=False)
@@ -363,12 +356,12 @@ def katz_invariant_ods(sys: PfaffianSystem, axis: str) -> Fraction:
 
 
 def _katz(ods: PfaffianSystem, axis) -> Fraction:
-    p = _pole(ods, axis)
+    p = ods.pole(axis)
     if p == 0:
         return Fraction(0)
     if theta_poly(ods, axis).is_zero():
         raise PreconditionViolated("Katz invariant needs a Moser-irreducible input")
-    mat = _side(ods, axis)
+    mat = ods.side(axis)
     n = ods.n
     # det(l v^p I - A) = sum_k c_k(A) v^(pk) l^k, read relative to v^(np).
     cp = qlinalg.charpoly(mat.to_rows(), BiSeries.const(1, *mat.window))
@@ -410,8 +403,8 @@ def _ramify(ods: PfaffianSystem, axis, m):
     if m == 1:
         return ods
     mat = SeriesMatrix(ods.n, ods.n, [e.ramify(axis, m) * m
-                                      for e in _side(ods, axis).entries])
-    return _embed(axis, ods.n, _pole(ods, axis) * m, mat)
+                                      for e in ods.side(axis).entries])
+    return _embed(axis, ods.n, ods.pole(axis) * m, mat)
 
 
 # -- exponential parts ---------------------------------------------------------------
@@ -474,18 +467,18 @@ def _exp_recurse(ods: PfaffianSystem, axis, scale: Fraction, collected: dict,
     """ods is an ODS on `axis` (associated_ods); scale = 1/s where the
     current variable t satisfies t = v^(1/s); collected maps absolute
     exponents of v to Q coefficients."""
-    n, p = ods.n, _pole(ods, axis)
+    n, p = ods.n, ods.pole(axis)
     if depth > 16 + 4 * n * (p + 2):
         raise ReductionError("exponential-part recursion exceeded its bound")
     if p == 0:
         out.append(ExponentialPart.make(dict(collected), n))
         return
-    mat = _side(ods, axis)
+    mat = ods.side(axis)
     if n == 1:
         col = dict(collected)
         e = mat.at(0, 0)
         for j in range(p):
-            a_j = e.coeff(j, 0) if axis == "x" else e.coeff(0, j)
+            a_j = e.coeff(*exponent(axis, j))
             if a_j:
                 _merge_term(col, Fraction(p - j) * scale, -a_j / (p - j))
         out.append(ExponentialPart.make(col, 1))
@@ -557,16 +550,16 @@ def first_kind_fundamental_ods(sys: PfaffianSystem, axis: str) -> FirstKindSolut
     eliminated.
     """
     ods = associated_ods(sys, axis)
-    if _pole(ods, axis) != 0:
+    if ods.pole(axis) != 0:
         raise PreconditionViolated("first-kind solve needs pole order 0")
-    n, mat = ods.n, _side(ods, axis)
+    n, mat = ods.n, ods.side(axis)
     s_coeffs = mat.coefficients()
     lam0 = s_coeffs.get((0, 0), qlinalg.zeros(n, n))
     t_coeffs = {(0, 0): qlinalg.identity(n)}
     retained = {}           # the retained terms, as the S~ of _known_terms
     tri = None
     for m in range(1, mat.window[0 if axis == "x" else 1]):
-        key = (m, 0) if axis == "x" else (0, m)
+        key = exponent(axis, m)
         r = qlinalg.dot(_known_terms(s_coeffs, t_coeffs, retained, key), (n, n))
         shifted = qlinalg.sub(lam0, qlinalg.scale(qlinalg.identity(n), m))
         solve = qlinalg.sylvester_solver(shifted, lam0)

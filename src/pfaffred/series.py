@@ -40,6 +40,16 @@ from .errors import TruncationExhausted, ZeroConstantTerm
 INF_ORDER = 10**9
 
 
+def other(var):
+    """The other variable of the pair (x, y)."""
+    return "y" if var == "x" else "x"
+
+
+def exponent(var, k, j=0):
+    """The exponent pair of var^k w^j, w the other variable."""
+    return (k, j) if var == "x" else (j, k)
+
+
 def q(value) -> Fraction:
     """Coerce ints, strings 'a/b' and Fractions to Fraction."""
     if isinstance(value, Fraction):

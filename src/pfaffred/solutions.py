@@ -34,7 +34,6 @@ from .ods import (
     _katz,
     _known_terms,
     _merge_term,
-    _pole,
     _reduce_ods,
     _split_system,
     _subtract_scalar,
@@ -43,7 +42,7 @@ from .ods import (
     exponential_parts_ods,
     unipotent_gauge,
 )
-from .series import BiSeries
+from .series import BiSeries, exponent
 from .system import (
     GaugeTransform,
     PfaffianSystem,
@@ -80,7 +79,7 @@ def _katz_and_rank(sys: PfaffianSystem):
     katz, ranks = [], []
     for axis in ("x", "y"):
         reduced = _reduce_ods(associated_ods(sys, axis), axis)
-        rank = _pole(reduced, axis)
+        rank = reduced.pole(axis)
         kappa = _katz(reduced, axis)
         if not (kappa <= rank <= kappa + 1):
             raise ReductionError(
@@ -390,7 +389,7 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
         shifted = False
         for axis, lead in (("x", current.amat.constant_part()),
                            ("y", current.bmat.constant_part())):
-            pole = current.p if axis == "x" else current.q
+            pole = current.pole(axis)
             if pole == 0:
                 continue
             gamma = qlinalg.single_eigenvalue(lead)
@@ -458,8 +457,7 @@ def verify_solution(sys: PfaffianSystem, data: SolutionData) -> bool:
     tx, ty = res.window
     for axis, lam, qdiag in (("x", data.lambda1, data.q1),
                              ("y", data.lambda2, data.q2)):
-        mat = res.amat if axis == "x" else res.bmat
-        pole = res.p if axis == "x" else res.q
+        mat, pole = res.side(axis), res.pole(axis)
         if not mat.is_exact and (mat.is_zero()
                                  or (tx if axis == "x" else ty) <= pole):
             raise TruncationExhausted(
@@ -482,7 +480,7 @@ def verify_solution(sys: PfaffianSystem, data: SolutionData) -> bool:
                 got = mat.at(i, j)
                 want = BiSeries(
                     {
-                        ((e, 0) if axis == "x" else (0, e)): c
+                        exponent(axis, e): c
                         for e, c in expect.items()
                         if c != 0 and e >= 0
                     },

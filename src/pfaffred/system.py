@@ -28,7 +28,7 @@ from .errors import (
     TruncationExhausted,
 )
 from .matrices import LaurentMatrix, SeriesMatrix, series_rank
-from .series import INF_ORDER, BiSeries
+from .series import INF_ORDER, BiSeries, exponent
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,15 @@ class PfaffianSystem:
         """Rank of Bmat(x, 0) over the x-series ring."""
         return series_rank(self.leading[1], "x")
 
+    # The axis -> field mapping: "x" names p, Amat and rank_x, "y" names
+    # q, Bmat and rank_y.
+
+    def pole(self, axis) -> int:
+        return self.p if axis == "x" else self.q
+
+    def side(self, axis) -> SeriesMatrix:
+        return self.amat if axis == "x" else self.bmat
+
     def leading_rank(self, axis) -> int:
         return self.rank_x if axis == "x" else self.rank_y
 
@@ -107,7 +116,7 @@ def _normalize_side(p, mat, var, strict):
     c = mat.content(var)
     drop = min(c, p)
     if drop:
-        mat = mat.divide_monomial(*( (drop, 0) if var == "x" else (0, drop) ))
+        mat = mat.divide_monomial(*exponent(var, drop))
         p -= drop
     if p > 0:
         lead = mat.coeff_matrix(var, 0)
@@ -239,17 +248,15 @@ class GaugeTransform:
         n = len(exponents)
         m = max(exponents)
 
-        def at(e):
-            return (e, 0) if var == "x" else (0, e)
-
         def diag(exps):
             return SeriesMatrix(n, n, [
-                BiSeries.monomial(1, *at(exps[i]), tx, ty) if i == j
+                BiSeries.monomial(1, *exponent(var, exps[i]), tx, ty) if i == j
                 else BiSeries.zero(tx, ty)
                 for i in range(n) for j in range(n)])
 
         return cls._of(LaurentMatrix(diag(exponents)),
-                       LaurentMatrix(diag([m - e for e in exponents]), *at(m)),
+                       LaurentMatrix(diag([m - e for e in exponents]),
+                                     *exponent(var, m)),
                        kind)
 
     def compose(self, other: "GaugeTransform") -> "GaugeTransform":

@@ -10,20 +10,51 @@ instance is family-witnessable; theta soundness covers the converse.
 
 The module also keeps the cofactor expansion over lambda-polynomials that
 computed theta and the Katz Newton polygon before qlinalg.charpoly did,
-as that function's reference.
+as that function's reference, and the x <-> y swap (swap_mat, flip,
+flip_gauge) that ran the y-axis Moser step on a swapped copy of the
+system before the step read both axes directly: the reference of
+tests/test_axis_generic.py.
 """
 
 import random
 from fractions import Fraction
 
 from pfaffred import qlinalg
-from pfaffred.matrices import SeriesMatrix
-from pfaffred.moser import _flip, moser_rank
+from pfaffred.matrices import LaurentMatrix, SeriesMatrix
+from pfaffred.moser import moser_rank
 from pfaffred.ods import _max_lower_hull_slope
 from pfaffred.series import BiSeries
 from pfaffred.system import GaugeTransform, PfaffianSystem, apply_gauge
 
 T = 7
+
+
+# -- the x <-> y swap -----------------------------------------------------------
+
+
+def swap_series(e):
+    """e with x and y exchanged, exponents and nominal orders."""
+    return BiSeries._of({(j, i): c for (i, j), c in e.coeffs.items()}, e.ty,
+                        e.tx, e.exact)
+
+
+def swap_mat(m):
+    return SeriesMatrix(m.rows, m.cols, [swap_series(e) for e in m.entries])
+
+
+def flip(sys):
+    """Swap the roles of the two subsystems (and of x and y)."""
+    return PfaffianSystem(sys.n, sys.q, sys.p, swap_mat(sys.bmat),
+                          swap_mat(sys.amat))
+
+
+def flip_gauge(g):
+    """g with x and y exchanged in every factor and its inverse."""
+    def flip_all(mats):
+        return tuple(LaurentMatrix(swap_mat(f.series), f.py, f.px) for f in mats)
+
+    return GaugeTransform(factors=flip_all(g.factors),
+                          inverses=flip_all(g.inverses), provenance=g.provenance)
 
 
 def constant_candidates(seed=2024, count=10):
@@ -201,7 +232,7 @@ def _lambda_det(mat_rows, n, zero):
 def lambda_theta_coeffs(sys, axis, r):
     """Criterion coefficients of det(A0 + x(A1 + l I)) at x^(n-r), by the
     cofactor expansion (y-axis coefficients come back in x, unswapped)."""
-    work = sys if axis == "x" else _flip(sys)
+    work = sys if axis == "x" else flip(sys)
     n = work.n
     a0 = work.amat.coeff_matrix("x", 0)
     a1 = work.amat.coeff_matrix("x", 1)

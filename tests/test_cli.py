@@ -323,6 +323,21 @@ def test_strict_refusal_writes_the_error_report(tmp_path, command, window):
     assert written["windows"][0]["what"] == "failure window"
 
 
+def test_y_axis_failure_names_y(tmp_path, capsys):
+    # At y-window 1, the y-axis Moser step cannot read B1: the failure
+    # names y^1, and its window is reported in (x, y) order.
+    doc = copy_fixture(tmp_path, "exm.json")
+    report = tmp_path / "r.json"
+    code = main(["katz", str(doc), "--trunc-x", "2", "--trunc-y", "1",
+                 "--report", str(report)])
+    written = json.loads(report.read_text())
+    assert code == 3
+    assert "coefficient of y^1 outside the window" in capsys.readouterr().err
+    assert written["error"]["detail"] == "coefficient of y^1 outside the window"
+    assert [w["window"] for w in written["windows"]
+            if w["what"] == "failure window"] == [[2, 1]]
+
+
 def test_invariant_violation_zero_leading(tmp_path):
     doc = {
         "n": 1, "p": 2, "q": 0, "trunc_x": 4, "trunc_y": 4,

@@ -110,8 +110,8 @@ def test_q4_comes_with_its_inverse(monkeypatch):
     built = []
     complete = moser._complete_unimodular
 
-    def record(basis):
-        q4 = complete(basis)
+    def record(basis, axis):
+        q4 = complete(basis, axis)
         built.append((basis, q4))
         return q4
 

@@ -99,11 +99,10 @@ def test_theta_precondition():
 
 
 def _gauss_form_postcondition(sys_obj, axis, d, r):
-    from pfaffred.moser import _flip, _verify_gauss_form
+    from pfaffred.moser import _verify_gauss_form
 
-    work = sys_obj if axis == "x" else _flip(sys_obj)
-    a0 = work.amat.coeff_matrix("x", 0).eval_zero_matrix("x")
-    return _verify_gauss_form(a0, d, r, work.n)
+    a0 = sys_obj.side(axis).coeff_matrix(axis, 0)
+    return _verify_gauss_form(a0, d, r, axis)
 
 
 def test_column_reduce_examples(exmnaive):
