@@ -61,6 +61,10 @@ def _rat(text, where):
     except ZeroDivisionError:
         raise ParseError(f"bad rational {text!r}: zero denominator",
                          field=where) from None
+    except ValueError:
+        # Python's int/str conversion limit.
+        raise ParseError(f"rational of {len(text)} characters has too many "
+                         "digits", field=where) from None
 
 
 def _rat_str(f: Fraction) -> str:
@@ -145,13 +149,15 @@ def parse_document(doc: dict) -> PfaffianSystem:
 
 def read_document(path) -> dict:
     """The decoded JSON document at path; ParseError for a missing file or
-    bad JSON."""
+    bad JSON, an integer longer than Python's int/str conversion limit
+    included."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or the int/str limit on an integer literal.
         raise ParseError(f"invalid JSON: {exc}", field=str(path)) from None
 
 

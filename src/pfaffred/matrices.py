@@ -112,8 +112,8 @@ class SeriesMatrix:
         return SeriesMatrix.from_rows([[self.at(i, j) for j in cols] for i in rows])
 
     def constant_part(self):
-        """The matrix of coefficients at (0,0), as Fraction tuples."""
-        return tuple(
+        """The matrix of coefficients at (0,0), a qlinalg.QMatrix."""
+        return qlinalg.QMatrix(
             tuple(self.at(i, j).coeff(0, 0) for j in range(self.cols))
             for i in range(self.rows)
         )

@@ -109,7 +109,7 @@ def _split_system(sys: PfaffianSystem, axis, groups):
         sizes.append(len(ker))
     if sum(sizes) != n:
         raise ReductionError("kernel projections do not fill the space")
-    vmat = tuple(tuple(col[i] for col in basis_cols) for i in range(n))
+    vmat = qlinalg.QMatrix(tuple(col[i] for col in basis_cols) for i in range(n))
     tx, ty = sys.window
     const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting")
     work = apply_gauge(sys, const_gauge).to_system()
@@ -241,7 +241,7 @@ def _split_order(r, offs, blocks0, shift, solvers):
                 return None
             for i, row in enumerate(solve(blk), a0):
                 t_new[i][b0:b1] = row
-    return tuple(map(tuple, t_new)), tuple(map(tuple, s_new))
+    return qlinalg.QMatrix(map(tuple, t_new)), qlinalg.QMatrix(map(tuple, s_new))
 
 
 def unipotent_gauge(t_coeffs, n, tx, ty, kind) -> GaugeTransform:

@@ -1,13 +1,19 @@
 """Exact linear algebra over Q for constant matrices.
 
-Matrices are tuples of tuples of Fraction.  Elimination is plain Gaussian
-elimination over Fraction.  charpoly is division-free and so also serves
-matrices of series (the criterion polynomial, the Katz Newton polygon).
+A matrix is a QMatrix: a tuple of rows, each a tuple of Fraction.  It is
+immutable, so its integer numerators over the lcm of its denominators are
+computed on its first product and kept with it, as BiSeries keeps its
+_num.  Every constructor here returns a QMatrix; dot also accepts a plain
+tuple of rows and then converts it on each product.  Elimination is plain
+Gaussian elimination over Fraction.  charpoly is division-free and so also
+serves matrices of series (the criterion polynomial, the Katz Newton
+polygon).
 
 Two kernels carry the order-by-order solvers (splitting, the regular
-solve, the first-kind solve):
+solve, the first-kind solve), which multiply the same coefficient
+matrices at every order:
 
-- dot, the sum of c * A * B over a list of terms, runs on integer
+- dot, the sum of c * A * B over a list of terms, runs on the kept integer
   numerators over one common denominator and normalizes each entry once;
   mul is dot of one pair.
 - sylvester_solver inverts the Kronecker operator of a X - X b once, with
@@ -25,31 +31,38 @@ from .errors import DimensionMismatch, SingularMatrix
 from .series import q
 
 
+class QMatrix(tuple):
+    """A constant matrix, built from an iterable of rows of Fraction.  Its
+    _num attribute is None until its first product (_numerators_once)."""
+
+    _num = None
+
+
 def qmat(rows):
-    return tuple(tuple(q(c) for c in row) for row in rows)
+    return QMatrix(tuple(q(c) for c in row) for row in rows)
 
 
 def zeros(r, c):
-    return tuple(tuple(Fraction(0) for _ in range(c)) for _ in range(r))
+    return QMatrix(tuple(Fraction(0) for _ in range(c)) for _ in range(r))
 
 
 def identity(n):
-    return tuple(
+    return QMatrix(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
     )
 
 
 def add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return QMatrix(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return QMatrix(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def scale(a, c):
     c = q(c)
-    return tuple(tuple(x * c for x in row) for row in a)
+    return QMatrix(tuple(x * c for x in row) for row in a)
 
 
 def mul(a, b):
@@ -59,18 +72,18 @@ def mul(a, b):
 def dot(terms, shape=None):
     """The sum of c * a * b over terms (c, a, b), c an integer.
 
-    Each matrix is put over the common denominator of its entries; the
-    products are summed as integer numerators over one denominator, so
-    each entry of the sum is normalized once.  `shape` (rows, cols) is the
-    shape of the sum when there are no terms.
+    Each matrix is put over the common denominator of its entries, once
+    per QMatrix; the products are summed as integer numerators over one
+    denominator, so each entry of the sum is normalized once.  `shape`
+    (rows, cols) is the shape of the sum when there are no terms.
     """
     prepared = []
     for c, a, b in terms:
         if len(a[0]) != len(b):
             raise DimensionMismatch(
                 f"{len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-        da, ra = _numerators(a)
-        db, cb = _numerators(tuple(zip(*b)))
+        da, ra, _ = _numerators_once(a)
+        db, _, cb = _numerators_once(b)
         prepared.append((c, da * db, ra, cb))
     if not prepared:
         return zeros(*shape)
@@ -84,7 +97,7 @@ def dot(terms, shape=None):
         for acc_row, row in zip(acc, ra):
             for j, col in enumerate(cb):
                 acc_row[j] += scale * sum(map(operator.mul, row, col))
-    return tuple(tuple(Fraction(s, den) for s in row) for row in acc)
+    return QMatrix(tuple(Fraction(s, den) for s in row) for row in acc)
 
 
 def _numerators(m):
@@ -94,8 +107,19 @@ def _numerators(m):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
 
 
+def _numerators_once(m):
+    """(d, rows, columns) of m's _numerators, computed on first use and
+    kept in its _num attribute when m is a QMatrix."""
+    if not isinstance(m, QMatrix):
+        m = QMatrix(m)
+    if m._num is None:
+        d, rows = _numerators(m)
+        m._num = d, rows, list(zip(*rows))
+    return m._num
+
+
 def transpose(a):
-    return tuple(zip(*a))
+    return QMatrix(zip(*a))
 
 
 def is_zero(a):
@@ -253,7 +277,7 @@ def sylvester_solver(a, b):
         return None
 
     def solution(c):
-        vec = tuple((c[i][j],) for i in range(n) for j in range(m))
+        vec = QMatrix((c[i][j],) for i in range(n) for j in range(m))
         x = dot([(1, op_inv, vec)])
         return tuple(tuple(x[i * m + j][0] for j in range(m)) for i in range(n))
 
@@ -261,5 +285,5 @@ def sylvester_solver(a, b):
 
 
 def submatrix(a, rows, cols):
-    return tuple(tuple(a[i][j] for j in cols) for i in rows)
+    return QMatrix(tuple(a[i][j] for j in cols) for i in rows)
 

@@ -77,6 +77,42 @@ def test_parse_accepts_rational(value, expected):
     assert sys_obj.amat.at(0, 0).coeff(0, 0) == expected
 
 
+# Python refuses int/str conversions of more than 4300 digits.
+LONG = "7" * 5000
+LONG_DOCS = {
+    "matrix entry": json.dumps(one_entry_doc(0)).replace(
+        '"matrix": [[0]]', f'"matrix": [[{LONG}]]'),
+    "n": json.dumps(one_entry_doc(0)).replace('"n": 1', f'"n": {LONG}'),
+    "rational string": json.dumps(one_entry_doc(f"1/{LONG}")),
+}
+
+
+@pytest.mark.parametrize("where", LONG_DOCS)
+def test_overlong_integer_is_a_parse_error(tmp_path, where, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(LONG_DOCS[where])
+    assert LONG in path.read_text()
+    report = tmp_path / "report.json"
+    assert main(["check", str(path), "--report", str(report)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+    error = json.loads(report.read_text())["error"]
+    assert (error["kind"], error["code"]) == ("ParseError", 2)
+
+
+def test_non_utf8_document_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(one_entry_doc("1"))[:-1].encode()
+                     + b', "note": "\xff"}')
+    assert main(["check", str(path)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
+def test_parse_accepts_4000_digit_rationals():
+    num, den = int("7" * 4000), int("3" * 3999 + "1")
+    sys_obj = parse_document(one_entry_doc(f"-{num}/{den}"))
+    assert sys_obj.amat.at(0, 0).coeff(0, 0) == Fraction(-num, den)
+
+
 @pytest.mark.parametrize("key, value", [
     ("n", MAX_N + 1), ("trunc_x", INF_ORDER), ("trunc_y", INF_ORDER),
     ("trunc_x", 0), ("trunc_y", 0),

@@ -9,7 +9,10 @@ other factor's coefficients without converting either operand; every
 other single-term factor goes through the numerator loop.  The constant-matrix kernels of the order-by-order solvers,
 qlinalg.dot and qlinalg.sylvester_solver, must give the same matrices as
 the add/mul chains and the two-rref Sylvester solve they replaced,
-singular operators (None) included.
+singular operators (None) included.  qlinalg.dot keeps each QMatrix's
+numerators after its first product, so it is also checked over chains of
+calls that reuse operands on either side, feed results back in and take
+operands from every QMatrix constructor.
 """
 
 from contextlib import contextmanager
@@ -21,6 +24,7 @@ from hypothesis import given, strategies as st
 import oracle_kernels as oracle
 from pfaffred import qlinalg, series
 from pfaffred.matrices import SeriesMatrix
+from pfaffred.ods import _split_order
 from pfaffred.series import BiSeries, dot
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
@@ -248,6 +252,83 @@ def test_dot_matches_add_mul_chain(case):
     got = qlinalg.dot(terms, (rows, cols))
     assert got == oracle.accumulate(terms, rows, cols)
     assert all(isinstance(c, Fraction) for row in got for c in row)
+
+
+def plain(m):
+    """m as a plain tuple of Fraction rows, which keeps no numerators."""
+    return tuple(tuple(row) for row in m)
+
+
+# How a chain step makes a new operand from the pool: each QMatrix
+# constructor, applied to drawn entries or to pool members.
+MAKERS = ("qmat", "zeros", "identity", "add", "sub", "scale", "submatrix",
+          "transpose", "rref", "inverse", "coefficients", "constant_part",
+          "split_order")
+
+
+def make_operand(draw, how, n, pool):
+    pick = lambda: draw(st.sampled_from(pool))
+    if how == "qmat":
+        return draw(const_matrices(n, n))
+    if how == "zeros":
+        return qlinalg.zeros(n, n)
+    if how == "identity":
+        return qlinalg.identity(n)
+    if how in ("add", "sub"):
+        return getattr(qlinalg, how)(pick(), pick())
+    if how == "scale":
+        return qlinalg.scale(pick(), draw(rationals))
+    if how == "submatrix":
+        big = draw(const_matrices(n + 1, n + 1))
+        cut = draw(st.integers(0, n))
+        keep = [i for i in range(n + 1) if i != cut]
+        return qlinalg.submatrix(big, keep, keep)
+    if how == "transpose":
+        return qlinalg.transpose(pick())
+    if how == "rref":
+        r, _, t = qlinalg.rref(pick())
+        return draw(st.sampled_from((r, t)))
+    if how == "inverse":
+        m = pick()
+        return qlinalg.inverse(m) if qlinalg.rank(m) == n else qlinalg.identity(n)
+    if how == "split_order":
+        # One order of the splitting recursion with blocks [0, 1) and
+        # [1, n), its Sylvester solves included; None when resonant.
+        lead, offs = pick(), [(0, 1), (1, n)][:1 + (n > 1)]
+        blocks0 = [qlinalg.submatrix(lead, range(a, b), range(a, b))
+                   for a, b in offs]
+        step = _split_order(pick(), offs, blocks0, draw(st.integers(0, 1)), {})
+        return qlinalg.identity(n) if step is None else draw(st.sampled_from(step))
+    mat = SeriesMatrix.from_coefficients(
+        {(0, 0): pick(), (1, 0): pick(), (0, 1): pick()}, n, 3, 3)
+    if how == "constant_part":
+        return mat.constant_part()
+    return draw(st.sampled_from(sorted(mat.coefficients().items())))[1]
+
+
+@given(st.data())
+def test_dot_over_a_chain_of_calls_matches_reference(data):
+    # Every operand is a QMatrix from some constructor, reused across the
+    # calls on either side; some results of dot join the pool.
+    draw = data.draw
+    n = draw(st.integers(1, 3))
+    pool = [draw(const_matrices(n, n))]
+    for _ in range(draw(st.integers(1, 6))):
+        for how in draw(st.lists(st.sampled_from(MAKERS), max_size=3)):
+            pool.append(make_operand(draw, how, n, pool))
+        terms = draw(st.lists(st.tuples(st.sampled_from((1, -1, 2, -3)),
+                                        st.sampled_from(pool),
+                                        st.sampled_from(pool)), max_size=4))
+        got = qlinalg.dot(terms, (n, n))
+        want = oracle.accumulate(
+            [(c, plain(a), plain(b)) for c, a, b in terms], n, n)
+        assert got == want
+        if terms:
+            a, b = terms[0][1:]
+            assert qlinalg.mul(b, a) == oracle.qmul(plain(b), plain(a))
+        if draw(st.booleans()):
+            pool.append(got)
+    assert all(isinstance(m, qlinalg.QMatrix) for m in pool)
 
 
 small_ints = st.integers(-2, 2).map(Fraction)

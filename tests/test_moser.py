@@ -15,7 +15,7 @@ from pfaffred.moser import (
     shearing_matrix,
     theta_poly,
 )
-from pfaffred.series import BiSeries
+from pfaffred.series import BiSeries, exponent
 from pfaffred.system import (
     PfaffianSystem,
     apply_gauge,
@@ -127,6 +127,26 @@ def test_column_reduce_examples(exmnaive):
     sys3 = PfaffianSystem.make(2, 0, 0, z, z)
     gf3 = column_reduce_leading(sys3, "x")
     assert (gf3.d, gf3.r) == (0, 0)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_saturated_stages_divide_by_the_coefficient_variable(axis):
+    """A closure column divisible by w^2, w the other variable, is divided
+    by w^2.  Its entries are divisible by v^2 too, so dividing by the axis
+    variable gives another column, not an error.  The trailing block is
+    zero, so the closure stops at its first stage."""
+    from pfaffred.moser import _saturated_stages
+
+    def s(coeffs):
+        """An exact series from {(exponent of v, exponent of w): value}."""
+        return poly_series({exponent(axis, i, j): c
+                            for (i, j), c in coeffs.items()})
+
+    col = [s({(2, 2): 1}), s({(2, 3): 3, (3, 2): 1})]
+    stages = _saturated_stages([col], SeriesMatrix.zeros(2, 2, T, T), 2, axis)
+    assert len(stages) == 1 and stages[0].cols == 1
+    assert [stages[0].at(i, 0) for i in range(2)] == [
+        s({(2, 0): 1}), s({(2, 1): 3, (3, 0): 1})]
 
 
 def test_prepare_shearing_postconditions(exmnaive):
