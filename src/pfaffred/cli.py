@@ -23,6 +23,7 @@ from .errors import (
     AlgebraicExtensionRequired,
     IntegrabilityViolation,
     JointResonance,
+    ParseError,
     PfaffredError,
     TruncationExhausted,
 )
@@ -287,6 +288,10 @@ def _error_exit(command, args, err):
         "windows": [],
         "error": {"kind": kind, "code": code, "detail": str(err)},
     }
+    if isinstance(err, ParseError) and err.field is not None:
+        report["error"]["field"] = err.field
+    if isinstance(err, AlgebraicExtensionRequired) and err.factor is not None:
+        report["error"]["factor"] = [_frac(c) for c in err.factor]
     if getattr(err, "window", None) is not None:
         report["windows"].append({"what": "failure window",
                                   "window": list(err.window)})
@@ -323,7 +328,8 @@ def build_parser():
         p.add_argument("--report", default=None,
                        help="write a JSON report to this path")
         p.add_argument("--strict", action="store_true",
-                       help="treat window-limited zero verdicts as errors")
+                       help="treat window-limited zero verdicts as errors "
+                       "(acts on check and reduce only)")
         p.set_defaults(fn=fn)
     return parser
 

@@ -63,10 +63,9 @@ class JointResonance(PfaffredError):
     axes; ``retained`` lists (i, j, entry, value) monomial data that stay
     in the normal form."""
 
-    def __init__(self, message, retained=None, partial=None):
+    def __init__(self, message, retained=None):
         super().__init__(message)
         self.retained = retained or []
-        self.partial = partial
 
 
 class ParseError(PfaffredError):

@@ -153,12 +153,8 @@ def column_reduce_leading(sys: PfaffianSystem, axis: str) -> GaussForm:
     n, w = sys.n, other(axis)
     a0 = _leading(sys, axis)
     v1, _, r, v1_inv = column_echelon(a0, w)
-    v1_inv = LaurentMatrix(v1_inv)
-    conj = v1_inv * LaurentMatrix(a0) * LaurentMatrix(v1)
-    a0_conj = _laurent_to_series(conj)
-    if a0_conj is None:
-        raise ReductionError("column reduction produced a pole")
-    gauge = GaugeTransform._of(LaurentMatrix(v1), v1_inv,
+    a0_conj = v1_inv * a0 * v1
+    gauge = GaugeTransform._of(LaurentMatrix(v1), LaurentMatrix(v1_inv),
                                "unimodular-column-reduce")
     d = r
     if r > 0:
@@ -245,13 +241,6 @@ def _vstack_sm(parts):
     return SeriesMatrix.from_rows(out)
 
 
-def _laurent_to_series(l: LaurentMatrix):
-    l = l.normalize()
-    if l.px > 0 or l.py > 0:
-        return None
-    return l.series.shift(max(-l.px, 0), max(-l.py, 0))
-
-
 def _certify_split(blocks, d, r, n, v3_basis, axis):
     """Check the shearing-form conditions for a candidate kept-subspace
     basis of the trailing coordinate space.  Returns (ok, rank_kept, q4):
@@ -266,13 +255,9 @@ def _certify_split(blocks, d, r, n, v3_basis, axis):
     q4 = _complete_unimodular(v3_basis, axis)
     if q4 is None:
         return False, -1, None
-    q4_l, q4_inv = LaurentMatrix(q4[0]), LaurentMatrix(q4[1])
+    q, q_inv = q4
     k = v3_basis.cols
-    c_new = _laurent_to_series(LaurentMatrix(C) * q4_l)
-    d_new = _laurent_to_series(q4_inv * LaurentMatrix(D))
-    e_new = _laurent_to_series(q4_inv * LaurentMatrix(E) * q4_l)
-    if c_new is None or d_new is None or e_new is None:
-        return False, -1, None
+    c_new, d_new, e_new = C * q, q_inv * D, q_inv * E * q
     g3 = list(range(k))
     g4 = list(range(k, m))
     # Sheared trailing rows of the first-r columns, columns d..r, must vanish.
@@ -343,10 +328,8 @@ def _saturated_stages(vd_cols, e_block, m, axis):
         prev_rank = rank
         closed = list(sat_cols)
         for col in sat_cols:
-            vec = SeriesMatrix.from_rows([[c] for c in col])
-            img = _laurent_to_series(LaurentMatrix(e_block) * LaurentMatrix(vec))
-            if img is not None:
-                closed.append([img.at(i, 0) for i in range(m)])
+            img = e_block * SeriesMatrix.from_rows([[c] for c in col])
+            closed.append([img.at(i, 0) for i in range(m)])
         current = closed
     return stages
 
@@ -443,7 +426,6 @@ class ReductionStep:
 class ReductionReport:
     steps: list = field(default_factory=list)
     zero_acceptances: list = field(default_factory=list)
-    final_gauge: GaugeTransform | None = None
     moser_rank_final: dict = field(default_factory=dict)
 
     def record_zero(self, what, window):
@@ -582,7 +564,6 @@ def _rank_reduce(sys: PfaffianSystem):
     if gauge_total is None:
         tx, ty = sys.window
         gauge_total = GaugeTransform.identity(sys.n, tx, ty)
-    report.final_gauge = gauge_total
     report.moser_rank_final = {
         "x": moser_rank(current, "x"),
         "y": moser_rank(current, "y"),

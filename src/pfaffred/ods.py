@@ -491,16 +491,13 @@ def _exp_recurse(ods: PfaffianSystem, axis, scale: Fraction, collected: dict,
                          out, depth + 1)
         return
     fc, _, _ = groups[0]
-    if len(fc) == 2:
-        gamma = -fc[0]
-    elif all(c == 0 for c in fc[:-1]):
-        gamma = Fraction(0)
-    else:
+    if len(fc) > 2:
         raise AlgebraicExtensionRequired(
             "shift eigenvalue is irrational (irreducible factor of degree "
             f"{len(fc) - 1})",
             factor=fc,
         )
+    gamma = -fc[0]
     if gamma != 0:
         # The formal integral of gamma * v^(-p) is -(gamma/p) v^(-p).
         col = dict(collected)
@@ -634,7 +631,7 @@ def _restrict(mat, u_cols, sub_basis):
     """Matrix of the action induced on span(sub_basis) modulo span(u_cols)."""
     inv = qlinalg.inverse(qlinalg.transpose(list(u_cols) + list(sub_basis)))
     coords = qlinalg.mul(qlinalg.mul(inv, mat), qlinalg.transpose(sub_basis))
-    return coords[len(u_cols):]
+    return qlinalg.QMatrix(coords[len(u_cols):])
 
 
 def _common_eigvec(mats):

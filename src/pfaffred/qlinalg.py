@@ -244,15 +244,6 @@ def is_nilpotent(a):
     return all(c == 0 for c in charpoly(a)[:-1])
 
 
-def single_eigenvalue(a):
-    """The unique eigenvalue if charpoly = (t - g)^n with g rational, else None."""
-    n = len(a)
-    cp = charpoly(a)
-    g = -cp[n - 1] / n
-    shifted = sub(a, scale(identity(n), g))
-    return g if is_nilpotent(shifted) else None
-
-
 def sylvester_solver(a, b):
     """The solver of a X - X b = c for fixed a (n x n) and b (m x m), as a
     function of c; None when the operator is singular (a and b share an
@@ -279,7 +270,7 @@ def sylvester_solver(a, b):
     def solution(c):
         vec = QMatrix((c[i][j],) for i in range(n) for j in range(m))
         x = dot([(1, op_inv, vec)])
-        return tuple(tuple(x[i * m + j][0] for j in range(m)) for i in range(n))
+        return QMatrix(tuple(x[i * m + j][0] for j in range(m)) for i in range(n))
 
     return solution
 

@@ -243,15 +243,13 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
                                            for _ in range(n)])[k][l] = v
             if not qlinalg.is_zero(t_new):
                 t_coeffs[(i, j)] = t_new
-    series_gauge = unipotent_gauge(t_coeffs, n, tx, ty, "regular-solve")
-    gauge = const_gauge.compose(series_gauge)
     if retained:
         raise JointResonance(
             "jointly resonant monomials remain in the normal form",
             retained=retained,
-            partial=RegularSolution(gauge, qlinalg.qmat(l1), qlinalg.qmat(l2),
-                                    tuple(retained)),
         )
+    series_gauge = unipotent_gauge(t_coeffs, n, tx, ty, "regular-solve")
+    gauge = const_gauge.compose(series_gauge)
     # The series factor acts on the conjugated system.
     res = apply_gauge(work, series_gauge).to_system()
     l1_m, l2_m = qlinalg.qmat(l1), qlinalg.qmat(l2)
@@ -375,10 +373,13 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
             _set_lambda_block(data, coords, reg.lambda2, "lambda2")
             return
         # Pole-0 eigenvalue separation belongs to the regular solve; only
-        # split along an axis whose pole is positive (never resonant).
-        choice = _split_axis_choice(current, positive_pole_only=True)
-        if choice is not None:
-            gauge, blocks = _split_system(current, *choice)
+        # split along an axis whose pole is positive (never resonant), x
+        # first.  Each leading constant is factored once per pass.
+        groups = {axis: _eigen_groups(current.side(axis).constant_part())
+                  for axis in ("x", "y") if current.pole(axis) > 0}
+        split = [axis for axis, g in groups.items() if len(g) >= 2]
+        if split:
+            gauge, blocks = _split_system(current, split[0], groups[split[0]])
             data.gauge_trace.append(_embed_gauge(gauge, coords, data.n, tx, ty))
             off = 0
             for blk in blocks:
@@ -387,15 +388,10 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
                 off += blk.n
             return
         shifted = False
-        for axis, lead in (("x", current.amat.constant_part()),
-                           ("y", current.bmat.constant_part())):
-            pole = current.pole(axis)
-            if pole == 0:
-                continue
-            gamma = qlinalg.single_eigenvalue(lead)
-            if gamma is None:
-                groups = _eigen_groups(lead)
-                fc = groups[0][0]
+        # Each axis has one factor group: the leading constant's single
+        # eigenvalue is the root of its factor when that is linear.
+        for axis, [(fc, _, _)] in groups.items():
+            if len(fc) > 2:
                 raise AlgebraicExtensionRequired(
                     "leading-constant eigenvalue is irrational on axis "
                     f"{axis}",
@@ -403,7 +399,7 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
                 )
             # One axis per call: an x shift is recorded before a y-side
             # raise blocks the assembly.
-            gammas = {pole: gamma}
+            gammas = {current.pole(axis): -fc[0]}
             shift, current = _bivariate_shift(
                 current, *((gammas, None) if axis == "x" else (None, gammas)))
             for store, terms in ((data.q1, shift.x_terms),

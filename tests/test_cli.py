@@ -306,6 +306,95 @@ def test_solve_exit_codes(tmp_path):
     assert main(["solve", str(path2)]) == 5
 
 
+# x^2 dY/dx = [[0, 1], [x, 0]] Y, y^2 dY/dy = 3 Y: a ramified x-axis
+# (Katz invariant 1/2) next to a scalar y-axis.
+RAMIFIED_DOC = {
+    "n": 2, "p": 1, "q": 1, "trunc_x": 8, "trunc_y": 8,
+    "A_terms": [{"i": 0, "j": 0, "matrix": [["0", "1"], ["0", "0"]]},
+                {"i": 1, "j": 0, "matrix": [["0", "0"], ["1", "0"]]}],
+    "B_terms": [{"i": 0, "j": 0, "matrix": [["3", "0"], ["0", "3"]]}],
+}
+
+
+def test_solve_stops_at_the_ramified_assembly(tmp_path, capsys):
+    path = tmp_path / "ramified.json"
+    path.write_text(json.dumps(RAMIFIED_DOC))
+    assert main(["check", str(path)]) == 0
+    assert main(["katz", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["katz invariant: (1/2, 1)", "true poincare rank: (1, 1)"]
+    assert main(["expparts", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x: Q = (-2)*x^(-1/2) (multiplicity 1)",
+        "x: Q = (2)*x^(-1/2) (multiplicity 1)",
+        "y: Q = (-3)*y^(-1) (multiplicity 2)",
+    ]
+    # The y-axis is shifted, then the Moser-irreducible nilpotent x-block
+    # stops the assembly with the per-axis data and no exponent matrices.
+    report = tmp_path / "report.json"
+    assert main(["solve", str(path), "--report", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ramification s = (2, 1)",
+        "solution 0: Q1 = (-2)*x^(-1/2), Q2 = (-3)*y^(-1)",
+        "solution 1: Q1 = (2)*x^(-1/2), Q2 = (-3)*y^(-1)",
+        "partial result; blocked at: ramified-bivariate-assembly",
+    ]
+    res = json.loads(report.read_text())["results"]
+    assert res["complete"] is False
+    assert res["blocked"] == "ramified-bivariate-assembly"
+    assert res["s"] == [2, 1]
+    assert "lambda1" not in res
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_irrational_leading_constant_on_either_axis(tmp_path, axis, capsys):
+    # Leading constant [[0, 1], [2, 0]]: eigenvalues +-sqrt(2).
+    term = [{"i": 0, "j": 0, "matrix": [["0", "1"], ["2", "0"]]}]
+    doc = {"n": 2, "p": int(axis == "x"), "q": int(axis == "y"),
+           "trunc_x": 6, "trunc_y": 6,
+           "A_terms": term if axis == "x" else [],
+           "B_terms": term if axis == "y" else []}
+    path = tmp_path / "irrational.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 4
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "partial result; blocked at: algebraic-extension: leading-constant "
+        f"eigenvalue is irrational on axis {axis}")
+    report = tmp_path / "report.json"
+    assert main(["expparts", str(path), "--report", str(report)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "error (AlgebraicExtensionRequired): ")
+    # The error object carries the blocking factor t^2 - 2, low degree
+    # first.
+    assert json.loads(report.read_text())["error"] == {
+        "kind": "AlgebraicExtensionRequired", "code": 4,
+        "detail": "shift eigenvalue is irrational (irreducible factor of "
+                  "degree 2)",
+        "factor": ["-2", "0", "1"],
+    }
+
+
+def test_parse_error_report_names_the_field(tmp_path, capsys):
+    doc = {"n": 2, "p": 0, "q": 0, "trunc_x": 4, "trunc_y": 4,
+           "A_terms": [{"i": 0, "j": 0, "matrix": [["1", "0"], ["1/0", "1"]]}],
+           "B_terms": []}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert main(["check", str(path), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error (ParseError): bad rational '1/0': zero denominator\n"
+    error = json.loads(report.read_text())["error"]
+    assert error["field"] == "A_terms[0].matrix[1][0]"
+    assert "factor" not in error
+    # An error without a field gives the object no "field" key.
+    missing = tmp_path / "missing.json"
+    assert main(["check", str(missing), "--report", str(report)]) == 2
+    capsys.readouterr()
+    assert json.loads(report.read_text())["error"] == {
+        "kind": "ParseError", "code": 2, "detail": f"no such file: {missing}"}
+
+
 def test_reports_deterministic(tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["katz", str(fixture_path("exm.json")), "--report", str(r1)]) == 0

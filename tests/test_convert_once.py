@@ -1,18 +1,23 @@
 """The order-by-order solvers convert each constant matrix to integer
 numerators at most once: a QMatrix keeps its numerators after its first
-product, and the splitting recursion and the regular solve pass QMatrix
-operands to qlinalg.dot.  Calls are counted by wrapping, in the style of
-test_derive_once.py."""
+product, and the splitting recursion, the regular solve and the
+first-kind solve pass QMatrix operands to qlinalg.dot.  Calls are counted
+by wrapping, in the style of test_derive_once.py."""
 
 import random
 from fractions import Fraction
 
 from pfaffred import qlinalg
-from pfaffred.ods import _split_system
+from pfaffred.ods import _split_system, first_kind_fundamental_ods
 from pfaffred.solutions import _regular_fundamental, _split_axis_choice
 from pfaffred.system import PfaffianSystem, apply_gauge
 
-from conftest import const_mat, random_integrable_system, random_unimodular
+from conftest import (
+    const_mat,
+    ods_system,
+    random_integrable_system,
+    random_unimodular,
+)
 
 
 def count_conversions(monkeypatch):
@@ -51,5 +56,18 @@ def test_solvers_convert_each_matrix_once(monkeypatch):
     assert len(blocks) >= 2
     reg = _regular_fundamental(regular)
     assert not reg.retained
+    distinct = len({id(m) for m in operands})
+    assert len(conversions) <= distinct < len(operands)
+
+
+def test_first_kind_solve_converts_each_matrix_once(monkeypatch):
+    # Eigenvalues 1/2 and 0 are never resonant, so every order is a
+    # Sylvester solve; S_1 and S_2 multiply each stored T_m at two later
+    # orders.
+    ods = ods_system("x", [[{0: Fraction(1, 2), 1: 1, 2: 3}, {1: 1, 2: -1}],
+                           [{1: -2, 2: 1}, {2: 1}]], 0)
+    conversions, operands = count_conversions(monkeypatch)
+    sol = first_kind_fundamental_ods(ods, "x")
+    assert not sol.retained
     distinct = len({id(m) for m in operands})
     assert len(conversions) <= distinct < len(operands)

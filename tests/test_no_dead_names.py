@@ -10,7 +10,12 @@ Methods are matched by name alone, so a read anywhere counts, even in a
 method of the same name that delegates to another class's
 (SeriesMatrix.divide_monomial calls BiSeries.divide_monomial).  Public
 methods of exported classes that the library itself does not call are
-listed in PUBLIC_METHODS."""
+listed in PUBLIC_METHODS.
+
+Every stored value is read too: each dataclass field, and each attribute
+that an __init__ assigns on self, is read as an attribute somewhere in
+the library (matched by name, like methods), unless it is listed in
+PUBLIC_FIELDS."""
 
 import ast
 from pathlib import Path
@@ -30,6 +35,19 @@ PUBLIC_METHODS = {
     # Equality of two systems on their common window; only the tests call
     # it, to compare a system with its round trip through a gauge.
     "system.PfaffianSystem.same_up_to_window",
+}
+
+# Fields of result types that only the tests read, by qualified name.
+PUBLIC_FIELDS = {
+    # The rank of the leading matrix's top-left corner, which the Moser
+    # step recomputes from the conjugated system.
+    "moser.GaussForm.d",
+    "moser.ShearingForm.d",
+    # The rank that witnesses both shearing conditions.
+    "moser.ShearingForm.rank_kept",
+    # The first-kind solve's answer Y = Phi * v^Lambda.
+    "ods.FirstKindSolution.phi",
+    "ods.FirstKindSolution.exponent",
 }
 
 
@@ -53,23 +71,55 @@ def _methods(cls):
             and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
+def _fields(cls):
+    """The names cls stores: its annotated (dataclass) fields and the
+    attributes its __init__ assigns on self."""
+    names = [node.target.id for node in cls.body
+             if isinstance(node, ast.AnnAssign)
+             and isinstance(node.target, ast.Name)]
+    for init in cls.body:
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+            names += [t.attr for sub in ast.walk(init)
+                      if isinstance(sub, ast.Assign) for t in sub.targets
+                      if isinstance(t, ast.Attribute)
+                      and isinstance(t.value, ast.Name) and t.value.id == "self"]
+    return names
+
+
+def _library():
+    """(module stem, parsed tree) of every library module."""
+    return [(path.stem, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted(SRC.glob("*.py"))]
+
+
+def test_every_field_is_read():
+    attributes = set()
+    fields = []                      # (name, "module.Class.name")
+    for stem, tree in _library():
+        attributes |= _attributes(tree)
+        fields += [(name, f"{stem}.{node.name}.{name}") for node in tree.body
+                   if isinstance(node, ast.ClassDef) for name in _fields(node)]
+    unread = sorted(qual for name, qual in fields
+                    if name not in attributes and qual not in PUBLIC_FIELDS)
+    assert unread == []
+
+
 def test_every_definition_is_used_or_exported():
     defined = []                     # (name, "module.name")
     methods = []                     # (name, "module.Class.name")
     used = set()
     attributes = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for stem, tree in _library():
         attributes |= _attributes(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((node.name, f"{path.stem}.{node.name}"))
+                defined.append((node.name, f"{stem}.{node.name}"))
                 # A definition's own body (recursion) does not count.
                 used.update(u for u in _uses(node) if u != node.name)
             else:
                 used.update(_uses(node))
             if isinstance(node, ast.ClassDef):
-                methods += [(m.name, f"{path.stem}.{node.name}.{m.name}")
+                methods += [(m.name, f"{stem}.{node.name}.{m.name}")
                             for m in _methods(node)]
     dead = sorted(qual for name, qual in defined
                   if name not in used and name not in pfaffred.__all__)
