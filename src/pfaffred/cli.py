@@ -6,7 +6,7 @@ machine-readable report (--report).  Exit codes:
 
     0  success (for `check`: integrable)
     1  not integrable / integrability violation
-    2  parse error, missing file, invariant violation
+    2  parse error, missing file, unwritable output, invariant violation
     3  truncation window exhausted
     4  algebraic extension required
     5  joint resonance in the regular solve
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from fractions import Fraction
 
 from .errors import (
     AlgebraicExtensionRequired,
@@ -32,6 +31,7 @@ from .io import (
     check_window,
     document_digest,
     parse_document,
+    rat_str,
     read_document,
     write_system,
 )
@@ -48,19 +48,14 @@ EXIT_ALGEBRAIC = 4
 EXIT_RESONANCE = 5
 
 
-def _frac(f) -> str:
-    f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def _q_poly_str(terms: dict, var: str) -> str:
     if not terms:
         return "0"
     bits = []
     for k in sorted(terms, reverse=True):
         c = terms[k]
-        power = _frac(k)
-        bits.append(f"({_frac(c)})*{var}^(-{power})")
+        power = rat_str(k)
+        bits.append(f"({rat_str(c)})*{var}^(-{power})")
     return " + ".join(bits)
 
 
@@ -152,15 +147,15 @@ def cmd_reduce(args):
                 "kind": s.kind,
                 "p": [s.p_before, s.p_after],
                 "rank": [s.rank_before, s.rank_after],
-                "moser": [_frac(s.moser_before), _frac(s.moser_after)],
+                "moser": [rat_str(s.moser_before), rat_str(s.moser_after)],
                 "compatible": s.compatible,
             }
         )
     report["results"] = {
         "p": reduced.p,
         "q": reduced.q,
-        "moser_rank_x": _frac(red_report.moser_rank_final["x"]),
-        "moser_rank_y": _frac(red_report.moser_rank_final["y"]),
+        "moser_rank_x": rat_str(red_report.moser_rank_final["x"]),
+        "moser_rank_y": rat_str(red_report.moser_rank_final["y"]),
         "steps": steps,
         "gauge_provenance": list(gauge.provenance),
     }
@@ -169,8 +164,8 @@ def cmd_reduce(args):
     out_path = _sibling(args.path, ".reduced.json")
     write_system(reduced, out_path)
     print(f"Moser-irreducible form reached: Poincare rank ({reduced.p}, {reduced.q})")
-    print(f"moser ranks: x={_frac(red_report.moser_rank_final['x'])} "
-          f"y={_frac(red_report.moser_rank_final['y'])}")
+    print(f"moser ranks: x={rat_str(red_report.moser_rank_final['x'])} "
+          f"y={rat_str(red_report.moser_rank_final['y'])}")
     for s in steps:
         print(
             f"  [{s['axis']}] {s['kind']}: p {s['p'][0]}->{s['p'][1]}, "
@@ -196,7 +191,7 @@ def cmd_expparts(args):
         return [
             {
                 "q": _q_poly_str(dict(p.q_terms), var),
-                "terms": {_frac(k): _frac(c) for k, c in p.q_terms},
+                "terms": {rat_str(k): rat_str(c) for k, c in p.q_terms},
                 "multiplicity": p.multiplicity,
                 "ramification": p.ramification,
             }
@@ -220,13 +215,13 @@ def cmd_katz(args):
     (k1, k2), (g1, g2) = _katz_and_rank(sys_obj)
     report = _report_base("katz", args, digest)
     report["results"] = {
-        "katz_x": _frac(k1),
-        "katz_y": _frac(k2),
+        "katz_x": rat_str(k1),
+        "katz_y": rat_str(k2),
         "true_rank_x": g1,
         "true_rank_y": g2,
     }
     _emit(args, report)
-    print(f"katz invariant: ({_frac(k1)}, {_frac(k2)})")
+    print(f"katz invariant: ({rat_str(k1)}, {rat_str(k2)})")
     print(f"true poincare rank: ({g1}, {g2})")
     return EXIT_OK
 
@@ -243,12 +238,12 @@ def cmd_solve(args):
         "blocked": data.blocked,
     }
     if data.lambda1 is not None:
-        res["lambda1"] = [[_frac(c) for c in row] for row in data.lambda1]
-        res["lambda2"] = [[_frac(c) for c in row] for row in data.lambda2]
+        res["lambda1"] = [[rat_str(c) for c in row] for row in data.lambda1]
+        res["lambda2"] = [[rat_str(c) for c in row] for row in data.lambda2]
     if data.retained:
         res["retained"] = [
             {"i": i, "j": j, "row": k, "col": l,
-             "x_value": _frac(vx), "y_value": _frac(vy)}
+             "x_value": rat_str(vx), "y_value": rat_str(vy)}
             for (i, j, k, l, vx, vy) in data.retained
         ]
     report["results"] = res
@@ -258,8 +253,8 @@ def cmd_solve(args):
         print(f"solution {i}: Q1 = {_q_poly_str(q1, 'x')}, "
               f"Q2 = {_q_poly_str(q2, 'y')}")
     if data.lambda1 is not None:
-        print("lambda1 =", [[_frac(c) for c in row] for row in data.lambda1])
-        print("lambda2 =", [[_frac(c) for c in row] for row in data.lambda2])
+        print("lambda1 =", [[rat_str(c) for c in row] for row in data.lambda1])
+        print("lambda2 =", [[rat_str(c) for c in row] for row in data.lambda2])
     if data.blocked:
         print(f"partial result; blocked at: {data.blocked}")
         if data.blocked == "joint-resonance":
@@ -280,18 +275,12 @@ def _error_exit(command, args, err):
         code = EXIT_ALGEBRAIC
     elif isinstance(err, JointResonance):
         code = EXIT_RESONANCE
-    report = {
-        "command": command,
-        "input": str(getattr(args, "path", "")),
-        "digest": None,
-        "results": {},
-        "windows": [],
-        "error": {"kind": kind, "code": code, "detail": str(err)},
-    }
+    report = _report_base(command, args, None)
+    report["error"] = {"kind": kind, "code": code, "detail": str(err)}
     if isinstance(err, ParseError) and err.field is not None:
         report["error"]["field"] = err.field
     if isinstance(err, AlgebraicExtensionRequired) and err.factor is not None:
-        report["error"]["factor"] = [_frac(c) for c in err.factor]
+        report["error"]["factor"] = [rat_str(c) for c in err.factor]
     if getattr(err, "window", None) is not None:
         report["windows"].append({"what": "failure window",
                                   "window": list(err.window)})
@@ -339,7 +328,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PfaffredError as err:
+    except (PfaffredError, OSError) as err:   # OSError: a file it cannot open
         return _error_exit(args.command, args, err)
 
 

@@ -67,7 +67,7 @@ def _rat(text, where):
                          "digits", field=where) from None
 
 
-def _rat_str(f: Fraction) -> str:
+def rat_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
@@ -176,7 +176,7 @@ def serialize_system(sys: PfaffianSystem) -> dict:
 
     def side(coeffs):
         return [{"i": i, "j": j,
-                 "matrix": [[_rat_str(c) for c in row] for row in coeffs[(i, j)]]}
+                 "matrix": [[rat_str(c) for c in row] for row in coeffs[(i, j)]]}
                 for (i, j) in sorted(coeffs)]
 
     return {

@@ -323,13 +323,10 @@ class LaurentMatrix:
 
 def embed_block(block: LaurentMatrix, coords, n, tx, ty) -> LaurentMatrix:
     """The n x n identity with `block` on the rows and columns `coords`,
-    over the block's poles: outside the block, x^px y^py on the diagonal,
-    exact at nominal orders (tx, ty), with a negative pole moved into the
-    block.  The lift of a block's inverse is the inverse of its lift."""
-    px, py = max(block.px, 0), max(block.py, 0)
-    s = block.series
-    if (px, py) != (block.px, block.py):
-        s = s.shift(px - block.px, py - block.py)
+    over the block's poles (px, py >= 0): outside the block, x^px y^py on
+    the diagonal, exact at nominal orders (tx, ty).  The lift of a block's
+    inverse is the inverse of its lift."""
+    px, py, s = block.px, block.py, block.series
     at = {c: k for k, c in enumerate(coords)}
     one = BiSeries.monomial(1, px, py, tx, ty)
     zero = BiSeries.zero(tx, ty)
@@ -431,7 +428,5 @@ def column_echelon(m: SeriesMatrix, var: str):
 
 def series_rank(m: SeriesMatrix, var: str) -> int:
     """Rank over the fraction field of the var-series ring (window-certified)."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
     return column_echelon(m, var)[2]
 

@@ -66,8 +66,8 @@ def _embed(axis, n, pole, mat):
 def _eigen_groups(a0):
     """Pairwise-coprime factor powers of the characteristic polynomial.
 
-    Returns [(factor_coeffs, power_coeffs, multiplicity_total)], one entry
-    per irreducible factor; power_coeffs = factor^multiplicity expanded.
+    Returns [(factor_coeffs, power_coeffs)], one pair per irreducible
+    factor; power_coeffs = factor^multiplicity expanded.
     """
     cp = qlinalg.charpoly(a0)
     factors = factor_rational(cp)
@@ -76,7 +76,7 @@ def _eigen_groups(a0):
         power = [Fraction(1)]
         for _ in range(mult):
             power = _poly_mul(power, fc)
-        groups.append((fc, power, (len(fc) - 1) * mult))
+        groups.append((fc, power))
     return groups
 
 
@@ -103,7 +103,7 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     n = sys.n
     basis_cols = []
     sizes = []
-    for _, power, _ in groups:
+    for _, power in groups:
         ker = qlinalg.kernel(qlinalg.poly_eval_matrix(power, lead))
         basis_cols.extend(ker)
         sizes.append(len(ker))
@@ -352,15 +352,17 @@ def katz_invariant_ods(sys: PfaffianSystem, axis: str) -> Fraction:
     """Largest slope of the characteristic-polynomial Newton polygon of
     the ODS of sys on `axis`, floored at 0.  Requires a Moser-irreducible
     ODS."""
-    return _katz(associated_ods(sys, axis), axis)
+    ods = associated_ods(sys, axis)
+    if ods.pole(axis) > 0 and theta_poly(ods, axis).is_zero():
+        raise PreconditionViolated("Katz invariant needs a Moser-irreducible input")
+    return _katz(ods, axis)
 
 
 def _katz(ods: PfaffianSystem, axis) -> Fraction:
+    """The Katz invariant of an ODS that is Moser-irreducible on `axis`."""
     p = ods.pole(axis)
     if p == 0:
         return Fraction(0)
-    if theta_poly(ods, axis).is_zero():
-        raise PreconditionViolated("Katz invariant needs a Moser-irreducible input")
     mat = ods.side(axis)
     n = ods.n
     # det(l v^p I - A) = sum_k c_k(A) v^(pk) l^k, read relative to v^(np).
@@ -438,16 +440,13 @@ class ExponentialPart:
     def is_zero(self) -> bool:
         return not self.q_terms
 
-    def key(self):
-        return self.q_terms
-
 
 def exponential_parts_ods(sys: PfaffianSystem, axis: str) -> list[ExponentialPart]:
     """Exponential parts of the ODS of sys on `axis`; full recursion:
     split, shift, Moser-reduce, ramify, recurse."""
     out = []
     _exp_recurse(associated_ods(sys, axis), axis, Fraction(1), {}, out, depth=0)
-    out.sort(key=lambda p: (p.key(), p.multiplicity))
+    out.sort(key=lambda p: (p.q_terms, p.multiplicity))
     if sum(p.multiplicity for p in out) != sys.n:
         raise ReductionError("exponential-part multiplicities do not sum to n")
     return out
@@ -490,7 +489,7 @@ def _exp_recurse(ods: PfaffianSystem, axis, scale: Fraction, collected: dict,
             _exp_recurse(associated_ods(b, axis), axis, scale, dict(collected),
                          out, depth + 1)
         return
-    fc, _, _ = groups[0]
+    fc, _ = groups[0]
     if len(fc) > 2:
         raise AlgebraicExtensionRequired(
             "shift eigenvalue is irrational (irreducible factor of degree "
@@ -591,9 +590,6 @@ def _common_triangularize(mats):
     """Simultaneous upper triangularization of commuting matrices with
     rational eigenvalues; None when an irrational eigenvalue blocks it."""
     n = len(mats[0])
-    if n == 0:
-        return qlinalg.identity(0), qlinalg.identity(0), [qlinalg.identity(0)
-                                                          for _ in mats]
     u_cols = []
     # Build the flag one common eigenvector at a time, working in the
     # original coordinates with a shrinking complement.
@@ -636,10 +632,7 @@ def _restrict(mat, u_cols, sub_basis):
 
 def _common_eigvec(mats):
     """A common eigenvector with rational eigenvalues; None if blocked."""
-    n = len(mats[0])
-    if n == 0:
-        return None
-    space = list(qlinalg.identity(n))
+    space = list(qlinalg.identity(len(mats[0])))
     for m in mats:
         rep = _matrix_on_span(m, space)
         if rep is None:

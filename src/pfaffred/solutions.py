@@ -93,15 +93,13 @@ def _katz_and_rank(sys: PfaffianSystem):
 # -- bivariate splitting ----------------------------------------------------------
 
 
-def _split_axis_choice(sys, positive_pole_only=False):
+def _split_axis_choice(sys):
     """Choose the splitting axis: coprime factor groups of the leading
     constant with at least two groups; prefer an axis with a positive pole
     (its order-by-order Sylvester solve is never resonant)."""
     options = []
     for axis, mat, pole in (("x", sys.amat.constant_part(), sys.p),
                             ("y", sys.bmat.constant_part(), sys.q)):
-        if positive_pole_only and pole == 0:
-            continue
         groups = _eigen_groups(mat)
         if len(groups) >= 2:
             options.append((pole == 0, axis, groups))
@@ -112,7 +110,7 @@ def _split_axis_choice(sys, positive_pole_only=False):
     return axis, groups
 
 
-def bivariate_splitting(sys: PfaffianSystem, positive_pole_only=False):
+def bivariate_splitting(sys: PfaffianSystem):
     """Block-decouple both subsystems at once.
 
     The chosen leading constant splits into coprime characteristic factor
@@ -122,11 +120,7 @@ def bivariate_splitting(sys: PfaffianSystem, positive_pole_only=False):
     subsystems are certified block diagonal on the window.
     """
     require_integrable(sys)
-    return _bivariate_splitting(sys, positive_pole_only)
-
-
-def _bivariate_splitting(sys: PfaffianSystem, positive_pole_only):
-    choice = _split_axis_choice(sys, positive_pole_only)
+    choice = _split_axis_choice(sys)
     if choice is None:
         raise NotSplittable(
             "neither leading constant matrix has two coprime factor groups"
@@ -154,10 +148,6 @@ def bivariate_shift(sys: PfaffianSystem, gammas_x=None, gammas_y=None):
     (nilpotency after subtraction is checked exactly).
     """
     require_integrable(sys)
-    return _bivariate_shift(sys, gammas_x, gammas_y)
-
-
-def _bivariate_shift(sys: PfaffianSystem, gammas_x, gammas_y):
     current = sys
     x_q, y_q = {}, {}
     for axis, gammas, store in (("x", gammas_x or {}, x_q),
@@ -181,7 +171,6 @@ class RegularSolution:
     gauge: GaugeTransform
     lambda1: tuple
     lambda2: tuple
-    retained: tuple        # ((i, j, row, col, value_x, value_y), ...)
 
 
 def regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
@@ -192,7 +181,10 @@ def regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     monomial: entry (k,l) of the coefficient at x^i y^j is eliminated by
     the x-equation unless its x-eigenvalue difference equals i, else by
     the y-equation unless the y-difference equals j; jointly resonant
-    entries raise JointResonance carrying the retained monomials.
+    entries raise JointResonance carrying the retained monomials.  A
+    normal form that fails its substitution check raises
+    TruncationExhausted on truncated input, IntegrabilityViolation on
+    exact input.
     """
     if sys.p != 0 or sys.q != 0:
         raise PreconditionViolated("regular solve needs pole orders (0, 0)")
@@ -257,12 +249,17 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     expect_b = SeriesMatrix.from_rational_rows(l2_m, *res.window)
     if res.p != 0 or res.q != 0 or not (res.amat == expect_a and
                                         res.bmat == expect_b):
-        raise IntegrabilityViolation(
+        # Integrability of truncated data holds only on its window, so the
+        # elimination may be inconsistent beyond what the window decides.
+        error = (IntegrabilityViolation
+                 if sys.amat.is_exact and sys.bmat.is_exact
+                 else TruncationExhausted)
+        raise error(
             "mixed-axis elimination is inconsistent within the window "
             "(substitution check failed)",
             window=res.window,
         )
-    return RegularSolution(gauge, l1_m, l2_m, ())
+    return RegularSolution(gauge, l1_m, l2_m)
 
 
 # -- full assembly --------------------------------------------------------------------
@@ -389,25 +386,23 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
             return
         shifted = False
         # Each axis has one factor group: the leading constant's single
-        # eigenvalue is the root of its factor when that is linear.
-        for axis, [(fc, _, _)] in groups.items():
+        # eigenvalue is the root of its factor when that is linear.  An x
+        # shift is recorded before a y-side raise blocks the assembly.
+        for axis, [(fc, _)] in groups.items():
             if len(fc) > 2:
                 raise AlgebraicExtensionRequired(
                     "leading-constant eigenvalue is irrational on axis "
                     f"{axis}",
                     factor=fc,
                 )
-            # One axis per call: an x shift is recorded before a y-side
-            # raise blocks the assembly.
-            gammas = {current.pole(axis): -fc[0]}
-            shift, current = _bivariate_shift(
-                current, *((gammas, None) if axis == "x" else (None, gammas)))
-            for store, terms in ((data.q1, shift.x_terms),
-                                 (data.q2, shift.y_terms)):
-                for k, c in terms:
-                    for i in coords:
-                        _merge_term(store[i], k, c)
-                    shifted = True
+            gamma, k = -fc[0], current.pole(axis)
+            if gamma != 0:
+                # The formal integral of gamma * v^(-k) is -(gamma/k) v^(-k).
+                current = _subtract_scalar(current, axis, k, gamma)
+                store = data.q1 if axis == "x" else data.q2
+                for i in coords:
+                    _merge_term(store[i], k, -gamma / k)
+                shifted = True
         if shifted:
             continue
         # Leading pair nilpotent with a positive pole: Moser-reduce.

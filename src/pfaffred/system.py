@@ -280,10 +280,6 @@ class GaugeTransform:
             provenance=tuple(f"inverse({p})" for p in reversed(self.provenance)),
         )
 
-    @property
-    def n(self):
-        return self.factors[0].n
-
 
 @dataclass(frozen=True)
 class GaugeResult:

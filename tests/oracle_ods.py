@@ -45,7 +45,7 @@ def split_leading(ods, var):
     # Kernel projections: basis of ker(power_i(A0)) per group.
     basis_cols = []
     sizes = []
-    for _, power, _ in groups:
+    for _, power in groups:
         ker = qlinalg.kernel(qlinalg.poly_eval_matrix(power, a0))
         basis_cols.extend(ker)
         sizes.append(len(ker))
@@ -89,7 +89,7 @@ def split_leading(ods, var):
         unipotent_gauge(_on_axis(t_coeffs, var), n, tx, ty, "splitting"))
     new_mat = _coeffs_to_matrix(_on_axis(s_tilde, var), n, tx, ty)
     blocks = []
-    for (a, b), (_, _, _) in zip(offs, groups):
+    for (a, b), (_, _) in zip(offs, groups):
         sub = new_mat.submatrix(list(range(a, b)), list(range(a, b)))
         blocks.append(ods_system(var, sub, p))
     # Certify: off-diagonal blocks of the transformed system vanish.

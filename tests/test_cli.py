@@ -1,4 +1,5 @@
 import json
+import random
 import shutil
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from pfaffred.io import (
 )
 from pfaffred.series import INF_ORDER
 
-from conftest import fixture_path
+from conftest import fixture_path, random_integrable_system
 
 
 def copy_fixture(tmp_path, name):
@@ -304,6 +305,66 @@ def test_solve_exit_codes(tmp_path):
     path2 = tmp_path / "resonant.json"
     path2.write_text(json.dumps(doc2))
     assert main(["solve", str(path2)]) == 5
+
+
+def test_regular_solve_stops_at_irrational_eigenvalues(tmp_path, capsys):
+    # A regular system (poles (0, 0)) whose x leading constant has the
+    # eigenvalues +-sqrt(2): the exponential parts are 0, but the regular
+    # solve cannot triangularize over Q.
+    doc = {"n": 2, "p": 0, "q": 0, "trunc_x": 4, "trunc_y": 4,
+           "A_terms": [{"i": 0, "j": 0, "matrix": [["0", "1"], ["2", "0"]]}],
+           "B_terms": []}
+    path = tmp_path / "regular_irrational.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 4
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "partial result; blocked at: algebraic-extension: regular solve "
+        "needs rational eigenvalues of both leading constants")
+    assert main(["expparts", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x: Q = 0 (multiplicity 2)",
+        "y: Q = 0 (multiplicity 2)",
+    ]
+
+
+def test_regular_solve_on_a_short_window_is_window_exhaustion(tmp_path,
+                                                               capsys):
+    # check certifies this system integrable at window (3, 4), but the
+    # regular solve's mixed-axis elimination is inconsistent on the window
+    # that the splitting leaves: that is window exhaustion (exit 3), not
+    # a failed integrability (exit 1).  The exact data solves.
+    sys_obj = random_integrable_system(random.Random(12), n=2, p=1, q=1)
+    path = tmp_path / "seed12.json"
+    path.write_text(json.dumps(serialize_system(sys_obj)))
+    flags = ["--trunc-x", "3", "--trunc-y", "4"]
+    assert main(["check", str(path), *flags]) == 0
+    assert capsys.readouterr().out == "integrable; residual window: (3, 4)\n"
+    report = tmp_path / "report.json"
+    assert main(["solve", str(path), *flags, "--report", str(report)]) == 3
+    assert capsys.readouterr().err.startswith("error (TruncationExhausted): ")
+    [failure] = json.loads(report.read_text())["windows"]
+    tx, ty = failure["window"]
+    assert tx <= 3 and ty <= 4
+    assert main(["solve", str(path)]) == 0
+
+
+def test_unwritable_outputs_exit_2(tmp_path, capsys):
+    # An output that cannot be written is an error line naming its path
+    # (exit 2), never a traceback: the report, the reduced system, and
+    # the report of a run that already failed.
+    unwritable = tmp_path / "missing-dir" / "r.json"
+    exm = copy_fixture(tmp_path, "exm.json")
+    assert main(["check", str(exm), "--report", str(unwritable)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (FileNotFoundError): ") and str(unwritable) in err
+    reduced = tmp_path / "exm.reduced.json"
+    reduced.mkdir()
+    assert main(["reduce", str(exm)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (IsADirectoryError): ") and str(reduced) in err
+    missing = tmp_path / "nope.json"
+    assert main(["check", str(missing), "--report", str(unwritable)]) == 2
+    assert capsys.readouterr().err == f"error (ParseError): no such file: {missing}\n"
 
 
 # x^2 dY/dx = [[0, 1], [x, 0]] Y, y^2 dY/dy = 3 Y: a ramified x-axis

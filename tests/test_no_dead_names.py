@@ -48,6 +48,9 @@ PUBLIC_FIELDS = {
     # The first-kind solve's answer Y = Phi * v^Lambda.
     "ods.FirstKindSolution.phi",
     "ods.FirstKindSolution.exponent",
+    # The Q terms that bivariate_shift removed, per axis.
+    "solutions.ScalarShift.x_terms",
+    "solutions.ScalarShift.y_terms",
 }
 
 

@@ -170,7 +170,6 @@ def test_regular_fundamental_u_system():
     spec2 = sorted(reg.lambda2[i][i] for i in range(2))
     assert spec1 == [Fraction(-2), Fraction(1)]
     assert spec2 == [Fraction(-2), Fraction(-1)]
-    assert not reg.retained
 
 
 def test_external_involution_gauge_diagonalizes_u_system():
