@@ -33,7 +33,6 @@ from .moser import (
     ThetaPolynomial,
     column_reduce_leading,
     moser_rank,
-    prepare_shearing,
     rank_reduce,
     reduce_subsystem_step,
     shearing_matrix,

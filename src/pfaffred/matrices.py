@@ -109,7 +109,8 @@ class SeriesMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def submatrix(self, rows, cols):
-        return SeriesMatrix.from_rows([[self.at(i, j) for j in cols] for i in rows])
+        return SeriesMatrix(len(rows), len(cols),
+                            [self.at(i, j) for i in rows for j in cols])
 
     def constant_part(self):
         """The matrix of coefficients at (0,0), a qlinalg.QMatrix."""
@@ -177,8 +178,6 @@ class SeriesMatrix:
             raise DimensionMismatch("shape mismatch")
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if isinstance(other, BiSeries):
             return SeriesMatrix(
                 self.rows, self.cols, [e * other for e in self.entries]
@@ -282,15 +281,10 @@ class LaurentMatrix:
     def __sub__(self, other):
         return self + LaurentMatrix(-other.series, other.px, other.py)
 
-    def __neg__(self):
-        return LaurentMatrix(-self.series, self.px, self.py)
-
     def __mul__(self, other):
-        if isinstance(other, LaurentMatrix):
-            return LaurentMatrix(
-                self.series * other.series, self.px + other.px, self.py + other.py
-            )
-        return LaurentMatrix(self.series * other, self.px, self.py)
+        return LaurentMatrix(
+            self.series * other.series, self.px + other.px, self.py + other.py
+        )
 
     def delta(self, var):
         # delta(x^-a S) = x^-a (delta S - a S)

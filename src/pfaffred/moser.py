@@ -16,6 +16,11 @@ r = rank A0 and p >= 1:
      two exact rank conditions certify that the leading rank then strictly
      drops.
 
+The arrangement takes the ranks (d, r) of step 1's Gauss form and only
+verifies that the reduced leading matrix has that form.  It does not
+compute theta again: the step-1 gauge T is unimodular and free of v, so
+it maps A to T^(-1) A T and keeps det(A0 + v(A1 + lambda I)), hence theta.
+
 The step reads its subsystem through sys.side(axis), sys.pole(axis) and
 the cached leading matrix, and does its linear algebra over the w-series
 ring, so both axes run the same code.  Every emitted gauge is certified
@@ -74,7 +79,6 @@ class ThetaPolynomial:
     polynomial, indexed by lambda degree; degree <= n - r."""
 
     coeffs: tuple
-    rank_leading: int
     window: tuple
 
     def is_zero(self) -> bool:
@@ -132,7 +136,7 @@ def theta_poly(sys: PfaffianSystem, axis: str) -> ThetaPolynomial:
             {exponent(axis, 0, e[1 - k_axis]): val
              for e, val in c.coeffs.items() if e[k_axis] == n - r},
             c.tx, c.ty, c.exact))
-    return ThetaPolynomial(tuple(coeffs), r, side.window)
+    return ThetaPolynomial(tuple(coeffs), side.window)
 
 
 # -- column reduction into the leading block form ---------------------------------
@@ -169,35 +173,28 @@ def column_reduce_leading(sys: PfaffianSystem, axis: str) -> GaussForm:
 
 
 def _gauss_blocks(sys: PfaffianSystem, axis, d, r):
-    """W, D, C, E blocks of the Gauss-formed subsystem on `axis`."""
-    n = sys.n
+    """W, D, C, E blocks of the Gauss-formed subsystem on `axis`; a block
+    with no rows or no columns is an empty matrix of its shape."""
     a0 = _leading(sys, axis)
     a1 = sys.side(axis).coeff_matrix(axis, 1)
-    all_r = list(range(r))
-    ker = list(range(r, n))
-    return {
-        "W": a0.submatrix(all_r, list(range(d))) if (d and r) else None,
-        "D": a0.submatrix(ker, all_r) if (r and ker) else None,
-        "C": a1.submatrix(all_r, ker) if (r and ker) else None,
-        "E": a1.submatrix(ker, ker) if ker else None,
-    }
+    top, ker = list(range(r)), list(range(r, sys.n))
+    return (a0.submatrix(top, list(range(d))), a0.submatrix(ker, top),
+            a1.submatrix(top, ker), a1.submatrix(ker, ker))
 
 
-def _verify_gauss_form(a0: SeriesMatrix, d, r, axis):
-    """True iff the leading matrix a0 of the subsystem on `axis` is in the
-    reduced leading form with ranks (d, r)."""
-    n, w = a0.rows, other(axis)
-    for i in range(n):
-        for j in range(r, n):
-            if not a0.at(i, j).is_zero():
-                return False
-    for i in range(r):
-        for j in range(d, r):
-            if not a0.at(i, j).is_zero():
-                return False
-    if r and series_rank(a0.submatrix(list(range(n)), list(range(r))), w) != r:
+def _verify_gauss_form(sys: PfaffianSystem, axis, d, r):
+    """True iff the leading matrix of the subsystem on `axis` is in the
+    reduced leading form with ranks (d, r).  Its trailing columns are
+    checked zero first, so its cached rank is the rank of the first r."""
+    a0, n = _leading(sys, axis), sys.n
+    # Columns r..n vanish, and in the top r rows columns d..r too.
+    if not all(a0.at(i, j).is_zero()
+               for i in range(n) for j in range(d if i < r else r, n)):
         return False
-    if d and series_rank(a0.submatrix(list(range(r)), list(range(d))), w) != d:
+    if sys.leading_rank(axis) != r:
+        return False
+    if d and series_rank(a0.submatrix(list(range(r)), list(range(d))),
+                         other(axis)) != d:
         return False
     return True
 
@@ -212,73 +209,47 @@ class ShearingForm:
 
     gauge: GaugeTransform
     rho: int
-    d: int
-    r: int
     rank_kept: int
 
 
-def _hstack_sm(parts):
-    parts = [p for p in parts if p is not None and p.cols > 0]
-    if not parts:
-        return None
+def _hstack(parts):
+    """The matrices `parts`, of one row count, side by side."""
     rows = parts[0].rows
-    out = []
-    for i in range(rows):
-        row = []
-        for p in parts:
-            row.extend(p.at(i, j) for j in range(p.cols))
-        out.append(row)
-    return SeriesMatrix.from_rows(out)
+    return SeriesMatrix(rows, sum(p.cols for p in parts),
+                        [e for i in range(rows) for p in parts for e in p.row(i)])
 
 
-def _vstack_sm(parts):
-    parts = [p for p in parts if p is not None and p.rows > 0]
-    if not parts:
-        return None
-    out = []
-    for p in parts:
-        out.extend([list(p.row(i)) for i in range(p.rows)])
-    return SeriesMatrix.from_rows(out)
-
-
-def _certify_split(blocks, d, r, n, v3_basis, axis):
+def _certify_split(blocks, d, r, basis, axis):
     """Check the shearing-form conditions for a candidate kept-subspace
-    basis of the trailing coordinate space.  Returns (ok, rank_kept, q4):
-    q4 is the pair (Q4, its inverse as a series matrix), or None when the
-    candidate is the whole space (rho = 0)."""
-    m, w = n - r, other(axis)
-    W, D, C, E = blocks["W"], blocks["D"], blocks["C"], blocks["E"]
-    if v3_basis is None or v3_basis.cols == m:
-        x_mat = _hstack_sm([W, C])
-        rank_x = series_rank(x_mat, w) if x_mat is not None else 0
+    basis of the trailing coordinate space, None for the whole space.
+    Returns (ok, rank_kept, q4): q4 is the pair (Q4, its inverse as a
+    series matrix), or None for the whole space (rho = 0)."""
+    w = other(axis)
+    W, D, C, E = blocks
+    if basis is None:
+        rank_x = series_rank(_hstack([W, C]), w)
         return rank_x < r, rank_x, None
-    q4 = _complete_unimodular(v3_basis, axis)
+    q4 = _complete_unimodular(basis, axis)
     if q4 is None:
         return False, -1, None
     q, q_inv = q4
-    k = v3_basis.cols
     c_new, d_new, e_new = C * q, q_inv * D, q_inv * E * q
-    g3 = list(range(k))
-    g4 = list(range(k, m))
+    g3 = list(range(basis.cols))
+    g4 = list(range(basis.cols, basis.rows))
     # Sheared trailing rows of the first-r columns, columns d..r, must vanish.
     for i in g4:
         for j in range(d, r):
             if not d_new.at(i, j).is_zero():
                 return False, -1, None
-    x_mat = _hstack_sm([W, c_new.submatrix(list(range(r)), g3) if g3 else None])
-    y_mat = _hstack_sm(
-        [
-            d_new.submatrix(g4, list(range(d))) if d else None,
-            e_new.submatrix(g4, g3) if g3 else None,
-        ]
-    )
-    rank_x = series_rank(x_mat, w) if x_mat is not None else 0
+    x_mat = _hstack([W, c_new.submatrix(list(range(r)), g3)])
+    y_mat = _hstack([d_new.submatrix(g4, list(range(d))), e_new.submatrix(g4, g3)])
+    rank_x = series_rank(x_mat, w)
     if rank_x >= r:
         return False, -1, None
-    if y_mat is not None:
-        stacked = _vstack_sm([x_mat, y_mat])
-        if stacked is not None and series_rank(stacked, w) != rank_x:
-            return False, -1, None
+    stacked = SeriesMatrix(x_mat.rows + y_mat.rows, x_mat.cols,
+                           x_mat.entries + y_mat.entries)
+    if series_rank(stacked, w) != rank_x:
+        return False, -1, None
     return True, rank_x, q4
 
 
@@ -334,18 +305,16 @@ def _saturated_stages(vd_cols, e_block, m, axis):
     return stages
 
 
-def _candidate_subspaces(blocks, d, r, n, axis):
+def _candidate_subspaces(blocks, d, r, axis):
     """Candidate kept-subspaces of the trailing coordinate space: the whole
     space first (rho = 0), then closures of the span of the lower-left
     leading-block columns d..r under the trailing block, most closed first."""
     yield None
-    m = n - r
-    D, E = blocks["D"], blocks["E"]
-    if D is None or E is None or r == d:
+    if r == d:
         return
+    _, D, _, E = blocks
+    m = D.rows
     vd_cols = [[D.at(i, j) for i in range(m)] for j in range(d, r)]
-    if not vd_cols:
-        return
     seen = set()
     for basis in reversed(_saturated_stages(vd_cols, E, m, axis)):
         if basis.cols in seen or basis.cols == m:
@@ -354,32 +323,23 @@ def _candidate_subspaces(blocks, d, r, n, axis):
         yield basis
 
 
-def prepare_shearing(sys: PfaffianSystem, axis: str) -> ShearingForm:
+def _prepare_shearing(sys: PfaffianSystem, axis: str,
+                      gauss: GaussForm) -> ShearingForm:
     """Arrange the trailing coordinates for a rank-dropping shearing.
 
-    Precondition: the subsystem is in the reduced leading form
-    (column_reduce_leading applied), its Moser rank exceeds 1, and the
-    criterion polynomial vanishes identically on the window.  Produces a
-    unimodular Q with det 1 and a split size rho in [0, n-r] such that
-    both rank conditions hold, certified by exact rank computation.
+    `sys` is the step's input after gauss.gauge, and gauss carries its
+    ranks (d, r).  The step has certified that the criterion polynomial
+    vanishes.  Produces a unimodular Q with det 1 and a split size rho in
+    [0, n-r] such that both rank conditions hold, certified by exact rank
+    computation.
     """
-    theta = theta_poly(sys, axis)
-    if not theta.is_zero():
-        raise PreconditionViolated(
-            "criterion polynomial does not vanish; subsystem is Moser-irreducible"
-        )
-    r = theta.rank_leading
-    n = sys.n
-    a0 = _leading(sys, axis)
-    top = a0.submatrix(list(range(r)), list(range(r))) if r else None
-    d = series_rank(top, other(axis)) if top is not None else 0
-    if not _verify_gauss_form(a0, d, r, axis):
+    d, r, n = gauss.d, gauss.r, sys.n
+    if not _verify_gauss_form(sys, axis, d, r):
         raise PreconditionViolated("subsystem is not in the reduced leading form")
     blocks = _gauss_blocks(sys, axis, d, r)
-    m = n - r
     tx, ty = sys.window
-    for basis in _candidate_subspaces(blocks, d, r, n, axis):
-        ok, rank_kept, q4 = _certify_split(blocks, d, r, n, basis, axis)
+    for basis in _candidate_subspaces(blocks, d, r, axis):
+        ok, rank_kept, q4 = _certify_split(blocks, d, r, basis, axis)
         if not ok:
             continue
         if q4 is None:
@@ -389,8 +349,8 @@ def prepare_shearing(sys: PfaffianSystem, axis: str) -> ShearingForm:
             gauge = GaugeTransform._of(
                 *(embed_block(LaurentMatrix(blk), range(r, n), n, tx, ty)
                   for blk in q4), "arrange-trailing")
-            rho = m - basis.cols
-        return ShearingForm(gauge=gauge, rho=rho, d=d, r=r, rank_kept=rank_kept)
+            rho = n - r - basis.cols
+        return ShearingForm(gauge=gauge, rho=rho, rank_kept=rank_kept)
     raise ReductionError(
         "no certified arrangement of the trailing block was found although "
         "the criterion polynomial vanishes; the window may be too small"
@@ -507,13 +467,13 @@ def reduce_subsystem_step(sys: PfaffianSystem, axis: str,
             f"its window (axis {axis})",
             window=current.window,
         )
-    form = prepare_shearing(current, axis)
+    form = _prepare_shearing(current, axis, gf)
     push(form.gauge, "arrange-trailing")
-    _check_shear_null_blocks(current, axis, form.r, form.rho)
+    _check_shear_null_blocks(current, axis, gf.r, form.rho)
     tx, ty = current.window
     p_before = current.pole(axis)
     r_before = current.leading_rank(axis)
-    push(shearing_matrix(form.r, form.rho, current.n, axis, tx, ty), "shearing")
+    push(shearing_matrix(gf.r, form.rho, current.n, axis, tx, ty), "shearing")
     p_after = current.pole(axis)
     r_after = current.leading_rank(axis)
     if (p_after, r_after) >= (p_before, r_before):

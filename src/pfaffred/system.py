@@ -108,6 +108,10 @@ class PfaffianSystem:
 def _normalize_side(p, mat, var, strict):
     if mat.is_zero():
         if p > 0 and strict:
+            if not mat.is_exact:
+                raise TruncationExhausted(
+                    f"the {var}-subsystem vanishes on its window, so its "
+                    f"pole {p} is not certified", window=mat.window)
             raise InvariantViolation(
                 f"leading series of the {var}-subsystem vanishes on the window "
                 f"with pole {p} > 0"

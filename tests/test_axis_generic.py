@@ -16,8 +16,8 @@ from test_echelon_inverse import chain_system
 from pfaffred.errors import PfaffredError
 from pfaffred.io import parse_system
 from pfaffred.moser import (
+    _prepare_shearing,
     column_reduce_leading,
-    prepare_shearing,
     reduce_subsystem_step,
     theta_poly,
 )
@@ -94,7 +94,7 @@ def step_key(step, swap):
 
 def theta_key(th, swap):
     coeffs = [swap_series(c) if swap else c for c in th.coeffs]
-    return ([series_key(c) for c in coeffs], th.rank_leading,
+    return ([series_key(c) for c in coeffs],
             th.window[::-1] if swap else th.window)
 
 
@@ -104,7 +104,7 @@ def gauss_key(gf, swap):
 
 def shearing_key(sf, swap):
     return (gauge_key(flip_gauge(sf.gauge) if swap else sf.gauge), sf.rho,
-            sf.d, sf.r, sf.rank_kept)
+            sf.rank_kept)
 
 
 def step_result_key(res, swap):
@@ -115,19 +115,17 @@ def step_result_key(res, swap):
             [step_key(s, swap) for s in steps])
 
 
-def on_gauss_form(call):
-    """call on the system column-reduced on the axis (prepare_shearing's
-    precondition), or the failure of that reduction."""
-    def run(s, axis):
-        moved = apply_gauge(s, column_reduce_leading(s, axis).gauge).to_system()
-        return call(moved, axis)
-    return run
+def arrange(s, axis):
+    """_prepare_shearing on the system column-reduced on the axis, with
+    that reduction's Gauss form, or the failure of the reduction."""
+    gf = column_reduce_leading(s, axis)
+    return _prepare_shearing(apply_gauge(s, gf.gauge).to_system(), axis, gf)
 
 
 CALLS = {
     "theta_poly": (theta_poly, theta_key),
     "column_reduce_leading": (column_reduce_leading, gauss_key),
-    "prepare_shearing": (on_gauss_form(prepare_shearing), shearing_key),
+    "prepare_shearing": (arrange, shearing_key),
     "reduce_subsystem_step": (reduce_subsystem_step, step_result_key),
 }
 

@@ -75,7 +75,8 @@ def assert_theta_agrees(sys_obj, axis):
         theta = theta_poly(sys_obj, axis)
     except PreconditionViolated:
         return None
-    old = oracle_moser.lambda_theta_coeffs(sys_obj, axis, theta.rank_leading)
+    old = oracle_moser.lambda_theta_coeffs(sys_obj, axis,
+                                           sys_obj.leading_rank(axis))
     if axis == "y":
         old = [BiSeries({(j, i): v for (i, j), v in c.coeffs.items()},
                         c.ty, c.tx, exact=c.exact) for c in old]

@@ -348,6 +348,25 @@ def test_regular_solve_on_a_short_window_is_window_exhaustion(tmp_path,
     assert main(["solve", str(path)]) == 0
 
 
+@pytest.mark.parametrize("command", ["check", "reduce", "expparts", "katz",
+                                     "solve"])
+def test_window_that_zeroes_a_side_is_window_exhaustion(tmp_path, capsys,
+                                                         command):
+    # A = y with pole 1: cut to --trunc-y 1, the x-side is zero on its
+    # window, so its pole is unknown there.  That is window exhaustion
+    # (exit 3), not a malformed document (exit 2).
+    doc = {"n": 1, "p": 1, "q": 0, "trunc_x": 4, "trunc_y": 4,
+           "A_terms": [{"i": 0, "j": 1, "matrix": [["1"]]}], "B_terms": []}
+    path = tmp_path / "zero_side.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert main([command, str(path), "--trunc-y", "1",
+                 "--report", str(report)]) == 3
+    assert capsys.readouterr().err.startswith("error (TruncationExhausted): ")
+    [failure] = json.loads(report.read_text())["windows"]
+    assert failure == {"what": "failure window", "window": [4, 1]}
+
+
 def test_unwritable_outputs_exit_2(tmp_path, capsys):
     # An output that cannot be written is an error line naming its path
     # (exit 2), never a traceback: the report, the reduced system, and

@@ -65,8 +65,8 @@ def test_rank_reduce_derives_leading_data_once(monkeypatch, exmnaive):
     assert (reduced.p, reduced.q) == (0, 0)
     assert len(report.steps) == 12
     assert distinct(ranks) == len(ranks) == 15
-    assert distinct(thetas) == len(thetas) == 8
-    assert len(echelons) == 35
+    assert distinct(thetas) == len(thetas) == 4
+    assert len(echelons) == 27
 
 
 def test_leading_rank_is_cached(exmnaive):

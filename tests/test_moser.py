@@ -7,9 +7,10 @@ import sympy
 from pfaffred.errors import PreconditionViolated
 from pfaffred.matrices import SeriesMatrix, series_rank
 from pfaffred.moser import (
+    _prepare_shearing,
+    _verify_gauss_form,
     column_reduce_leading,
     moser_rank,
-    prepare_shearing,
     rank_reduce,
     reduce_subsystem_step,
     shearing_matrix,
@@ -98,18 +99,11 @@ def test_theta_precondition():
         theta_poly(regular, "x")
 
 
-def _gauss_form_postcondition(sys_obj, axis, d, r):
-    from pfaffred.moser import _verify_gauss_form
-
-    a0 = sys_obj.side(axis).coeff_matrix(axis, 0)
-    return _verify_gauss_form(a0, d, r, axis)
-
-
 def test_column_reduce_examples(exmnaive):
     gf = column_reduce_leading(exmnaive, "x")
     assert gf.r == 1 and gf.d in (0, 1)
     moved = apply_gauge(exmnaive, gf.gauge).to_system()
-    assert _gauss_form_postcondition(moved, "x", gf.d, gf.r)
+    assert _verify_gauss_form(moved, "x", gf.d, gf.r)
     # Already-reduced leading matrix: the gauge is the identity.
     a = SeriesMatrix.from_rows(
         [
@@ -149,29 +143,31 @@ def test_saturated_stages_divide_by_the_coefficient_variable(axis):
         s({(2, 0): 1}), s({(2, 1): 3, (3, 0): 1})]
 
 
+def test_candidate_subspaces_skip_the_whole_space():
+    """r = 1, d = 0, n = 3: the column e1 of D closes under E = [[0, 0],
+    [1, 0]] to the whole trailing space, which the first candidate (None)
+    already stands for, so only the span of e1 follows it.  W is r x 0."""
+    from pfaffred.moser import _candidate_subspaces
+
+    one, zero = BiSeries.const(1, T, T), BiSeries.zero(T, T)
+    W = SeriesMatrix(1, 0, [])
+    D = SeriesMatrix.from_rows([[one], [zero]])
+    C = SeriesMatrix.zeros(1, 2, T, T)
+    E = SeriesMatrix.from_rows([[zero, zero], [one, zero]])
+    got = list(_candidate_subspaces((W, D, C, E), 0, 1, "x"))
+    assert got == [None, D]
+
+
 def test_prepare_shearing_postconditions(exmnaive):
     gf = column_reduce_leading(exmnaive, "x")
     work = apply_gauge(exmnaive, gf.gauge).to_system()
-    form = prepare_shearing(work, "x")
-    assert 0 <= form.rho <= work.n - form.r
-    assert form.rank_kept < form.r
+    form = _prepare_shearing(work, "x", gf)
+    assert 0 <= form.rho <= work.n - gf.r
+    assert form.rank_kept < gf.r
     # det Q = +-1 exactly.
     for f in form.gauge.factors:
         d = oracle_cofactor.det(f.series)
         assert d == BiSeries.const(1, T, T) or d == BiSeries.const(-1, T, T)
-
-
-def test_prepare_shearing_guard():
-    # Moser-irreducible input must be rejected.
-    a = SeriesMatrix.from_rows(
-        [
-            [BiSeries.zero(T, T), BiSeries.const(1, T, T)],
-            [poly_series({(1, 0): 1}), BiSeries.zero(T, T)],
-        ]
-    )
-    sys_obj = PfaffianSystem.make(2, 1, 0, a, SeriesMatrix.zeros(2, 2, T, T))
-    with pytest.raises(PreconditionViolated):
-        prepare_shearing(sys_obj, "x")
 
 
 def test_prepare_shearing_exhaustive_2x2():
@@ -187,9 +183,9 @@ def test_prepare_shearing_exhaustive_2x2():
             continue
         gf = column_reduce_leading(sys_obj, "x")
         work = apply_gauge(sys_obj, gf.gauge).to_system()
-        if (work.p if True else 0) <= 0:
+        if work.p <= 0:
             continue
-        form = prepare_shearing(work, "x")
+        form = _prepare_shearing(work, "x", gf)
         assert form.rho in (0, 1)
         found += 1
     assert found >= 10
@@ -218,6 +214,7 @@ def test_reduce_subsystem_step_drops(exmnaive):
 
 
 def test_reduce_subsystem_step_guard():
+    # Moser-irreducible input is rejected before the arrangement.
     a = SeriesMatrix.from_rows(
         [
             [BiSeries.zero(T, T), BiSeries.const(1, T, T)],

@@ -39,10 +39,6 @@ PUBLIC_METHODS = {
 
 # Fields of result types that only the tests read, by qualified name.
 PUBLIC_FIELDS = {
-    # The rank of the leading matrix's top-left corner, which the Moser
-    # step recomputes from the conjugated system.
-    "moser.GaussForm.d",
-    "moser.ShearingForm.d",
     # The rank that witnesses both shearing conditions.
     "moser.ShearingForm.rank_kept",
     # The first-kind solve's answer Y = Phi * v^Lambda.

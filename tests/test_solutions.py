@@ -1,9 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from pfaffred.errors import JointResonance, NotSplittable, PreconditionViolated
+from pfaffred.errors import (
+    JointResonance,
+    NotSplittable,
+    PreconditionViolated,
+    TruncationExhausted,
+)
 from pfaffred.matrices import LaurentMatrix, SeriesMatrix
 from pfaffred.series import BiSeries
 from pfaffred.solutions import (
@@ -241,6 +247,53 @@ def test_formal_fundamental_paper(exm):
     assert sorted(data.lambda1[i][i] for i in range(2)) == [-2, 1]
     assert sorted(data.lambda2[i][i] for i in range(2)) == [-2, -1]
     assert verify_solution(exm, data)
+
+
+def _with_entry(matrix, i, j, value):
+    """A copy of the constant matrix `matrix` with entry (i, j) set."""
+    rows = [list(row) for row in matrix]
+    rows[i][j] = value
+    return tuple(tuple(row) for row in rows)
+
+
+def _with_q_term(q, k, c):
+    """A copy of the per-coordinate Q terms `q` with c*v^-k added to the
+    first coordinate."""
+    out = [dict(entry) for entry in q]
+    out[0][k] = out[0].get(k, Fraction(0)) + c
+    return out
+
+
+def test_verify_solution_refuses_wrong_data(exm):
+    # The substitution check returns False for each corrupted copy of a
+    # verified solution.  The x-side that exm's gauge trace gives has pole
+    # 1, so a Q term of order 2 lies above it.
+    data = formal_fundamental(exm)
+    assert verify_solution(exm, data)
+    lam = data.lambda1
+    wrong = [
+        dataclasses.replace(data, lambda1=None),
+        dataclasses.replace(data, q1=_with_q_term(data.q1, Fraction(1, 2), 1)),
+        dataclasses.replace(data, q1=_with_q_term(data.q1, Fraction(2), 1)),
+        dataclasses.replace(data, lambda1=_with_entry(lam, 0, 0, lam[0][0] + 1)),
+        dataclasses.replace(data, lambda1=_with_entry(lam, 0, 1, Fraction(1))),
+    ]
+    assert [verify_solution(exm, w) for w in wrong] == [False] * len(wrong)
+
+
+def test_verify_solution_checks_a_jordan_block():
+    # x dY/dx = [[0, 1], [0, 0]] Y, y dY/dy = Y: Lambda1 is the Jordan
+    # block itself, so its off-diagonal entry is checked.
+    a = const_mat([[0, 1], [0, 0]], 4, 4)
+    sys_obj = PfaffianSystem.make(2, 0, 0, a, const_mat([[1, 0], [0, 1]], 4, 4))
+    data = formal_fundamental(sys_obj)
+    assert data.lambda1 == _with_entry(((0, 0), (0, 0)), 0, 1, 1)
+    assert verify_solution(sys_obj, data)
+    # With B = 0 the gauge trace carries the y-side to a zero that is only
+    # zero on its window, so its pole, and the check, are undecided.
+    zero_b = PfaffianSystem.make(2, 0, 0, a, const_mat([[0, 0], [0, 0]], 4, 4))
+    with pytest.raises(TruncationExhausted):
+        verify_solution(zero_b, formal_fundamental(zero_b))
 
 
 def test_formal_fundamental_regular_case(exmnaive):
