@@ -170,6 +170,22 @@ def test_prepare_shearing_postconditions(exmnaive):
         assert d == BiSeries.const(1, T, T) or d == BiSeries.const(-1, T, T)
 
 
+def test_prepare_shearing_guard():
+    # An input not in the reduced leading form its Gauss form claims (here
+    # the system before its column-reduce gauge) must be rejected.
+    a = SeriesMatrix.from_rows(
+        [
+            [BiSeries.zero(T, T), BiSeries.const(1, T, T)],
+            [poly_series({(1, 0): 1}), BiSeries.zero(T, T)],
+        ]
+    )
+    sys_obj = PfaffianSystem.make(2, 1, 0, a, SeriesMatrix.zeros(2, 2, T, T))
+    gf = column_reduce_leading(sys_obj, "x")
+    assert not _verify_gauss_form(sys_obj, "x", gf.d, gf.r)
+    with pytest.raises(PreconditionViolated):
+        _prepare_shearing(sys_obj, "x", gf)
+
+
 def test_prepare_shearing_exhaustive_2x2():
     # Exhaustive small-case check: every reducible shape with r = 1 admits
     # a certified split with rho in {0, 1}.
