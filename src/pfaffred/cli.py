@@ -21,7 +21,6 @@ import sys as _sys
 from .errors import (
     AlgebraicExtensionRequired,
     IntegrabilityViolation,
-    JointResonance,
     ParseError,
     PfaffredError,
     TruncationExhausted,
@@ -273,8 +272,6 @@ def _error_exit(command, args, err):
         code = EXIT_TRUNCATION
     elif isinstance(err, AlgebraicExtensionRequired):
         code = EXIT_ALGEBRAIC
-    elif isinstance(err, JointResonance):
-        code = EXIT_RESONANCE
     report = _report_base(command, args, None)
     report["error"] = {"kind": kind, "code": code, "detail": str(err)}
     if isinstance(err, ParseError) and err.field is not None:

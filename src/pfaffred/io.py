@@ -50,21 +50,23 @@ MAX_WINDOW = 128
 MAX_POLE = 64
 
 
-def _rat(text, where):
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
-        raise ParseError(f"rational must be an integer or a string "
-                         f"'num/den': {text!r}", field=where)
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"bad rational {text!r}: zero denominator",
-                         field=where) from None
-    except ValueError:
-        # Python's int/str conversion limit.
-        raise ParseError(f"rational of {len(text)} characters has too many "
-                         "digits", field=where) from None
+def _rat(text, where, r, c):
+    """The rational that entry [r][c] of the matrix at `where` spells: an
+    int, or a Fraction for 'a/b'."""
+    if type(text) is int:
+        return text
+    if isinstance(text, str) and _RATIONAL.fullmatch(text):
+        num, _, den = text.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if den else int(num)
+        except ZeroDivisionError:
+            problem = f"bad rational {text!r}: zero denominator"
+        except ValueError:
+            # Python's int/str conversion limit.
+            problem = f"rational of {len(text)} characters has too many digits"
+    else:
+        problem = f"rational must be an integer or a string 'num/den': {text!r}"
+    raise ParseError(problem, field=f"{where}.matrix[{r}][{c}]")
 
 
 def rat_str(f: Fraction) -> str:
@@ -111,12 +113,12 @@ def _terms_to_matrix(terms, n, tx, ty, side):
             or any(not isinstance(row, list) or len(row) != n for row in mat)
         ):
             raise ParseError(f"matrix must be {n}x{n}", field=where)
-        grid = coeffs.setdefault((i, j), [[Fraction(0)] * n for _ in range(n)])
-        for r in range(n):
-            for c in range(n):
-                val = _rat(mat[r][c], f"{where}.matrix[{r}][{c}]")
-                if val:
-                    grid[r][c] += val
+        grid = coeffs.setdefault((i, j), [[0] * n for _ in range(n)])
+        for r, (row, out) in enumerate(zip(mat, grid)):
+            for c, text in enumerate(row):
+                val = _rat(text, where, r, c)
+                # A first value is stored as it is; repeated terms add up.
+                out[c] = out[c] + val if out[c] else val
     # Document terms describe a polynomial exactly; the declared truncation
     # orders become the default working precision of derived computations.
     return SeriesMatrix.from_coefficients(coeffs, n, tx, ty, exact=True)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import qlinalg
 from .errors import DimensionMismatch, TruncationExhausted
-from .series import BiSeries, dot, exponent, q
+from .series import BiSeries, dot, exponent
 
 
 class SeriesMatrix:
@@ -196,7 +196,8 @@ class SeriesMatrix:
         return SeriesMatrix(self.rows, other.cols, out)
 
     def scale(self, c):
-        return SeriesMatrix(self.rows, self.cols, [e * q(c) for e in self.entries])
+        """c times self, c an int or a Fraction."""
+        return SeriesMatrix(self.rows, self.cols, [e * c for e in self.entries])
 
     def delta(self, var):
         return SeriesMatrix(self.rows, self.cols, [e.delta(var) for e in self.entries])
@@ -221,21 +222,13 @@ class SeriesMatrix:
 
     def coeff_matrix(self, var, k):
         """Matrix of coefficients of var^k, as series in the other variable."""
-        out = []
         for e in self.entries:
             if not e.exact and k >= (e.tx if var == "x" else e.ty):
                 raise TruncationExhausted(
                     f"coefficient of {var}^{k} outside the window", window=e.window
                 )
-            if var == "x":
-                out.append(BiSeries._of(
-                    {(0, j): c for (i, j), c in e.coeffs.items() if i == k},
-                    e.tx, e.ty, e.exact))
-            else:
-                out.append(BiSeries._of(
-                    {(i, 0): c for (i, j), c in e.coeffs.items() if j == k},
-                    e.tx, e.ty, e.exact))
-        return SeriesMatrix(self.rows, self.cols, out)
+        return SeriesMatrix(self.rows, self.cols,
+                            [e.coefficient(var, k) for e in self.entries])
 
     def content(self, var):
         """Largest k with var^k dividing every entry, certified on the window.
@@ -342,7 +335,7 @@ def _divide(a: BiSeries, b: BiSeries, var: str) -> BiSeries:
             "pivot is not monomial times unit on its window", window=b.window
         )
     q0 = a.divide_monomial(dx, dy)
-    if not q0.coeffs:
+    if q0.is_zero():
         # A window-zero quotient times a unit is itself: the unit's
         # constant term keeps the window at q0's.
         return q0
@@ -368,11 +361,25 @@ def column_echelon(m: SeriesMatrix, var: str):
     exact.  An exact entry may carry other nominal orders than the
     reference's, e.g. (8, 8) against (8, 9).
     """
+    identity = SeriesMatrix.identity(m.cols, *m.window)
+    v, v_inv = identity.to_rows(), identity.to_rows()
+    work, rank = _eliminate(m, var, v, v_inv)
+    reduced = SeriesMatrix(m.rows, m.cols, [e for row in work for e in row])
+    return (SeriesMatrix.from_rows(v), reduced, rank,
+            SeriesMatrix.from_rows(v_inv))
+
+
+def series_rank(m: SeriesMatrix, var: str) -> int:
+    """Rank over the fraction field of the var-series ring (window-certified):
+    column_echelon's pivot loop, without its transforms."""
+    return _eliminate(m, var)[1]
+
+
+def _eliminate(m: SeriesMatrix, var: str, v=None, v_inv=None):
+    """The pivot loop of column_echelon: (reduced rows, rank).  The column
+    operations are applied to the rows v and v_inv as well, when given."""
     work = m.to_rows()
     nrows, ncols = m.rows, m.cols
-    tx, ty = m.window
-    v = SeriesMatrix.identity(ncols, tx, ty).to_rows()
-    v_inv = SeriesMatrix.identity(ncols, tx, ty).to_rows()
     used_rows = []
     placed = 0
     while placed < ncols:
@@ -394,9 +401,10 @@ def column_echelon(m: SeriesMatrix, var: str):
         if pj != placed:
             for row in work:
                 row[placed], row[pj] = row[pj], row[placed]
-            for row in v:
-                row[placed], row[pj] = row[pj], row[placed]
-            v_inv[placed], v_inv[pj] = v_inv[pj], v_inv[placed]
+            if v is not None:
+                for row in v:
+                    row[placed], row[pj] = row[pj], row[placed]
+                v_inv[placed], v_inv[pj] = v_inv[pj], v_inv[placed]
         pivot = work[pi][placed]
         # Only not-yet-placed columns: their entries in unused rows have
         # valuation >= the pivot's by pivot selection, so division is exact.
@@ -407,20 +415,10 @@ def column_echelon(m: SeriesMatrix, var: str):
             f = _divide(e, pivot, var)
             for i in range(nrows):
                 work[i][j] = work[i][j] - work[i][placed] * f
-            for i in range(ncols):
-                v[i][j] = v[i][j] - v[i][placed] * f
-                v_inv[placed][i] = v_inv[placed][i] + f * v_inv[j][i]
+            if v is not None:
+                for i in range(ncols):
+                    v[i][j] = v[i][j] - v[i][placed] * f
+                    v_inv[placed][i] = v_inv[placed][i] + f * v_inv[j][i]
         used_rows.append(pi)
         placed += 1
-    return (
-        SeriesMatrix.from_rows(v),
-        SeriesMatrix.from_rows(work),
-        placed,
-        SeriesMatrix.from_rows(v_inv),
-    )
-
-
-def series_rank(m: SeriesMatrix, var: str) -> int:
-    """Rank over the fraction field of the var-series ring (window-certified)."""
-    return column_echelon(m, var)[2]
-
+    return work, placed

@@ -127,15 +127,12 @@ def theta_poly(sys: PfaffianSystem, axis: str) -> ThetaPolynomial:
                 "window too small to read the criterion coefficient",
                 window=c.window,
             )
-        if any(e[k_axis] < n - r for e in c.coeffs):
+        if c.val(axis) < n - r:
             raise ReductionError(
                 f"criterion determinant has coefficients below {axis}^(n-r); "
                 "the certified leading rank disagrees with the determinant"
             )
-        coeffs.append(BiSeries._of(
-            {exponent(axis, 0, e[1 - k_axis]): val
-             for e, val in c.coeffs.items() if e[k_axis] == n - r},
-            c.tx, c.ty, c.exact))
+        coeffs.append(c.coefficient(axis, n - r))
     return ThetaPolynomial(tuple(coeffs), side.window)
 
 

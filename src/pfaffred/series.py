@@ -6,26 +6,30 @@ precision for operations that must truncate, such as unit inversion) or
 truncated: known on the rectangle i < tx, j < ty and unknown outside it.
 All operations propagate the guaranteed window pessimistically, so zero
 tests and equality are certified claims about the window; on exact inputs
-the verdicts are unconditional.  Coefficients are fractions.Fraction in
-lowest terms; zero coefficients are never stored.  Products run on
-integer numerators over one common denominator and normalize each output
-coefficient once; a product by an exact monic monomial x^i y^j only moves
-the other factor's coefficients by (i, j).
+the verdicts are unconditional.
+
+A series stores integer numerators over one denominator: its coefficient
+at x^i y^j is num[(i, j)] / den.  The form is canonical: den > 0, the gcd
+of den and every numerator is 1, den is 1 when there are no terms, and
+zero numerators are never stored.  Every operation runs on these
+integers: a product accumulates numerators and divides the sum by one
+gcd, a sum works over the lcm of the two denominators, and a product by
+an exact monic monomial x^i y^j only moves the other factor's numerators
+by (i, j).  Fractions are built only when a coefficient is read (coeff,
+terms, coeffs).
 
 The public constructor BiSeries(...) is the one validating path: it checks
-the orders and exponents, coerces each coefficient with q(), drops zeros
-and, for a truncated series, terms outside the window.  It serves parsed
-documents, the const/zero/monomial constructors and users.  Internal
-operations (sums, products, scalings, Euler derivatives, window cuts,
-monomial shifts and divisions, evaluation at zero) and the matrix-layer
-rebuilds that only move exponents or pick terms build their results with
-the trusted BiSeries._of, which stores its arguments unchecked: the
-invariants (nonzero Fraction coefficients, nonnegative exponents, terms of
-a truncated series inside its window) hold there by construction.  A
-series is immutable: its coeffs dict is never mutated after construction,
-so its integer numerators are computed once, on its first product, and
-kept in its _num slot, and its valuations once, on first use, and kept in
-its _val slot.
+the orders and exponents, coerces each coefficient with q() (ints pass as
+they are), drops zeros and, for a truncated series, terms outside the
+window, and brings the rest over their least common denominator.  It
+serves parsed documents, the const/zero/monomial constructors and users.
+Internal operations and the matrix-layer rebuilds build their results
+with the trusted BiSeries._of, which stores its arguments unchecked, or
+with BiSeries._reduced, which first divides out the gcd: the invariants
+(the canonical form, nonnegative exponents, terms of a truncated series
+inside its window) hold there by construction.  A series is immutable:
+its num dict is never mutated after construction, so its valuations are
+computed once, on first use, and kept in its _val slot.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import groupby, product
-from math import lcm
+from math import gcd, lcm
 
 from .errors import TruncationExhausted, ZeroConstantTerm
 
@@ -59,27 +63,12 @@ def q(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def _numerators(coeffs):
-    """(d, [(exponent, numerator)]): every coefficient is numerator / d,
-    with d the lcm of the denominators."""
-    d = lcm(*[c.denominator for c in coeffs.values()])
-    return d, [(e, c.numerator * (d // c.denominator)) for e, c in coeffs.items()]
-
-
-def _numerators_once(s):
-    """s's _numerators, computed on first use and kept in its _num slot."""
-    num = s._num
-    if num is None:
-        num = s._num = _numerators(s.coeffs)
-    return num
-
-
 def _valuations_once(s):
     """(val_x, val_y) of s, computed on first use and kept in its _val slot."""
     v = s._val
     if v is None:
-        if s.coeffs:
-            v = (min(i for i, _ in s.coeffs), min(j for _, j in s.coeffs))
+        if s.num:
+            v = (min(i for i, _ in s.num), min(j for _, j in s.num))
         else:
             v = (s._eff_tx(), s._eff_ty())
         s._val = v
@@ -97,16 +86,16 @@ def dot(pairs):
     variable), and only terms inside it are kept.  An exact zero factor
     makes an exact zero product.  When a single product is left and one of
     its factors is an exact monic monomial x^i y^j, the sum is the other
-    factor's coefficients, the same Fraction objects, moved by (i, j);
-    otherwise the terms are accumulated as integer numerators over one
-    common denominator.
+    factor's numerators moved by (i, j), over its denominator; otherwise
+    the numerators are accumulated over one common denominator, and the
+    sum is divided by its gcd with that denominator.
     """
     pairs = list(pairs)
     live = []
     exact = True
     tx = ty = INF_ORDER
     for a, b in pairs:
-        if (a.exact and not a.coeffs) or (b.exact and not b.coeffs):
+        if (a.exact and not a.num) or (b.exact and not b.num):
             continue
         live.append((a, b))
         if not (a.exact and b.exact):
@@ -119,28 +108,28 @@ def dot(pairs):
                   max(max(a.ty, b.ty) for a, b in pairs))
     else:
         orders = (tx, ty)
+    if not live:
+        return BiSeries._of({}, 1, *orders, exact)
     if len(live) == 1:
         [(a, b)] = live
         for m, other in ((a, b), (b, a)):
-            if m.exact and list(m.coeffs.values()) == [1]:
-                [(di, dj)] = m.coeffs
-                return BiSeries._of({(i + di, j + dj): c
-                                     for (i, j), c in other.coeffs.items()},
-                                    *orders, exact)
+            if m.exact and m.den == 1 and list(m.num.values()) == [1]:
+                [(di, dj)] = m.num
+                return BiSeries._of({(i + di, j + dj): v
+                                     for (i, j), v in other.num.items()},
+                                    other.den, *orders, exact)
     # Each product's numerators over its own denominator da * db, inside
     # the window; b's terms are grouped in rows of equal x-exponent.
     products = []
     jmax = 0
     for a, b in live:
-        da, na = _numerators_once(a)
-        db, nb = _numerators_once(b)
-        na = [t for t in na if t[0][0] < tx and t[0][1] < ty]
-        nb = sorted(t for t in nb if t[0][0] < tx and t[0][1] < ty)
+        na = [t for t in a.num.items() if t[0][0] < tx and t[0][1] < ty]
+        nb = sorted(t for t in b.num.items() if t[0][0] < tx and t[0][1] < ty)
         if na and nb:
             jmax = max(jmax, max(j for (_, j), _ in na) + max(j for (_, j), _ in nb))
             rows = [(i, [(j, v) for (_, j), v in row])
                     for i, row in groupby(nb, key=lambda t: t[0][0])]
-            products.append((da * db, na, rows))
+            products.append((a.den * b.den, na, rows))
     # Exponents (i, j) of the sum are packed as i * stride + j.
     stride = jmax + 1
     den = lcm(*[d for d, _, _ in products])
@@ -158,19 +147,18 @@ def dot(pairs):
                     if j2 >= jlim:
                         break
                     acc[base + j2] += x * y
-    out = {divmod(e, stride): Fraction(s, den) for e, s in acc.items() if s}
-    return BiSeries._of(out, *orders, exact)
+    out = {divmod(e, stride): s for e, s in acc.items() if s}
+    return BiSeries._reduced(out, den, *orders, exact)
 
 
 class BiSeries:
-    """Formal power series in (x, y) with Fraction coefficients.
+    """Formal power series in (x, y) over Q, stored as integer numerators
+    num over one denominator den (see the module docstring).
 
-    The _num slot holds the series' integer numerators, (d, [(exponent,
-    numerator)]), once a product has needed them, and None before; the
-    _val slot holds (val_x, val_y) once they have been read, and None
+    The _val slot holds (val_x, val_y) once they have been read, and None
     before."""
 
-    __slots__ = ("coeffs", "tx", "ty", "exact", "_num", "_val")
+    __slots__ = ("num", "den", "tx", "ty", "exact", "_val")
 
     def __init__(self, coeffs, tx, ty, exact=False):
         if tx < 0 or ty < 0:
@@ -181,27 +169,43 @@ class BiSeries:
                 raise ValueError(f"negative exponent ({i},{j})")
             if not exact and (i >= tx or j >= ty):
                 continue
-            c = q(c)
+            if not isinstance(c, int):
+                c = q(c)
             if c:
                 clean[(i, j)] = c
-        self.coeffs = clean
+        den = lcm(*[c.denominator for c in clean.values()])
+        self.num = {e: c.numerator * (den // c.denominator)
+                    for e, c in clean.items()}
+        self.den = den
         self.tx = tx
         self.ty = ty
         self.exact = exact
-        self._num = self._val = None
+        self._val = None
 
     @classmethod
-    def _of(cls, coeffs, tx, ty, exact):
-        """The series with exactly these fields, unchecked: coeffs must map
-        nonnegative exponents to nonzero Fractions, inside the window
-        unless exact, and must not be mutated afterwards."""
+    def _of(cls, num, den, tx, ty, exact):
+        """The series with exactly these fields, unchecked: num must map
+        nonnegative exponents to nonzero ints, inside the window unless
+        exact, in canonical form with den, and must not be mutated
+        afterwards."""
         s = object.__new__(cls)
-        s.coeffs = coeffs
+        s.num = num
+        s.den = den
         s.tx = tx
         s.ty = ty
         s.exact = exact
-        s._num = s._val = None
+        s._val = None
         return s
+
+    @classmethod
+    def _reduced(cls, num, den, tx, ty, exact):
+        """_of after dividing num and den > 0 by their gcd."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: v // g for e, v in num.items()}
+                den //= g
+        return cls._of(num, den, tx, ty, exact)
 
     # -- constructors ------------------------------------------------------
 
@@ -211,11 +215,11 @@ class BiSeries:
 
     @classmethod
     def const(cls, value, tx, ty):
-        return cls({(0, 0): q(value)}, tx, ty, exact=True)
+        return cls({(0, 0): value}, tx, ty, exact=True)
 
     @classmethod
     def monomial(cls, value, i, j, tx, ty):
-        return cls({(i, j): q(value)}, tx, ty, exact=True)
+        return cls({(i, j): value}, tx, ty, exact=True)
 
     # -- window bookkeeping --------------------------------------------------
 
@@ -231,14 +235,19 @@ class BiSeries:
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """The coefficients as a new dict {(i, j): Fraction}."""
+        return {e: Fraction(v, self.den) for e, v in self.num.items()}
+
     def coeff(self, i, j) -> Fraction:
-        return self.coeffs.get((i, j), Fraction(0))
+        return Fraction(self.num.get((i, j), 0), self.den)
 
     def terms(self):
         return sorted(self.coeffs.items())
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def val_x(self) -> int:
         """Certified x-valuation; the window for a truncated zero series,
@@ -252,7 +261,7 @@ class BiSeries:
         return self.val_x() if var == "x" else self.val_y()
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other):
         """Equality on the common window (full support when both exact)."""
@@ -260,14 +269,16 @@ class BiSeries:
             return NotImplemented
         tx = min(self._eff_tx(), other._eff_tx())
         ty = min(self._eff_ty(), other._eff_ty())
-        a = {e: c for e, c in self.coeffs.items() if e[0] < tx and e[1] < ty}
-        b = {e: c for e, c in other.coeffs.items() if e[0] < tx and e[1] < ty}
+        a = {e: v * other.den for e, v in self.num.items()
+             if e[0] < tx and e[1] < ty}
+        b = {e: v * self.den for e, v in other.num.items()
+             if e[0] < tx and e[1] < ty}
         return a == b
 
     __hash__ = None
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             body = "0"
         else:
             parts = []
@@ -300,40 +311,49 @@ class BiSeries:
         return BiSeries.const(other, self.tx, self.ty)._merge(self, -1)
 
     def _merge(self, other, sign):
-        """self + sign * other for sign 1 or -1: other's terms, negated for
-        -1, are merged into a copy of self's."""
+        """self + sign * other for sign 1 or -1, over lcm(da, db): other's
+        numerators, negated for -1, are merged into a copy of self's."""
         if isinstance(other, (int, Fraction)):
             other = BiSeries.const(other, self.tx, self.ty)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            if sign < 0:
-                c = -c
+        den = self.den
+        if other.den == den:
+            out = dict(self.num)
+            sb = sign
+        else:
+            den = lcm(den, other.den)
+            sa = den // self.den
+            out = {e: v * sa for e, v in self.num.items()}
+            sb = sign * (den // other.den)
+        for e, v in other.num.items():
+            v *= sb
             s = out.get(e)
             if s is not None:
-                c += s
-                if not c:
+                v += s
+                if not v:
                     del out[e]
                     continue
-            out[e] = c
+            out[e] = v
         if self.exact and other.exact:
-            return BiSeries._of(out, max(self.tx, other.tx),
-                                max(self.ty, other.ty), True)
+            return BiSeries._reduced(out, den, max(self.tx, other.tx),
+                                     max(self.ty, other.ty), True)
         tx = min(self._eff_tx(), other._eff_tx())
         ty = min(self._eff_ty(), other._eff_ty())
-        return BiSeries._of({e: c for e, c in out.items()
-                             if e[0] < tx and e[1] < ty}, tx, ty, False)
+        return BiSeries._reduced({e: v for e, v in out.items()
+                                  if e[0] < tx and e[1] < ty}, den, tx, ty,
+                                 False)
 
     def __neg__(self):
-        return BiSeries._of({e: -c for e, c in self.coeffs.items()}, self.tx,
-                            self.ty, self.exact)
+        return BiSeries._of({e: -v for e, v in self.num.items()}, self.den,
+                            self.tx, self.ty, self.exact)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = q(other)
-            if c == 0:
+            if not other:
                 return BiSeries.zero(self.tx, self.ty)
-            return BiSeries._of({e: v * c for e, v in self.coeffs.items()},
-                                self.tx, self.ty, self.exact)
+            p = other.numerator
+            return BiSeries._reduced({e: v * p for e, v in self.num.items()},
+                                     self.den * other.denominator,
+                                     self.tx, self.ty, self.exact)
         return dot([(self, other)])
 
     __rmul__ = __mul__
@@ -342,40 +362,61 @@ class BiSeries:
         """Multiplicative inverse of a unit series.
 
         Exact constants invert exactly; everything else is computed to the
-        stored working window and marked truncated.
+        stored working window and marked truncated.  With u = N / den and
+        c the constant term of N, the coefficient of x^i y^j in 1/N is
+        w[(i, j)] / c^(i+j+1) for integers w, because each step of the
+        graded fill divides by c once and raises i + j by at least 1.
         """
-        c0 = self.coeff(0, 0)
-        if c0 == 0:
+        c = self.num.get((0, 0))
+        if c is None:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        if self.exact and len(self.coeffs) == 1:
-            return BiSeries({(0, 0): 1 / c0}, self.tx, self.ty, exact=True)
+        if self.exact and len(self.num) == 1:
+            return BiSeries._of({(0, 0): self.den if c > 0 else -self.den},
+                                abs(c), self.tx, self.ty, True)
         tx, ty = self.tx, self.ty
-        inv = {(0, 0): 1 / c0}
+        powers = [1]
+        for _ in range(tx + ty):
+            powers.append(powers[-1] * c)
+        terms = [(k, l, a) for (k, l), a in self.num.items() if (k, l) != (0, 0)]
+        w = {(0, 0): 1}
         # Cell (i, j) reads only cells (i - k, j - l) with (k, l) != (0, 0),
         # all of which come before it in row-major order.
         for i, j in product(range(tx), range(ty)):
-            if (i, j) == (0, 0):
-                continue
-            s = Fraction(0)
-            for (k, l), a in self.coeffs.items():
-                if (k, l) == (0, 0) or k > i or l > j:
-                    continue
-                b = inv.get((i - k, j - l))
-                if b is not None:
-                    s += a * b
+            s = 0
+            for k, l, a in terms:
+                if k <= i and l <= j:
+                    b = w.get((i - k, j - l))
+                    if b is not None:
+                        s += a * b * powers[k + l - 1]
             if s:
-                inv[(i, j)] = -s / c0
-        return BiSeries(inv, tx, ty)
+                w[(i, j)] = -s
+        top = max(i + j for i, j in w) + 1
+        den = powers[top]
+        sign = 1 if den > 0 else -1
+        # w[(0, 0)] lies outside a window with tx or ty 0.
+        num = {(i, j): sign * self.den * v * powers[top - i - j - 1]
+               for (i, j), v in w.items() if i < tx and j < ty}
+        return BiSeries._reduced(num, abs(den), tx, ty, False)
 
     def delta(self, var):
         """Euler derivative: x^i y^j maps to i x^i y^j (var='x') or j x^i y^j."""
         k = 0 if var == "x" else 1
-        return BiSeries._of(
-            {e: c * e[k] for e, c in self.coeffs.items() if e[k] != 0},
+        return BiSeries._reduced(
+            {e: v * e[k] for e, v in self.num.items() if e[k] != 0},
+            self.den,
             self.tx,
             self.ty,
             self.exact,
         )
+
+    def coefficient(self, var, k):
+        """The coefficient of var^k, a series in the other variable, on the
+        same window and with the same exactness."""
+        m = 0 if var == "x" else 1
+        return BiSeries._reduced(
+            {exponent(var, 0, e[1 - m]): v for e, v in self.num.items()
+             if e[m] == k},
+            self.den, self.tx, self.ty, self.exact)
 
     # -- window and monomial manipulation -----------------------------------
 
@@ -386,13 +427,15 @@ class BiSeries:
         ty = min(self._eff_ty(), ty)
         if not self.exact and (tx, ty) == (self.tx, self.ty):
             return self
-        return BiSeries._of({e: c for e, c in self.coeffs.items()
-                             if e[0] < tx and e[1] < ty}, tx, ty, False)
+        return BiSeries._reduced({e: v for e, v in self.num.items()
+                                  if e[0] < tx and e[1] < ty}, self.den, tx,
+                                 ty, False)
 
     def shift(self, dx, dy):
         """Multiply by the monomial x^dx y^dy (dx, dy >= 0)."""
         return BiSeries._of(
-            {(i + dx, j + dy): c for (i, j), c in self.coeffs.items()},
+            {(i + dx, j + dy): v for (i, j), v in self.num.items()},
+            self.den,
             min(self.tx + dx, INF_ORDER),
             min(self.ty + dy, INF_ORDER),
             self.exact,
@@ -402,26 +445,22 @@ class BiSeries:
         """Exact division by x^dx y^dy; every stored term must be divisible."""
         if dx == 0 and dy == 0:
             return self
-        for (i, j) in self.coeffs:
+        for (i, j) in self.num:
             if i < dx or j < dy:
                 raise TruncationExhausted(
                     f"series not divisible by x^{dx} y^{dy}", window=self.window
                 )
         if self.exact:
-            return BiSeries._of(
-                {(i - dx, j - dy): c for (i, j), c in self.coeffs.items()},
-                max(self.tx - dx, 1),
-                max(self.ty - dy, 1),
-                True,
-            )
-        tx, ty = self.tx - dx, self.ty - dy
-        if tx < 0 or ty < 0:
-            raise TruncationExhausted(
-                "window exhausted by monomial division", window=self.window
-            )
+            tx, ty = max(self.tx - dx, 1), max(self.ty - dy, 1)
+        else:
+            tx, ty = self.tx - dx, self.ty - dy
+            if tx < 0 or ty < 0:
+                raise TruncationExhausted(
+                    "window exhausted by monomial division", window=self.window
+                )
         return BiSeries._of(
-            {(i - dx, j - dy): c for (i, j), c in self.coeffs.items()}, tx, ty,
-            False,
+            {(i - dx, j - dy): v for (i, j), v in self.num.items()}, self.den,
+            tx, ty, self.exact,
         )
 
     def eval_zero(self, var):
@@ -429,8 +468,8 @@ class BiSeries:
         k = 0 if var == "x" else 1
         if not self.exact and self.window[k] < 1:
             raise TruncationExhausted(f"no {var}^0 information", window=self.window)
-        return BiSeries._of({e: c for e, c in self.coeffs.items() if e[k] == 0},
-                            self.tx, self.ty, self.exact)
+        return BiSeries._reduced({e: v for e, v in self.num.items() if e[k] == 0},
+                                 self.den, self.tx, self.ty, self.exact)
 
     def ramify(self, var, s):
         """Substitute var by its s-th power: its exponent i becomes s*i."""
@@ -439,8 +478,9 @@ class BiSeries:
         if s == 1:
             return self
         if var == "x":
-            return BiSeries({(i * s, j): c for (i, j), c in self.coeffs.items()},
-                            min(self.tx * s, INF_ORDER), self.ty, exact=self.exact)
-        return BiSeries({(i, j * s): c for (i, j), c in self.coeffs.items()},
-                        self.tx, min(self.ty * s, INF_ORDER), exact=self.exact)
-
+            return BiSeries._of({(i * s, j): v for (i, j), v in self.num.items()},
+                                self.den, min(self.tx * s, INF_ORDER), self.ty,
+                                self.exact)
+        return BiSeries._of({(i, j * s): v for (i, j), v in self.num.items()},
+                            self.den, self.tx, min(self.ty * s, INF_ORDER),
+                            self.exact)

@@ -34,8 +34,8 @@ T = 7
 
 def swap_series(e):
     """e with x and y exchanged, exponents and nominal orders."""
-    return BiSeries._of({(j, i): c for (i, j), c in e.coeffs.items()}, e.ty,
-                        e.tx, e.exact)
+    return BiSeries._of({(j, i): v for (i, j), v in e.num.items()}, e.den,
+                        e.ty, e.tx, e.exact)
 
 
 def swap_mat(m):

@@ -11,8 +11,9 @@ from pfaffred.moser import rank_reduce
 from pfaffred.system import PfaffianSystem
 
 
-def count_echelons(monkeypatch):
-    original = pfaffred.matrices.column_echelon
+def count_calls(monkeypatch, name):
+    """Calls of pfaffred.matrices.<name>, under every name bound to it."""
+    original = getattr(pfaffred.matrices, name)
     calls = []
 
     def wrapper(*args, **kwargs):
@@ -21,8 +22,8 @@ def count_echelons(monkeypatch):
 
     for mod in list(sys.modules.values()):
         if (getattr(mod, "__name__", "").startswith("pfaffred")
-                and getattr(mod, "column_echelon", None) is original):
-            monkeypatch.setattr(mod, "column_echelon", wrapper)
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, wrapper)
     return calls
 
 
@@ -58,7 +59,8 @@ def distinct(calls):
 
 
 def test_rank_reduce_derives_leading_data_once(monkeypatch, exmnaive):
-    echelons = count_echelons(monkeypatch)
+    echelons = count_calls(monkeypatch, "column_echelon")
+    eliminations = count_calls(monkeypatch, "_eliminate")
     ranks = count_leading_ranks(monkeypatch)
     thetas = count_thetas(monkeypatch)
     _, reduced, report = rank_reduce(exmnaive)
@@ -66,7 +68,10 @@ def test_rank_reduce_derives_leading_data_once(monkeypatch, exmnaive):
     assert len(report.steps) == 12
     assert distinct(ranks) == len(ranks) == 15
     assert distinct(thetas) == len(thetas) == 4
-    assert len(echelons) == 27
+    # 27 pivot loops: 8 column reductions and 19 ranks, which build no
+    # transforms.
+    assert len(eliminations) == 27
+    assert len(echelons) == 8
 
 
 def test_leading_rank_is_cached(exmnaive):

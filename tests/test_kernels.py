@@ -5,8 +5,9 @@ Each product must give the same coefficients, the same `exact` flag and
 the same nominal orders or window as the reference, on exact, truncated,
 window-zero and mixed operands, exact zeros with differing nominal orders
 included.  A single product with an exact monic monomial factor moves the
-other factor's coefficients without converting either operand; every
-other single-term factor goes through the numerator loop.  The constant-matrix kernels of the order-by-order solvers,
+other factor's numerators and keeps its denominator, with no gcd; every
+other single-term factor goes through the accumulating loop, which ends
+in one gcd.  The constant-matrix kernels of the order-by-order solvers,
 qlinalg.dot and qlinalg.sylvester_solver, must give the same matrices as
 the add/mul chains and the two-rref Sylvester solve they replaced,
 singular operators (None) included.  qlinalg.dot keeps each QMatrix's
@@ -22,7 +23,7 @@ from unittest.mock import patch
 from hypothesis import given, strategies as st
 
 import oracle_kernels as oracle
-from pfaffred import qlinalg, series
+from pfaffred import qlinalg
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.ods import _split_order
 from pfaffred.series import BiSeries, dot
@@ -161,16 +162,17 @@ exact_zeros = st.builds(BiSeries.zero, st.integers(1, 9), st.integers(1, 9))
 
 
 @contextmanager
-def counting_conversions():
-    """The list of numerator conversions made inside the block."""
+def counting_reductions():
+    """The list of gcd reductions (BiSeries._reduced) made inside the
+    block; the accumulating loop of dot ends in one."""
     calls = []
-    inner = series._numerators
+    inner = BiSeries._reduced
 
-    def counting(coeffs):
-        calls.append(coeffs)
-        return inner(coeffs)
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
 
-    with patch.object(series, "_numerators", counting):
+    with patch.object(BiSeries, "_reduced", counting):
         yield calls
 
 
@@ -187,18 +189,20 @@ def reference_dot(pairs):
            lambda p: p if p[1].tx % 2 else p[::-1]), max_size=3))
 def test_monic_monomial_product_moves_coefficients(m, b, left, zeros):
     # One pair with an exact monic monomial, on either side, among exact
-    # zeros with other nominal orders: the partner's coefficients are
-    # moved, the same Fraction objects, with no numerator conversion.
+    # zeros with other nominal orders: the partner's numerators are moved,
+    # the same int objects, over the partner's denominator, with no gcd.
     pairs = [(m, b) if left else (b, m), *zeros]
-    with counting_conversions() as calls:
+    with counting_reductions() as calls:
         got = dot(pairs)
     same_bi(got, reference_dot(pairs))
     assert not calls
-    # When b is a monic monomial too, dot may move m's coefficient instead.
-    if not (b.exact and list(b.coeffs.values()) == [1]):
-        [(di, dj)] = m.coeffs
-        for (i, j), c in b.coeffs.items():
-            assert got.coeffs[(i + di, j + dj)] is c
+    # When b is a monic monomial too, dot may move m's numerator instead.
+    if not (b.exact and b.den == 1 and list(b.num.values()) == [1]):
+        [(di, dj)] = m.num
+        assert got.den == b.den
+        assert len(got.num) == len(b.num)
+        for (i, j), v in b.num.items():
+            assert got.num[(i + di, j + dj)] is v
 
 
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
@@ -221,14 +225,15 @@ def test_monomial_diagonal_matrix_products(case, left):
        rationals.filter(lambda c: c != 1 and c != 0), partners(), st.booleans())
 def test_other_single_terms_take_the_general_loop(i, j, tx, ty, c, b, left):
     # c x^i y^j exact with c != 1, and x^i y^j truncated: the product is
-    # accumulated over numerators, and equals the reference.
+    # accumulated over numerators, divided by one gcd, and equals the
+    # reference.  An exact zero partner makes an exact zero, with no loop.
     for t in (BiSeries.monomial(c, i, j, tx, ty),
               BiSeries({(i, j): 1}, i + tx, j + ty)):
         pairs = [(t, b) if left else (b, t)]
-        with counting_conversions() as calls:
+        with counting_reductions() as calls:
             got = dot(pairs)
         same_bi(got, reference_dot(pairs))
-        assert calls
+        assert len(calls) == (not (b.exact and b.is_zero()))
 
 
 def const_matrices(rows, cols, values=rationals):

@@ -224,6 +224,16 @@ def test_series_rank_varying_kernel():
     assert series_rank(SeriesMatrix.zeros(2, 2, T, T), "y") == 0
 
 
+def test_empty_blocks_have_rank_zero():
+    # The arrangement's empty blocks are 0-row or 0-column matrices.
+    for m in (SeriesMatrix.zeros(0, 2, T, T), SeriesMatrix.zeros(2, 0, T, T)):
+        assert m.window == (0, 0)
+        assert series_rank(m, "y") == 0
+        v, red, rank, v_inv = column_echelon(m, "y")
+        assert rank == 0 and red == m
+        assert (v.rows, v.cols) == (v_inv.rows, v_inv.cols) == (m.cols, m.cols)
+
+
 def test_column_echelon_unimodular_and_reduced():
     rng = random.Random(5)
     for _ in range(8):

@@ -1,27 +1,31 @@
-"""The trusted constructor BiSeries._of keeps the series invariants.
+"""The trusted constructors BiSeries._of and _reduced keep the series
+invariants.
 
-Every operation that builds its result with _of, instead of the
+Every operation that builds its result with them, instead of the
 validating BiSeries(...), must return a series that validation would
-leave unchanged: the same coefficients, window and exactness, every
-coefficient a nonzero Fraction (never an int), and, for a truncated
-series, every term inside the window.  Operands are exact, truncated,
-zero on their window (tx or ty == 0) and mixed, on both axes.
+leave unchanged: the same numerators, denominator, window and
+exactness, in canonical form (int numerators, none zero, den > 0, the
+gcd of den and the numerators 1, den 1 without terms) and, for a
+truncated series, every term inside the window.  Operands are exact,
+truncated, zero on their window (tx or ty == 0) and mixed, on both axes.
 
-The numerator conversion of the products runs once per series: a k x k
-SeriesMatrix product converts each operand entry once, and a product
-that reuses an operand converts none of its entries again.
+The series kernel runs on the stored integers alone: products read the
+operands' numerators as they are and leave them unchanged, and the
+arithmetic of an integrability check builds no Fraction.
 """
 
+import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given, strategies as st
 
-from pfaffred import series
+from conftest import random_integrable_system
 from pfaffred.errors import PfaffredError, TruncationExhausted
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.moser import theta_poly
 from pfaffred.series import BiSeries, dot
-from pfaffred.system import PfaffianSystem
+from pfaffred.system import PfaffianSystem, check_integrability
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
@@ -43,15 +47,18 @@ axes = st.sampled_from(("x", "y"))
 
 
 def valid(r):
-    """r is what the validating constructor makes of its own fields."""
+    """r is in canonical form, and is what the validating constructor
+    makes of its own coefficients."""
     assert isinstance(r, BiSeries)
-    v = BiSeries(r.coeffs, r.tx, r.ty, exact=r.exact)
-    assert r.coeffs == v.coeffs
-    assert (r.tx, r.ty, r.exact) == (v.tx, v.ty, v.exact)
-    for (i, j), c in r.coeffs.items():
-        assert type(c) is Fraction and c
+    assert type(r.den) is int and r.den > 0
+    assert gcd(r.den, *r.num.values()) == 1
+    for (i, j), v in r.num.items():
+        assert type(v) is int and v
         assert i >= 0 and j >= 0
         assert r.exact or (i < r.tx and j < r.ty)
+    v = BiSeries(r.coeffs, r.tx, r.ty, exact=r.exact)
+    assert (r.num, r.den) == (v.num, v.den)
+    assert (r.tx, r.ty, r.exact) == (v.tx, v.ty, v.exact)
 
 
 @given(bi_series(), bi_series())
@@ -148,7 +155,7 @@ def test_theta_coefficients(case, axis):
         valid(c)
 
 
-# -- numerator conversions -------------------------------------------------------
+# -- the stored integers ---------------------------------------------------------
 
 
 def _distinct_matrix(k, offset):
@@ -158,24 +165,61 @@ def _distinct_matrix(k, offset):
         for e in range(k * k)])
 
 
-def test_product_converts_each_entry_once(monkeypatch):
-    converted = []
-    inner = series._numerators
+def stored(m):
+    """The stored fields of m's entries: (num dict, its items, den)."""
+    return [(e.num, sorted(e.num.items()), e.den) for e in m.entries]
 
-    def counting(coeffs):
-        converted.append(id(coeffs))
-        return inner(coeffs)
 
-    monkeypatch.setattr(series, "_numerators", counting)
+def count_fractions(monkeypatch):
+    """The list of Fractions constructed from now on, by any code."""
+    built = []
+    inner = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return built
+
+
+def test_product_reads_the_stored_numerators(monkeypatch):
+    # A k x k product, and its repetition, build no Fraction and leave
+    # each operand entry's numerators and denominator as they were.
     for k in (1, 2, 3):
-        a, b, c = (_distinct_matrix(k, off) for off in (0, 10, 20))
-        converted.clear()
+        a, b = (_distinct_matrix(k, off) for off in (0, 10))
+        before = stored(a) + stored(b)
+        built = count_fractions(monkeypatch)
         first = a * b
-        assert sorted(converted) == sorted(
-            id(e.coeffs) for e in a.entries + b.entries)
-        converted.clear()
-        a * c
-        assert sorted(converted) == sorted(id(e.coeffs) for e in c.entries)
-        converted.clear()
         assert a * b == first
-        assert converted == []
+        monkeypatch.undo()
+        assert built == []
+        after = stored(a) + stored(b)
+        assert all(x[0] is y[0] and x[1:] == y[1:]
+                   for x, y in zip(before, after))
+        for e in first.entries:
+            valid(e)
+
+
+def test_series_kernel_builds_no_fraction(monkeypatch):
+    # A seeded n = 4 system cut to a window: products, sums, differences,
+    # negation, scalings, Euler derivatives, shifts, window cuts, a unit
+    # inverse and the integrability check run on the stored integers
+    # alone, and give canonical results.
+    sys_obj = random_integrable_system(random.Random(4), n=4, p=1, q=1)
+    a, b = sys_obj.amat.truncated(6, 6), sys_obj.bmat.truncated(6, 6)
+    half = Fraction(1, 2)
+    unit = BiSeries.const(3, 6, 6) + a.at(0, 1).shift(1, 0)
+    built = count_fractions(monkeypatch)
+    ab = a * b
+    results = [ab, a + b, a - b, -a, a.scale(3), a.scale(half), b.delta("x"),
+               b.delta("y"), a.shift(1, 2), ab.truncated(4, 5), a * b - b * a]
+    inverse = unit.invert()
+    integrable, _ = check_integrability(
+        PfaffianSystem.make(4, sys_obj.p, sys_obj.q, a, b, strict=False))
+    monkeypatch.undo()
+    assert built == []
+    assert integrable
+    assert inverse * unit == BiSeries.const(1, 6, 6)
+    for e in [inverse] + [e for m in results for e in m.entries]:
+        valid(e)
