@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, ParseError
 from .matrices import SeriesMatrix
+from .series import BiSeries
 from .system import PfaffianSystem
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
@@ -90,7 +91,7 @@ def check_window(t, where):
 def _terms_to_matrix(terms, n, tx, ty, side):
     if not isinstance(terms, list):
         raise ParseError(f"{side} must be a list of terms", field=side)
-    coeffs = {}
+    cells = [{} for _ in range(n * n)]    # per entry, in row-major order
     for idx, term in enumerate(terms):
         where = f"{side}[{idx}]"
         if not isinstance(term, dict):
@@ -113,15 +114,17 @@ def _terms_to_matrix(terms, n, tx, ty, side):
             or any(not isinstance(row, list) or len(row) != n for row in mat)
         ):
             raise ParseError(f"matrix must be {n}x{n}", field=where)
-        grid = coeffs.setdefault((i, j), [[0] * n for _ in range(n)])
-        for r, (row, out) in enumerate(zip(mat, grid)):
+        for r, row in enumerate(mat):
             for c, text in enumerate(row):
                 val = _rat(text, where, r, c)
-                # A first value is stored as it is; repeated terms add up.
-                out[c] = out[c] + val if out[c] else val
+                if val:
+                    # A first value is stored as it is; repeated terms add up.
+                    cell = cells[r * n + c]
+                    cell[i, j] = cell[i, j] + val if cell.get((i, j)) else val
     # Document terms describe a polynomial exactly; the declared truncation
     # orders become the default working precision of derived computations.
-    return SeriesMatrix.from_coefficients(coeffs, n, tx, ty, exact=True)
+    return SeriesMatrix(n, n, [BiSeries(cell, tx, ty, exact=True)
+                               for cell in cells])
 
 
 def parse_document(doc: dict) -> PfaffianSystem:

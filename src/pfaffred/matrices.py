@@ -15,7 +15,7 @@ smallest column), so every verdict is certified on the stated window.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from . import qlinalg
 from .errors import DimensionMismatch, TruncationExhausted
@@ -51,29 +51,30 @@ class SeriesMatrix:
 
     @classmethod
     def from_rational_rows(cls, rows, tx, ty):
-        return cls.from_rows(
-            [[BiSeries.const(c, tx, ty) for c in row] for row in rows]
-        )
+        return cls.from_coefficients({(0, 0): qlinalg.QMatrix(rows)}, len(rows),
+                                     tx, ty, exact=True)
 
     @classmethod
     def from_coefficients(cls, coeffs, n, tx, ty, exact=False):
-        """The n x n matrix sum coeffs[(i, j)] x^i y^j from constant
-        coefficient matrices over Q, truncated to the window (tx, ty) or,
-        with `exact`, exact at those nominal orders."""
-        return cls(n, n, [
-            BiSeries({e: m[r][c] for e, m in coeffs.items() if m[r][c]},
-                     tx, ty, exact=exact)
-            for r in range(n) for c in range(n)
-        ])
+        """The n x n matrix sum coeffs[(i, j)] x^i y^j from QMatrix
+        coefficients, truncated to the window (tx, ty) or, with `exact`,
+        exact at those nominal orders."""
+        if not exact:
+            coeffs = {e: m for e, m in coeffs.items() if e[0] < tx and e[1] < ty}
+        entries = []
+        for r in range(n):
+            for c in range(n):
+                cells = [(e, m.num[r][c], m.den) for e, m in coeffs.items()
+                         if m.num[r][c]]
+                den = lcm(*[d for _, _, d in cells])
+                entries.append(BiSeries._reduced(
+                    {e: v * (den // d) for e, v, d in cells}, den, tx, ty, exact))
+        return cls(n, n, entries)
 
     @classmethod
     def identity(cls, n, tx, ty):
-        return cls.from_rows(
-            [
-                [BiSeries.const(1 if i == j else 0, tx, ty) for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        return cls.from_coefficients({(0, 0): qlinalg.identity(n)}, n, tx, ty,
+                                     exact=True)
 
     @classmethod
     def zeros(cls, r, c, tx, ty):
@@ -114,23 +115,28 @@ class SeriesMatrix:
 
     def constant_part(self):
         """The matrix of coefficients at (0,0), a qlinalg.QMatrix."""
-        return qlinalg.QMatrix(
-            tuple(self.at(i, j).coeff(0, 0) for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return self._qmatrix([(k, e.num[(0, 0)], e.den)
+                              for k, e in enumerate(self.entries)
+                              if (0, 0) in e.num])
 
     def coefficients(self):
-        """The coefficient matrices over Q, keyed by exponent pair (i, j):
-        self = sum coefficients()[(i, j)] x^i y^j, the pairs being those
-        with a nonzero coefficient."""
-        out = {}
+        """The coefficient matrices over Q, as QMatrix keyed by exponent
+        pair (i, j): self = sum coefficients()[(i, j)] x^i y^j, the pairs
+        being those with a nonzero coefficient."""
+        cells = {}
         for k, e in enumerate(self.entries):
-            r, c = divmod(k, self.cols)
-            for exp, v in e.coeffs.items():
-                if exp not in out:
-                    out[exp] = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-                out[exp][r][c] = v
-        return {exp: qlinalg.qmat(m) for exp, m in out.items()}
+            for exp, v in e.num.items():
+                cells.setdefault(exp, []).append((k, v, e.den))
+        return {exp: self._qmatrix(c) for exp, c in cells.items()}
+
+    def _qmatrix(self, cells):
+        """The QMatrix of self's shape whose entry k, in row-major order,
+        is v / d for each cell (k, v, d), and 0 elsewhere."""
+        den, c = lcm(*[d for _, _, d in cells]), self.cols
+        rows = [[0] * c for _ in range(self.rows)]
+        for k, v, d in cells:
+            rows[k // c][k % c] = v * (den // d)
+        return qlinalg.QMatrix._reduced(rows, den)
 
     def transpose(self):
         return SeriesMatrix(self.cols, self.rows,

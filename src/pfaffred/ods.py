@@ -64,28 +64,9 @@ def _embed(axis, n, pole, mat):
 
 
 def _eigen_groups(a0):
-    """Pairwise-coprime factor powers of the characteristic polynomial.
-
-    Returns [(factor_coeffs, power_coeffs)], one pair per irreducible
-    factor; power_coeffs = factor^multiplicity expanded.
-    """
-    cp = qlinalg.charpoly(a0)
-    factors = factor_rational(cp)
-    groups = []
-    for fc, mult in factors:
-        power = [Fraction(1)]
-        for _ in range(mult):
-            power = _poly_mul(power, fc)
-        groups.append((fc, power))
-    return groups
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
+    """The irreducible factors of the characteristic polynomial, as
+    [(factor_coeffs, multiplicity)] (factor_rational)."""
+    return factor_rational(qlinalg.charpoly(a0))
 
 
 def _split_system(sys: PfaffianSystem, axis, groups):
@@ -103,13 +84,17 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     n = sys.n
     basis_cols = []
     sizes = []
-    for _, power in groups:
-        ker = qlinalg.kernel(qlinalg.poly_eval_matrix(power, lead))
+    for fc, mult in groups:
+        # The kernel of fc(lead)^mult, the generalized eigenspace.
+        f = power = qlinalg.poly_eval_matrix(fc, lead)
+        for _ in range(mult - 1):
+            power = qlinalg.mul(power, f)
+        ker = qlinalg.kernel(power)
         basis_cols.extend(ker)
         sizes.append(len(ker))
     if sum(sizes) != n:
         raise ReductionError("kernel projections do not fill the space")
-    vmat = qlinalg.QMatrix(tuple(col[i] for col in basis_cols) for i in range(n))
+    vmat = qlinalg.transpose(basis_cols)
     tx, ty = sys.window
     const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting")
     work = apply_gauge(sys, const_gauge).to_system()
@@ -218,13 +203,13 @@ def _split_order(r, offs, blocks0, shift, solvers):
     side; a resonant block with a zero right side is solved by 0.
     """
     n = len(r)
-    t_new = [[Fraction(0)] * n for _ in range(n)]
-    s_new = [[Fraction(0)] * n for _ in range(n)]
+    s_num = [[0] * n for _ in range(n)]
+    t_blocks = []
     for ai, (a0, a1) in enumerate(offs):
         for bi, (b0, b1) in enumerate(offs):
             if ai == bi:
                 for i in range(a0, a1):
-                    s_new[i][b0:b1] = [-c for c in r[i][b0:b1]]
+                    s_num[i][b0:b1] = [-v for v in r.num[i][b0:b1]]
                 continue
             key = (ai, bi, shift)
             if key not in solvers:
@@ -239,9 +224,14 @@ def _split_order(r, offs, blocks0, shift, solvers):
                 if qlinalg.is_zero(blk):
                     continue
                 return None
-            for i, row in enumerate(solve(blk), a0):
-                t_new[i][b0:b1] = row
-    return qlinalg.QMatrix(map(tuple, t_new)), qlinalg.QMatrix(map(tuple, s_new))
+            t_blocks.append((a0, b0, solve(blk)))
+    den = lcm(*[x.den for _, _, x in t_blocks])
+    t_num = [[0] * n for _ in range(n)]
+    for a0, b0, x in t_blocks:
+        for i, row in enumerate(x.num, a0):
+            t_num[i][b0:b0 + len(row)] = [v * (den // x.den) for v in row]
+    return (qlinalg.QMatrix._reduced(t_num, den),
+            qlinalg.QMatrix._reduced(s_num, r.den))
 
 
 def unipotent_gauge(t_coeffs, n, tx, ty, kind) -> GaugeTransform:
@@ -284,7 +274,8 @@ def _triangular_solve(equations, n):
     Returns (X, {(k, l): (K value per equation)}), the kept entries with a
     nonzero value, in elimination order.
     """
-    x = [[Fraction(0)] * n for _ in range(n)]
+    equations = [(list(lam), shift, list(r)) for lam, shift, r in equations]
+    x = [[0] * n for _ in range(n)]
     kept = {}
     for k in range(n - 1, -1, -1):
         for l in range(n):
@@ -303,7 +294,7 @@ def _triangular_solve(equations, n):
             else:
                 if any(values):
                     kept[(k, l)] = tuple(values)
-    return qlinalg.qmat(x), kept
+    return qlinalg.QMatrix(x), kept
 
 
 # -- eigenvalue shifting ----------------------------------------------------------
@@ -553,33 +544,28 @@ def first_kind_fundamental_ods(sys: PfaffianSystem, axis: str) -> FirstKindSolut
     lam0 = s_coeffs.get((0, 0), qlinalg.zeros(n, n))
     t_coeffs = {(0, 0): qlinalg.identity(n)}
     retained = {}           # the retained terms, as the S~ of _known_terms
-    tri = None
+    # Each order is a triangular solve in a rational eigenbasis of Lambda0,
+    # if any, else a Sylvester solve, which a resonant order cannot take.
+    tri = _common_triangularize([lam0])
     for m in range(1, mat.window[0 if axis == "x" else 1]):
         key = exponent(axis, m)
         r = qlinalg.dot(_known_terms(s_coeffs, t_coeffs, retained, key), (n, n))
-        shifted = qlinalg.sub(lam0, qlinalg.scale(qlinalg.identity(n), m))
-        solve = qlinalg.sylvester_solver(shifted, lam0)
-        if solve is not None:
-            t_coeffs[key] = solve(r)
-            continue
-        # Resonant order: split solvable and retained parts in a
-        # triangular eigenbasis (requires rational eigenvalues).
         if tri is None:
-            tri = _common_triangularize([lam0])
-            if tri is None:
+            shifted = qlinalg.sub(lam0, qlinalg.scale(qlinalg.identity(n), m))
+            solve = qlinalg.sylvester_solver(shifted, lam0)
+            if solve is None:
                 raise AlgebraicExtensionRequired(
                     "resonance handling needs rational eigenvalues"
                 )
+            t_coeffs[key] = solve(r)
+            continue
         u, uinv, (lam_t,) = tri
         rr = qlinalg.mul(qlinalg.mul(uinv, r), u)
         t_m, kept = _triangular_solve([(lam_t, m, rr)], n)
-        keep = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), (v,) in kept.items():
-            keep[i][j] = v
         t_coeffs[key] = qlinalg.mul(qlinalg.mul(u, t_m), uinv)
-        keep_back = qlinalg.mul(qlinalg.mul(u, qlinalg.qmat(keep)), uinv)
-        if not qlinalg.is_zero(keep_back):
-            retained[key] = keep_back
+        if kept:
+            keep = [[kept.get((i, j), (0,))[0] for j in range(n)] for i in range(n)]
+            retained[key] = qlinalg.mul(qlinalg.mul(u, keep), uinv)
     phi = SeriesMatrix.from_coefficients(t_coeffs, n, *mat.window)
     return FirstKindSolution(
         phi=phi, exponent=lam0,
@@ -599,15 +585,13 @@ def _common_triangularize(mats):
         vec_sub = _common_eigvec(reps)
         if vec_sub is None:
             return None
-        u_cols.append(_combine(sub_basis, [vec_sub])[0])
+        u_cols.append(qlinalg.mul([vec_sub], sub_basis)[0])
     u = qlinalg.transpose(u_cols)
     uinv = qlinalg.inverse(u)
     tris = [qlinalg.mul(qlinalg.mul(uinv, m), u) for m in mats]
     for t in tris:
-        for i in range(n):
-            for j in range(i):
-                if t[i][j] != 0:
-                    raise ReductionError("triangularization failed")
+        if any(any(row[:i]) for i, row in enumerate(t.num)):
+            raise ReductionError("triangularization failed")
     return u, uinv, tris
 
 
@@ -617,17 +601,12 @@ def _complement(u_cols, n):
     return [e for j, e in enumerate(qlinalg.identity(n)) if j not in pivots]
 
 
-def _combine(cols, coords):
-    """The vectors sum_j c_j cols[j], one per coordinate tuple c."""
-    return list(qlinalg.transpose(qlinalg.mul(qlinalg.transpose(cols),
-                                              qlinalg.transpose(coords))))
-
-
 def _restrict(mat, u_cols, sub_basis):
     """Matrix of the action induced on span(sub_basis) modulo span(u_cols)."""
     inv = qlinalg.inverse(qlinalg.transpose(list(u_cols) + list(sub_basis)))
     coords = qlinalg.mul(qlinalg.mul(inv, mat), qlinalg.transpose(sub_basis))
-    return qlinalg.QMatrix(coords[len(u_cols):])
+    return qlinalg.submatrix(coords, range(len(u_cols), len(coords)),
+                             range(len(sub_basis)))
 
 
 def _common_eigvec(mats):
@@ -645,17 +624,17 @@ def _common_eigvec(mats):
         ker = qlinalg.kernel(shifted)
         if not ker:
             return None
-        space = _combine(space, ker)
+        # The vectors sum_j c_j space[j], one per kernel vector c.
+        space = list(qlinalg.mul(ker, space))
     return space[0]
 
 
 def _matrix_on_span(mat, span_cols):
-    """Matrix of `mat` restricted to its invariant subspace span_cols."""
-    basis = qlinalg.transpose(span_cols)
-    out = []
-    for img in qlinalg.transpose(qlinalg.mul(mat, basis)):
-        sol = qlinalg.solve(basis, img)
-        if sol is None:
-            return None
-        out.append(sol)
-    return qlinalg.transpose(out)
+    """Matrix of `mat` restricted to the span of the independent vectors
+    span_cols; None when the span is not invariant."""
+    basis, k = qlinalg.transpose(span_cols), len(span_cols)
+    img = qlinalg.mul(mat, basis)
+    # rref(basis) = [I; 0]: the first k rows of its transform invert it.
+    left = qlinalg.submatrix(qlinalg.rref(basis)[2], range(k), range(len(basis)))
+    rep = qlinalg.mul(left, img)
+    return rep if qlinalg.mul(basis, rep) == img else None

@@ -1,68 +1,102 @@
 """Exact linear algebra over Q for constant matrices.
 
-A matrix is a QMatrix: a tuple of rows, each a tuple of Fraction.  It is
-immutable, so its integer numerators over the lcm of its denominators are
-computed on its first product and kept with it, as BiSeries keeps its
-_num.  Every constructor here returns a QMatrix; dot also accepts a plain
-tuple of rows and then converts it on each product.  Elimination is plain
-Gaussian elimination over Fraction.  charpoly is division-free and so also
-serves matrices of series (the criterion polynomial, the Katz Newton
-polygon).
+A matrix is an immutable QMatrix: integer rows num over one denominator
+den, in the canonical form of a BiSeries (den > 0, gcd(den, every entry)
+= 1, den = 1 for a zero matrix), so equal matrices have equal fields.
+QMatrix(rows) is the one validating constructor; it returns a QMatrix as
+it is, so add, sub, scale, dot, transpose, the elimination functions and
+sylvester_solver also take plain rows.  Results are built with the
+trusted QMatrix._reduced, which divides by one gcd.  All but
+elimination (rref, kernel, inverse) runs on the stored integers; indexing
+or iterating a QMatrix gives rows of Fraction, for the callers that
+divide.  charpoly is division-free and so also serves matrices of series
+(the criterion polynomial, the Katz Newton polygon).
 
 Two kernels carry the order-by-order solvers (splitting, the regular
 solve, the first-kind solve), which multiply the same coefficient
 matrices at every order:
 
-- dot, the sum of c * A * B over a list of terms, runs on the kept integer
-  numerators over one common denominator and normalizes each entry once;
-  mul is dot of one pair.
+- dot, the sum of c * A * B over a list of terms, accumulates integer
+  products over one common denominator and divides by one gcd; mul is
+  dot of one pair.
 - sylvester_solver inverts the Kronecker operator of a X - X b once, with
-  one rref, and returns a solver that costs one product per right-hand
-  side.
+  one rref, and returns a solver that costs one integer product per
+  right-hand side.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, SingularMatrix
 from .series import q
 
 
-class QMatrix(tuple):
-    """A constant matrix, built from an iterable of rows of Fraction.  Its
-    _num attribute is None until its first product (_numerators_once)."""
+class QMatrix:
+    """A constant matrix over Q, num / den (see the module docstring)."""
 
-    _num = None
+    __slots__ = ("num", "den")
 
+    def __new__(cls, rows):
+        if isinstance(rows, QMatrix):
+            return rows
+        rows = [[c if isinstance(c, int) else q(c) for c in row] for row in rows]
+        den = lcm(*[c.denominator for row in rows for c in row])
+        return cls._reduced([[c.numerator * (den // c.denominator) for c in row]
+                             for row in rows], den)
 
-def qmat(rows):
-    return QMatrix(tuple(q(c) for c in row) for row in rows)
+    @classmethod
+    def _reduced(cls, num, den):
+        """num / den, num rows of ints and den > 0, divided by their gcd."""
+        if den != 1:
+            g = gcd(den, *[v for row in num for v in row])
+            if g != 1:
+                num = [[v // g for v in row] for row in num]
+                den //= g
+        m = object.__new__(cls)
+        m.num, m.den = tuple(map(tuple, num)), den
+        return m
+
+    def __len__(self):
+        return len(self.num)
+
+    def __getitem__(self, i):
+        return tuple(Fraction(v, self.den) for v in self.num[i])
+
+    def __eq__(self, other):
+        if isinstance(other, QMatrix):
+            return self.num == other.num and self.den == other.den
+        # A tuple of rows compares by value.
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
 
 
 def zeros(r, c):
-    return QMatrix(tuple(Fraction(0) for _ in range(c)) for _ in range(r))
+    return QMatrix._reduced([[0] * c for _ in range(r)], 1)
 
 
 def identity(n):
-    return QMatrix(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def add(a, b):
-    return QMatrix(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return QMatrix._reduced([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
 
 def sub(a, b):
-    return QMatrix(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return add(a, b, -1)
+
+
+def add(a, b, sign=1):
+    """a + sign * b, over the lcm of the two denominators."""
+    a, b = QMatrix(a), QMatrix(b)
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, sign * (den // b.den)
+    return QMatrix._reduced([[x * sa + y * sb for x, y in zip(ra, rb)]
+                             for ra, rb in zip(a.num, b.num)], den)
 
 
 def scale(a, c):
-    c = q(c)
-    return QMatrix(tuple(x * c for x in row) for row in a)
+    a, c = QMatrix(a), c if isinstance(c, int) else q(c)
+    return QMatrix._reduced([[v * c.numerator for v in row] for row in a.num],
+                            a.den * c.denominator)
 
 
 def mul(a, b):
@@ -72,19 +106,17 @@ def mul(a, b):
 def dot(terms, shape=None):
     """The sum of c * a * b over terms (c, a, b), c an integer.
 
-    Each matrix is put over the common denominator of its entries, once
-    per QMatrix; the products are summed as integer numerators over one
-    denominator, so each entry of the sum is normalized once.  `shape`
+    The products are summed as integer numerators over the lcm of their
+    denominators da * db, and the sum is divided by one gcd.  `shape`
     (rows, cols) is the shape of the sum when there are no terms.
     """
     prepared = []
     for c, a, b in terms:
-        if len(a[0]) != len(b):
+        a, b = QMatrix(a), QMatrix(b)
+        if len(a.num[0]) != len(b.num):
             raise DimensionMismatch(
-                f"{len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-        da, ra, _ = _numerators_once(a)
-        db, _, cb = _numerators_once(b)
-        prepared.append((c, da * db, ra, cb))
+                f"{len(a.num)}x{len(a.num[0])} times {len(b.num)}x{len(b.num[0])}")
+        prepared.append((c, a.den * b.den, a.num, list(zip(*b.num))))
     if not prepared:
         return zeros(*shape)
     rows, cols = len(prepared[0][2]), len(prepared[0][3])
@@ -97,41 +129,24 @@ def dot(terms, shape=None):
         for acc_row, row in zip(acc, ra):
             for j, col in enumerate(cb):
                 acc_row[j] += scale * sum(map(operator.mul, row, col))
-    return QMatrix(tuple(Fraction(s, den) for s in row) for row in acc)
-
-
-def _numerators(m):
-    """(d, rows of numerators): entry (i, j) of m is rows[i][j] / d, with d
-    the lcm of the denominators."""
-    d = lcm(*[x.denominator for row in m for x in row])
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
-
-
-def _numerators_once(m):
-    """(d, rows, columns) of m's _numerators, computed on first use and
-    kept in its _num attribute when m is a QMatrix."""
-    if not isinstance(m, QMatrix):
-        m = QMatrix(m)
-    if m._num is None:
-        d, rows = _numerators(m)
-        m._num = d, rows, list(zip(*rows))
-    return m._num
+    return QMatrix._reduced(acc, den)
 
 
 def transpose(a):
-    return QMatrix(zip(*a))
+    a = QMatrix(a)
+    return QMatrix._reduced(list(zip(*a.num)), a.den)
 
 
 def is_zero(a):
-    return all(all(c == 0 for c in row) for row in a)
+    return not any(map(any, a.num))
 
 
-def rref(a):
-    """Reduced row echelon form; returns (rref, pivot columns, transform)."""
-    m = [list(row) for row in a]
+def _rref(rows):
+    """rref of rows of Fraction, as lists (reduced rows, pivots, transform)."""
+    m = [list(row) for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    t = [list(row) for row in identity(nr)]
+    t = [[int(i == j) for j in range(nr)] for i in range(nr)]
     pivots = []
     row = 0
     for col in range(nc):
@@ -152,47 +167,40 @@ def rref(a):
         row += 1
         if row == nr:
             break
-    return qmat(m), pivots, qmat(t)
+    return m, pivots, t
+
+
+def rref(a):
+    """Reduced row echelon form; returns (rref, pivot columns, transform)."""
+    m, pivots, t = _rref(QMatrix(a))
+    return QMatrix(m), pivots, QMatrix(t)
 
 
 def rank(a):
-    return len(rref(a)[1])
+    return len(_rref(QMatrix(a))[1])
 
 
 def kernel(a):
     """Basis of the right kernel, as a list of column vectors (tuples)."""
-    r, pivots, _ = rref(a)
-    nc = len(a[0]) if a else 0
-    free = [c for c in range(nc) if c not in pivots]
+    r, pivots, _ = _rref(QMatrix(a))
+    nc = len(r[0]) if r else 0
     basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
+    for f in range(nc):
+        if f in pivots:
+            continue
+        v = [0] * nc
+        v[f] = 1
+        for row, p in zip(r, pivots):
+            v[p] = -row[f]
         basis.append(tuple(v))
     return basis
 
 
-def solve(a, b):
-    """Solve a x = b (b a column tuple); None if inconsistent."""
-    nr, nc = len(a), len(a[0])
-    aug = [list(a[i]) + [b[i]] for i in range(nr)]
-    r, pivots, _ = rref(aug)
-    if nc in pivots:
-        return None
-    x = [Fraction(0)] * nc
-    for i, p in enumerate(pivots):
-        x[p] = r[i][nc]
-    return tuple(x)
-
-
 def inverse(a):
-    n = len(a)
-    r, pivots, t = rref(a)
-    if len(pivots) != n:
+    _, pivots, t = _rref(QMatrix(a))
+    if len(pivots) != len(t):
         raise SingularMatrix("constant matrix not invertible")
-    return t
+    return QMatrix(t)
 
 
 def charpoly(a, one=Fraction(1)):
@@ -206,7 +214,12 @@ def charpoly(a, one=Fraction(1)):
     new row left of it and a the new diagonal entry,
     det(tI - [[B, c], [r, a]]) = (t - a) p_B(t) - r adj(tI - B) c, and
     adj(tI - B) = sum_k p_B[k] sum_(j<k) t^(k-1-j) B^j (Cayley-Hamilton).
+    A QMatrix runs on its integer rows N: det(tI - N/d) has the
+    coefficient c_k(N) / d^(n-k) at t^k.
     """
+    if isinstance(a, QMatrix):
+        return [Fraction(c, a.den ** (len(a) - k))
+                for k, c in enumerate(charpoly(a.num, 1))]
     zero = one * 0
     poly = [one]
     for m in range(len(a)):
@@ -229,19 +242,16 @@ def charpoly(a, one=Fraction(1)):
 
 
 def poly_eval_matrix(coeffs, a):
-    """Evaluate a polynomial (coefficients low to high) at a matrix."""
-    n = len(a)
-    out = zeros(n, n)
-    p = identity(n)
-    for c in coeffs:
-        if c != 0:
-            out = add(out, scale(p, c))
-        p = mul(p, a)
+    """Evaluate a polynomial (coefficients low to high) at a matrix, by
+    Horner's rule."""
+    out = zeros(len(a), len(a))
+    for c in reversed(coeffs):
+        out = add(mul(out, a), scale(identity(len(a)), c))
     return out
 
 
 def is_nilpotent(a):
-    return all(c == 0 for c in charpoly(a)[:-1])
+    return not any(charpoly(a.num, 1)[:-1])
 
 
 def sylvester_solver(a, b):
@@ -250,31 +260,32 @@ def sylvester_solver(a, b):
     eigenvalue), which callers treat as resonance.
 
     The n*m x n*m Kronecker operator is inverted once, with one rref; each
-    solve is then one product with the inverse.
+    solve is then one integer product with the inverse.
     """
+    a, b = QMatrix(a), QMatrix(b)
     n, m = len(a), len(b)
     # Row-major vectorization: unknowns X[i][j] at index i*m + j.
     rows = []
     for i in range(n):
         for j in range(m):
-            row = [Fraction(0)] * (n * m)
+            row = [0] * (n * m)
             for k in range(n):
-                row[k * m + j] += a[i][k]
+                row[k * m + j] += a.num[i][k] * b.den
             for k in range(m):
-                row[i * m + k] -= b[k][j]
-            rows.append(tuple(row))
-    _, pivots, op_inv = rref(qmat(rows))
+                row[i * m + k] -= b.num[k][j] * a.den
+            rows.append(row)
+    _, pivots, op_inv = rref(QMatrix._reduced(rows, a.den * b.den))
     if len(pivots) != n * m:
         return None
 
     def solution(c):
-        vec = QMatrix((c[i][j],) for i in range(n) for j in range(m))
-        x = dot([(1, op_inv, vec)])
-        return QMatrix(tuple(x[i * m + j][0] for j in range(m)) for i in range(n))
+        vec = [v for row in c.num for v in row]
+        x = [sum(map(operator.mul, row, vec)) for row in op_inv.num]
+        return QMatrix._reduced([x[i * m:(i + 1) * m] for i in range(n)],
+                                op_inv.den * c.den)
 
     return solution
 
 
 def submatrix(a, rows, cols):
-    return QMatrix(tuple(a[i][j] for j in cols) for i in rows)
-
+    return QMatrix._reduced([[a.num[i][j] for j in cols] for i in rows], a.den)

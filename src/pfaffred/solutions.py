@@ -217,6 +217,8 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     at_coeffs = {(0, 0): l1}
     bt_coeffs = {(0, 0): l2}
     retained = []
+    diag = [row[k] for k, row in enumerate(l1)]
+    diffs = {a - b for a in diag for b in diag}     # x-eigenvalue differences
     for total in range(1, tx + ty - 1):
         for i in range(max(0, total - ty + 1), min(total, tx - 1) + 1):
             j = total - i
@@ -224,15 +226,17 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
                 _known_terms(a_coeffs, t_coeffs, at_coeffs, (i, j)), (n, n)))]
             # The y-equation is read only for an entry that the x-equation
             # leaves undetermined.
-            if any(l1[k][k] - l1[l][l] == i for k in range(n) for l in range(n)):
+            if i in diffs:
                 equations.append((l2, j, qlinalg.dot(
                     _known_terms(b_coeffs, t_coeffs, bt_coeffs, (i, j)), (n, n))))
             t_new, kept = _triangular_solve(equations, n)
             for (k, l), (vx, vy) in kept.items():
                 retained.append((i, j, k, l, vx, vy))
-                for st, v in ((at_coeffs, vx), (bt_coeffs, vy)):
-                    st.setdefault((i, j), [[Fraction(0)] * n
-                                           for _ in range(n)])[k][l] = v
+            if kept:
+                for st, side in ((at_coeffs, 0), (bt_coeffs, 1)):
+                    st[(i, j)] = qlinalg.QMatrix([[kept.get((k, l), (0, 0))[side]
+                                                   for l in range(n)]
+                                                  for k in range(n)])
             if not qlinalg.is_zero(t_new):
                 t_coeffs[(i, j)] = t_new
     if retained:
@@ -244,9 +248,8 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     gauge = const_gauge.compose(series_gauge)
     # The series factor acts on the conjugated system.
     res = apply_gauge(work, series_gauge).to_system()
-    l1_m, l2_m = qlinalg.qmat(l1), qlinalg.qmat(l2)
-    expect_a = SeriesMatrix.from_rational_rows(l1_m, *res.window)
-    expect_b = SeriesMatrix.from_rational_rows(l2_m, *res.window)
+    expect_a = SeriesMatrix.from_rational_rows(l1, *res.window)
+    expect_b = SeriesMatrix.from_rational_rows(l2, *res.window)
     if res.p != 0 or res.q != 0 or not (res.amat == expect_a and
                                         res.bmat == expect_b):
         # Integrability of truncated data holds only on its window, so the
@@ -259,7 +262,7 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
             "(substitution check failed)",
             window=res.window,
         )
-    return RegularSolution(gauge, l1_m, l2_m)
+    return RegularSolution(gauge, l1, l2)
 
 
 # -- full assembly --------------------------------------------------------------------
@@ -316,10 +319,9 @@ def formal_fundamental(sys: PfaffianSystem) -> SolutionData:
 def _verify_commutation(lam, qdiag):
     if lam is None:
         return
-    n = len(qdiag)
-    for i in range(n):
-        for j in range(n):
-            if lam[i][j] != 0 and qdiag[i] != qdiag[j]:
+    for i, row in enumerate(lam.num):
+        for j, v in enumerate(row):
+            if v and qdiag[i] != qdiag[j]:
                 raise ReductionError(
                     "exponent matrix does not commute with the exponential part"
                 )
@@ -341,16 +343,12 @@ def _embed_gauge(gauge: GaugeTransform, coords, n, tx, ty) -> GaugeTransform:
 
 
 def _set_lambda_block(data: SolutionData, coords, lam, which):
-    n = data.n
-    current = getattr(data, which)
-    if current is None:
-        current = [[Fraction(0)] * n for _ in range(n)]
-    else:
-        current = [list(row) for row in current]
-    for a, i in enumerate(coords):
-        for b, j in enumerate(coords):
-            current[i][j] = lam[a][b]
-    setattr(data, which, qlinalg.qmat(current))
+    current = getattr(data, which) or qlinalg.zeros(data.n, data.n)
+    rows = [list(row) for row in current]
+    for i, row in zip(coords, lam):
+        for j, v in zip(coords, row):
+            rows[i][j] = v
+    setattr(data, which, qlinalg.QMatrix(rows))
 
 
 def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
@@ -455,7 +453,7 @@ def verify_solution(sys: PfaffianSystem, data: SolutionData) -> bool:
                 f"the gauge trace exhausts the window of the {axis}-side",
                 window=res.window,
             )
-        for i in range(n):
+        for i, lam_row in enumerate(lam):
             for j in range(n):
                 expect = {}
                 if i == j:
@@ -465,9 +463,9 @@ def verify_solution(sys: PfaffianSystem, data: SolutionData) -> bool:
                         # delta of c*v^-k is -k*c*v^-k; poles sit at
                         # series offset pole - k.
                         expect[int(pole - k)] = -k * c
-                    expect[pole] = expect.get(pole, Fraction(0)) + lam[i][j]
-                elif lam[i][j] != 0:
-                    expect[pole] = lam[i][j]
+                    expect[pole] = expect.get(pole, Fraction(0)) + lam_row[j]
+                elif lam_row[j] != 0:
+                    expect[pole] = lam_row[j]
                 got = mat.at(i, j)
                 want = BiSeries(
                     {

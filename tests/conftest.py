@@ -189,6 +189,19 @@ def random_integrable_system(rng, n=2, p=1, q=1, gauges=1):
     return sys_obj
 
 
+def count_fractions(monkeypatch):
+    """The list of Fractions constructed from now on, by any code."""
+    built = []
+    inner = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return built
+
+
 def report_changes(old, new):
     """Print how many stored digests a regeneration changed, and which:
     the --write modes of the digest tests show their extent this way."""

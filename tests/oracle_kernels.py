@@ -17,7 +17,7 @@ the order-by-order solvers summed their known parts before qlinalg.dot.
 from fractions import Fraction
 
 from pfaffred.errors import ZeroConstantTerm
-from pfaffred.qlinalg import add, qmat, rank, scale, solve, sub, zeros
+from pfaffred.qlinalg import QMatrix, add, rank, rref, scale, sub, zeros
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.series import INF_ORDER, BiSeries
 
@@ -112,6 +112,20 @@ def accumulate(terms, rows, cols):
     return r
 
 
+def solve(a, b):
+    """Solve a x = b (b a column tuple); None if inconsistent: the
+    qlinalg.solve that the Sylvester solve called."""
+    nr, nc = len(a), len(a[0])
+    aug = [list(a[i]) + [b[i]] for i in range(nr)]
+    r, pivots, _ = rref(aug)
+    if nc in pivots:
+        return None
+    x = [Fraction(0)] * nc
+    for i, p in enumerate(pivots):
+        x[p] = r[i][nc]
+    return tuple(x)
+
+
 def sylvester_solve(a, b, c):
     """Solve a X - X b = c exactly; None if the operator is singular."""
     n, m = len(a), len(b)
@@ -127,12 +141,12 @@ def sylvester_solve(a, b, c):
                 row[i * m + k] -= b[k][j]
             rows.append(tuple(row))
             rhs.append(c[i][j])
-    sol = solve(qmat(rows), tuple(rhs))
+    sol = solve(QMatrix(rows), tuple(rhs))
     if sol is None:
         return None
     # The operator is square; consistency without uniqueness cannot happen
     # unless it is singular, which callers treat as resonance.
-    aug_rank = rank(qmat(rows))
+    aug_rank = rank(QMatrix(rows))
     if aug_rank != n * m:
         return None
     return tuple(tuple(sol[i * m + j] for j in range(m)) for i in range(n))

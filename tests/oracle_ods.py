@@ -4,24 +4,50 @@ splitting ran before it became the bivariate splitting body
 verbatim but for its input, now the ODS as associated_ods returns it and
 its axis, with the qlinalg_conj_series conjugation it used and local
 copies of the coefficient helpers that pfaffred.ods no longer has, apart
-from importing the helpers it shares with pfaffred.ods.  The shared
+from importing the helpers it shares with pfaffred.ods.  _eigen_groups is
+the grouping ods._eigen_groups made before it returned the factors and
+their multiplicities: each factor with its power expanded, whose kernel at
+the leading matrix is the group's basis.  The shared
 one-order step ods._split_order takes the known part with its sign
 flipped, so the order loop's terms carry flipped signs.
 """
 
+from fractions import Fraction
+
 from pfaffred import qlinalg
 from pfaffred.errors import NotSplittable, ReductionError
 from pfaffred.matrices import SeriesMatrix
-from pfaffred.ods import (
-    _block_ranges,
-    _eigen_groups,
-    _split_order,
-    unipotent_gauge,
-)
+from pfaffred.ods import _block_ranges, _split_order, unipotent_gauge
+from pfaffred.polyq import factor_rational
 from pfaffred.series import BiSeries
 from pfaffred.system import GaugeTransform, apply_gauge
 
 from conftest import ods_system
+
+
+def _eigen_groups(a0):
+    """Pairwise-coprime factor powers of the characteristic polynomial.
+
+    Returns [(factor_coeffs, power_coeffs)], one pair per irreducible
+    factor; power_coeffs = factor^multiplicity expanded.
+    """
+    cp = qlinalg.charpoly(a0)
+    factors = factor_rational(cp)
+    groups = []
+    for fc, mult in factors:
+        power = [Fraction(1)]
+        for _ in range(mult):
+            power = _poly_mul(power, fc)
+        groups.append((fc, power))
+    return groups
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
 
 
 def split_leading(ods, var):
@@ -120,7 +146,7 @@ def _coeff_const_matrix(mat: SeriesMatrix, var, k, n):
             c = e.coeff(k, 0) if var == "x" else e.coeff(0, k)
             row.append(c)
         out.append(row)
-    return qlinalg.qmat(out)
+    return qlinalg.QMatrix(out)
 
 
 def _on_axis(coeffs, var):

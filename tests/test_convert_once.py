@@ -1,8 +1,8 @@
-"""The order-by-order solvers convert each constant matrix to integer
-numerators at most once: a QMatrix keeps its numerators after its first
-product, and the splitting recursion, the regular solve and the
-first-kind solve pass QMatrix operands to qlinalg.dot.  Calls are counted
-by wrapping, in the style of test_derive_once.py."""
+"""The order-by-order solvers multiply constant matrices in their stored
+form: the qlinalg.dot calls of the splitting recursion, the regular solve
+and the first-kind solve read each QMatrix's integer rows and build no
+Fraction.  Calls are counted by wrapping, in the style of
+test_derive_once.py, and Fractions with conftest.count_fractions."""
 
 import random
 from fractions import Fraction
@@ -14,30 +14,27 @@ from pfaffred.system import PfaffianSystem, apply_gauge
 
 from conftest import (
     const_mat,
+    count_fractions,
     ods_system,
     random_integrable_system,
     random_unimodular,
 )
 
 
-def count_conversions(monkeypatch):
-    """(conversions, operands): the matrices converted to numerators, and
-    every operand passed to qlinalg.dot, held so that no id is reused."""
-    conversions, operands = [], []
-    numerators, dot = qlinalg._numerators, qlinalg.dot
-
-    def counted_numerators(m):
-        conversions.append(m)
-        return numerators(m)
+def count_dot_fractions(monkeypatch):
+    """The number of Fractions each qlinalg.dot call builds, one entry per
+    call (mul is a dot of one pair, so its calls are among them)."""
+    built = count_fractions(monkeypatch)
+    per_call, dot = [], qlinalg.dot
 
     def counted_dot(terms, *args):
-        terms = list(terms)
-        operands.extend(m for _, a, b in terms for m in (a, b))
-        return dot(terms, *args)
+        before = len(built)
+        out = dot(terms, *args)
+        per_call.append(len(built) - before)
+        return out
 
-    monkeypatch.setattr(qlinalg, "_numerators", counted_numerators)
     monkeypatch.setattr(qlinalg, "dot", counted_dot)
-    return conversions, operands
+    return per_call
 
 
 def regular_input():
@@ -47,26 +44,28 @@ def regular_input():
     return apply_gauge(seed, random_unimodular(random.Random(29), n=3)).to_system()
 
 
-def test_solvers_convert_each_matrix_once(monkeypatch):
+def test_splitting_and_regular_solve_dots_build_no_fraction(monkeypatch):
     split = random_integrable_system(random.Random(7), n=3, p=1, q=1)
     axis, groups = _split_axis_choice(split)
     regular = regular_input()
-    conversions, operands = count_conversions(monkeypatch)
+    per_call = count_dot_fractions(monkeypatch)
     _, blocks = _split_system(split, axis, groups)
     assert len(blocks) >= 2
+    split_calls = len(per_call)
     _regular_fundamental(regular)
-    distinct = len({id(m) for m in operands})
-    assert len(conversions) <= distinct < len(operands)
+    assert 0 < split_calls < len(per_call)
+    assert set(per_call) == {0}
 
 
-def test_first_kind_solve_converts_each_matrix_once(monkeypatch):
-    # Eigenvalues 1/2 and 0 are never resonant, so every order is a
-    # Sylvester solve; S_1 and S_2 multiply each stored T_m at two later
-    # orders.
-    ods = ods_system("x", [[{0: Fraction(1, 2), 1: 1, 2: 3}, {1: 1, 2: -1}],
-                           [{1: -2, 2: 1}, {2: 1}]], 0)
-    conversions, operands = count_conversions(monkeypatch)
-    sol = first_kind_fundamental_ods(ods, "x")
-    assert not sol.retained
-    distinct = len({id(m) for m in operands})
-    assert len(conversions) <= distinct < len(operands)
+def test_first_kind_solve_dots_build_no_fraction(monkeypatch):
+    # Eigenvalues 1/2 and 0 (never resonant) and 0 and 1 (resonant at
+    # order 1, where a term is retained).
+    for rows in ([[{0: Fraction(1, 2), 1: 1, 2: 3}, {1: 1, 2: -1}],
+                  [{1: -2, 2: 1}, {2: 1}]],
+                 [[{0: 0}, {}], [{1: 1}, {0: 1}]]):
+        ods = ods_system("x", rows, 0)
+        per_call = count_dot_fractions(monkeypatch)
+        sol = first_kind_fundamental_ods(ods, "x")
+        monkeypatch.undo()
+        assert per_call and set(per_call) == {0}
+        assert bool(sol.retained) == (rows[0][0] == {0: 0})

@@ -62,7 +62,7 @@ def seeded_ods(seed):
                   for _ in range(n))
         if qlinalg.rank(c) == n:
             break
-    lead = qlinalg.mul(qlinalg.mul(c, qlinalg.qmat(upper)), qlinalg.inverse(c))
+    lead = qlinalg.mul(qlinalg.mul(c, qlinalg.QMatrix(upper)), qlinalg.inverse(c))
     entries = []
     for i in range(n):
         row = []

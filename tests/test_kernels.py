@@ -10,10 +10,10 @@ other single-term factor goes through the accumulating loop, which ends
 in one gcd.  The constant-matrix kernels of the order-by-order solvers,
 qlinalg.dot and qlinalg.sylvester_solver, must give the same matrices as
 the add/mul chains and the two-rref Sylvester solve they replaced,
-singular operators (None) included.  qlinalg.dot keeps each QMatrix's
-numerators after its first product, so it is also checked over chains of
-calls that reuse operands on either side, feed results back in and take
-operands from every QMatrix constructor.
+singular operators (None) included.  qlinalg.dot reads each QMatrix's
+stored integer rows, so it is also checked over chains of calls that
+reuse operands on either side, feed results back in and take operands
+from every QMatrix constructor.
 """
 
 from contextlib import contextmanager
@@ -87,7 +87,7 @@ def test_matrix_product_matches_sequential_sum(ab):
         st.lists(st.lists(rationals, min_size=shape[2], max_size=shape[2]),
                  min_size=shape[1], max_size=shape[1]))))
 def test_constant_product_matches_reference(ab):
-    a, b = (qlinalg.qmat(m) for m in ab)
+    a, b = (qlinalg.QMatrix(m) for m in ab)
     got = qlinalg.mul(a, b)
     assert got == oracle.qmul(a, b)
     assert all(isinstance(c, Fraction) for row in got for c in row)
@@ -238,7 +238,7 @@ def test_other_single_terms_take_the_general_loop(i, j, tx, ty, c, b, left):
 
 def const_matrices(rows, cols, values=rationals):
     return st.lists(st.lists(values, min_size=cols, max_size=cols),
-                    min_size=rows, max_size=rows).map(qlinalg.qmat)
+                    min_size=rows, max_size=rows).map(qlinalg.QMatrix)
 
 
 @st.composite
@@ -266,14 +266,14 @@ def plain(m):
 
 # How a chain step makes a new operand from the pool: each QMatrix
 # constructor, applied to drawn entries or to pool members.
-MAKERS = ("qmat", "zeros", "identity", "add", "sub", "scale", "submatrix",
+MAKERS = ("QMatrix", "zeros", "identity", "add", "sub", "scale", "submatrix",
           "transpose", "rref", "inverse", "coefficients", "constant_part",
           "split_order")
 
 
 def make_operand(draw, how, n, pool):
     pick = lambda: draw(st.sampled_from(pool))
-    if how == "qmat":
+    if how == "QMatrix":
         return draw(const_matrices(n, n))
     if how == "zeros":
         return qlinalg.zeros(n, n)
@@ -369,9 +369,9 @@ def test_sylvester_solver_matches_reference(case):
 
 
 def test_sylvester_solver_singular_operators():
-    a = qlinalg.qmat([[1, 0], [0, 2]])
-    for b in (qlinalg.qmat([[2]]), qlinalg.qmat([[1]]), a):
+    a = qlinalg.QMatrix([[1, 0], [0, 2]])
+    for b in (qlinalg.QMatrix([[2]]), qlinalg.QMatrix([[1]]), a):
         assert qlinalg.sylvester_solver(a, b) is None
-    b = qlinalg.qmat([[3]])
-    c = qlinalg.qmat([[1], [2]])
+    b = qlinalg.QMatrix([[3]])
+    c = qlinalg.QMatrix([[1], [2]])
     assert qlinalg.sylvester_solver(a, b)(c) == oracle.sylvester_solve(a, b, c)

@@ -7,6 +7,7 @@ import sympy
 from pfaffred.errors import PreconditionViolated
 from pfaffred.matrices import SeriesMatrix, series_rank
 from pfaffred.moser import (
+    _certify_split,
     _prepare_shearing,
     _verify_gauss_form,
     column_reduce_leading,
@@ -156,6 +157,51 @@ def test_candidate_subspaces_skip_the_whole_space():
     E = SeriesMatrix.from_rows([[zero, zero], [one, zero]])
     got = list(_candidate_subspaces((W, D, C, E), 0, 1, "x"))
     assert got == [None, D]
+
+
+def certify(d_rows, c_row, e_rows, basis_rows):
+    """_certify_split on n = 3, r = 1, d = 0 (W is 1 x 0) with constant
+    D (2 x 1), C (1 x 2), E (2 x 2) and a candidate basis (2 x 1), on the
+    x-axis; entries are rationals or series."""
+    def mat(rows):
+        return SeriesMatrix.from_rows(
+            [[c if isinstance(c, BiSeries) else BiSeries.const(c, T, T)
+              for c in row] for row in rows])
+
+    blocks = (SeriesMatrix(1, 0, []), mat(d_rows), mat([c_row]), mat(e_rows))
+    return _certify_split(blocks, 0, 1, mat(basis_rows), "x")
+
+
+def test_certify_split_accepts_a_kept_subspace():
+    # Span of e1: the sheared D row and the stacked rank both vanish.
+    ok, rank_kept, q4 = certify([[1], [0]], [0, 0], [[0, 0], [0, 0]], [[1], [0]])
+    assert ok and rank_kept == 0 and q4 is not None
+
+
+def test_certify_split_refuses_without_unimodular_completion():
+    # The basis column y e1 has a zero constant part: it spans no direct
+    # summand on the window.
+    y = poly_series({(0, 1): 1})
+    assert certify([[1], [0]], [0, 0], [[0, 0], [0, 0]], [[y], [0]]) == (
+        False, -1, None)
+
+
+def test_certify_split_refuses_a_nonzero_sheared_d_entry():
+    # D's second row, outside the kept span, is nonzero in column d..r.
+    assert certify([[0], [1]], [0, 0], [[0, 0], [0, 0]], [[1], [0]]) == (
+        False, -1, None)
+
+
+def test_certify_split_refuses_full_rank_x():
+    # C's kept column makes [W, C Q4] of rank 1 = r.
+    assert certify([[1], [0]], [1, 0], [[0, 0], [0, 0]], [[1], [0]]) == (
+        False, -1, None)
+
+
+def test_certify_split_refuses_a_stacked_rank_mismatch():
+    # E maps the kept e1 out of its span: stacking its row raises the rank.
+    assert certify([[1], [0]], [0, 0], [[0, 0], [1, 0]], [[1], [0]]) == (
+        False, -1, None)
 
 
 def test_prepare_shearing_postconditions(exmnaive):

@@ -106,7 +106,7 @@ def test_split_leading_quadratic_factor_stays_rational():
     from conftest import random_invertible_const
 
     cmat = random_invertible_const(c, 3)
-    lead = qlinalg.mul(qlinalg.mul(cmat, qlinalg.qmat(a0)),
+    lead = qlinalg.mul(qlinalg.mul(cmat, qlinalg.QMatrix(a0)),
                        qlinalg.inverse(cmat))
     terms = [[{0: lead[i][j], 1: Fraction((i + j) % 3 - 1)} for j in range(3)]
              for i in range(3)]
@@ -327,6 +327,47 @@ def test_first_kind_resonant_retained():
     sol = first_kind_fundamental_ods(ods, "x")
     assert sol.retained
     assert first_kind_residual(ods, sol)
+
+
+def sqrt2_entries():
+    """Lambda0 = [[0, 2], [1, 0]] (eigenvalues +-sqrt(2)) with higher
+    terms in x, as ods_system rows."""
+    return [[{0: 0, 1: 1, 2: -1}, {0: 2, 2: 1}],
+            [{0: 1, 1: Fraction(1, 3)}, {1: -1}]]
+
+
+def test_first_kind_irrational_eigenvalues_solve():
+    # +-sqrt(2) differ by no integer: no order is resonant, and without a
+    # rational eigenbasis every order is a Sylvester solve.
+    ods = ods_system("x", sqrt2_entries(), 0)
+    sol = first_kind_fundamental_ods(ods, "x")
+    assert sol.exponent == ((0, 2), (1, 0))
+    assert not sol.retained
+    assert first_kind_residual(ods, sol)
+
+
+def test_first_kind_irrational_resonance_raises_at_order_one():
+    # [[0, 2], [1, 0]] + [[1, 2], [1, 1]]: eigenvalues +-sqrt(2) and
+    # 1 +- sqrt(2), whose differences 1 make order 1 resonant, which only
+    # a rational eigenbasis could split.
+    block = [[{0: 1, 1: 1}, {0: 2}], [{0: 1}, {0: 1, 2: 1}]]
+    rows = [row + [{}, {}] for row in sqrt2_entries()]
+    rows += [[{}, {}] + row for row in block]
+    first_kind_fundamental_ods(ods_system("x", rows, 0, t=1), "x")
+    with pytest.raises(AlgebraicExtensionRequired):
+        first_kind_fundamental_ods(ods_system("x", rows, 0, t=2), "x")
+
+
+def test_first_kind_rational_eigenvalues_build_no_sylvester_solver(monkeypatch):
+    # Eigenvalues 1/2 and 0: every order is a triangular solve.
+    def refuse(a, b):
+        raise AssertionError("sylvester_solver called")
+
+    monkeypatch.setattr(qlinalg, "sylvester_solver", refuse)
+    for rows in ([[{0: Fraction(1, 2)}, {1: 1}], [{1: -2}, {0: 0}]],
+                 [[{0: 0}, {}], [{1: 1}, {0: 1}]]):
+        ods = ods_system("x", rows, 0)
+        assert first_kind_residual(ods, first_kind_fundamental_ods(ods, "x"))
 
 
 def test_first_kind_guard():

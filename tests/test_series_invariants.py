@@ -20,7 +20,7 @@ from math import gcd
 
 from hypothesis import assume, given, strategies as st
 
-from conftest import random_integrable_system
+from conftest import count_fractions, random_integrable_system
 from pfaffred.errors import PfaffredError, TruncationExhausted
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.moser import theta_poly
@@ -168,19 +168,6 @@ def _distinct_matrix(k, offset):
 def stored(m):
     """The stored fields of m's entries: (num dict, its items, den)."""
     return [(e.num, sorted(e.num.items()), e.den) for e in m.entries]
-
-
-def count_fractions(monkeypatch):
-    """The list of Fractions constructed from now on, by any code."""
-    built = []
-    inner = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return inner(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    return built
 
 
 def test_product_reads_the_stored_numerators(monkeypatch):

@@ -67,7 +67,7 @@ def test_existing_split_inputs():
     distinct = ods_system("x", [[{0: 1, 1: a1[0][0]}, {1: a1[0][1]}],
                                 [{1: a1[1][0]}, {0: 2, 1: a1[1][1]}]], 1)
     cmat = random_invertible_const(random.Random(11), 3)
-    lead = qlinalg.mul(qlinalg.mul(cmat, qlinalg.qmat([[0, -1, 0], [1, 0, 0],
+    lead = qlinalg.mul(qlinalg.mul(cmat, qlinalg.QMatrix([[0, -1, 0], [1, 0, 0],
                                                        [0, 0, 1]])),
                        qlinalg.inverse(cmat))
     quadratic = ods_system("x", [[{0: lead[i][j], 1: Fraction((i + j) % 3 - 1)}
@@ -103,7 +103,7 @@ def splittable_ods(draw, var, n):
                Fraction(int(j == i + 1 and eigs[i] == eigs[j] and rng.random() < 0.5))
                for j in range(n)] for i in range(n)]
     c = random_invertible_const(rng, n)
-    lead = qlinalg.mul(qlinalg.mul(c, qlinalg.qmat(jordan)), qlinalg.inverse(c))
+    lead = qlinalg.mul(qlinalg.mul(c, qlinalg.QMatrix(jordan)), qlinalg.inverse(c))
     orders = draw(st.lists(st.integers(1, t), max_size=2 * n))
     rows = []
     for i in range(n):
