@@ -300,19 +300,22 @@ def formal_fundamental(sys: PfaffianSystem) -> SolutionData:
     data = SolutionData(n=sys.n, s=(1, 1), q1=[{} for _ in range(sys.n)],
                         q2=[{} for _ in range(sys.n)], lambda1=None,
                         lambda2=None)
+    lambdas = []
+    assembled = False
     try:
-        _assemble(sys, list(range(sys.n)), data, depth=0)
+        _assemble(sys, list(range(sys.n)), data, lambdas, depth=0)
+        assembled = True
     except AlgebraicExtensionRequired as err:
         data.blocked = f"algebraic-extension: {err}"
-        return data
     except JointResonance as err:
         data.retained = tuple(err.retained)
         data.blocked = "joint-resonance"
-        return data
-    lam1 = data.lambda1
-    lam2 = data.lambda2
-    _verify_commutation(lam1, data.q1)
-    _verify_commutation(lam2, data.q2)
+    if lambdas:
+        data.lambda1, data.lambda2 = (_block_diagonal(sys.n, lambdas, k)
+                                      for k in (1, 2))
+    if assembled:
+        _verify_commutation(data.lambda1, data.q1)
+        _verify_commutation(data.lambda2, data.q2)
     return data
 
 
@@ -342,17 +345,22 @@ def _embed_gauge(gauge: GaugeTransform, coords, n, tx, ty) -> GaugeTransform:
                           provenance=gauge.provenance)
 
 
-def _set_lambda_block(data: SolutionData, coords, lam, which):
-    current = getattr(data, which) or qlinalg.zeros(data.n, data.n)
-    rows = [list(row) for row in current]
-    for i, row in zip(coords, lam):
-        for j, v in zip(coords, row):
-            rows[i][j] = v
-    setattr(data, which, qlinalg.QMatrix(rows))
+def _block_diagonal(n, blocks, k):
+    """The n x n matrix that holds block[k] of each block (coords, lambda1,
+    lambda2) on its coordinates, and 0 elsewhere."""
+    rows = [[0] * n for _ in range(n)]
+    for block in blocks:
+        coords = block[0]
+        for i, row in zip(coords, block[k]):
+            for j, v in zip(coords, row):
+                rows[i][j] = v
+    return qlinalg.QMatrix(rows)
 
 
-def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
-    """Recursive assembly on the block spanned by `coords`."""
+def _assemble(sys: PfaffianSystem, coords, data: SolutionData, lambdas,
+              depth):
+    """Recursive assembly on the block spanned by `coords`; each regular
+    solve appends (coords, lambda1, lambda2) to `lambdas`."""
     if depth > 8 * (sys.n + sys.p + sys.q + 2):
         raise ReductionError("assembly recursion exceeded its bound")
     n = sys.n
@@ -364,8 +372,7 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
             data.gauge_trace.append(
                 _embed_gauge(reg.gauge, coords, data.n, tx, ty)
             )
-            _set_lambda_block(data, coords, reg.lambda1, "lambda1")
-            _set_lambda_block(data, coords, reg.lambda2, "lambda2")
+            lambdas.append((coords, reg.lambda1, reg.lambda2))
             return
         # Pole-0 eigenvalue separation belongs to the regular solve; only
         # split along an axis whose pole is positive (never resonant), x
@@ -379,7 +386,7 @@ def _assemble(sys: PfaffianSystem, coords, data: SolutionData, depth):
             off = 0
             for blk in blocks:
                 sub = coords[off : off + blk.n]
-                _assemble(blk, sub, data, depth + 1)
+                _assemble(blk, sub, data, lambdas, depth + 1)
                 off += blk.n
             return
         shifted = False

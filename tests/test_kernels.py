@@ -7,10 +7,14 @@ window-zero and mixed operands, exact zeros with differing nominal orders
 included.  A single product with an exact monic monomial factor moves the
 other factor's numerators and keeps its denominator, with no gcd; every
 other single-term factor goes through the accumulating loop, which ends
-in one gcd.  The constant-matrix kernels of the order-by-order solvers,
-qlinalg.dot and qlinalg.sylvester_solver, must give the same matrices as
-the add/mul chains and the two-rref Sylvester solve they replaced,
-singular operators (None) included.  qlinalg.dot reads each QMatrix's
+in one gcd.  Large sums of products are packed, each operand into one
+integer (series._pack): over large operands, at the slot-width bound, at
+the crossover and on a sum that cancels on its window, the packed result
+equals the reference and, field for field, the term-pair loop's, and
+sparse exact operands stay on the loop.  The constant-matrix kernels of
+the order-by-order solvers, qlinalg.dot and qlinalg.sylvester_solver,
+must give the same matrices as the add/mul chains and the two-rref
+Sylvester solve they replaced, singular operators (None) included.  qlinalg.dot reads each QMatrix's
 stored integer rows, so it is also checked over chains of calls that
 reuse operands on either side, feed results back in and take operands
 from every QMatrix constructor.
@@ -23,7 +27,7 @@ from unittest.mock import patch
 from hypothesis import given, strategies as st
 
 import oracle_kernels as oracle
-from pfaffred import qlinalg
+from pfaffred import qlinalg, series
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.ods import _split_order
 from pfaffred.series import BiSeries, dot
@@ -234,6 +238,127 @@ def test_other_single_terms_take_the_general_loop(i, j, tx, ty, c, b, left):
             got = dot(pairs)
         same_bi(got, reference_dot(pairs))
         assert len(calls) == (not (b.exact and b.is_zero()))
+
+
+# -- the packed products --------------------------------------------------------
+
+
+@contextmanager
+def counting_packs():
+    """The list of operands packed into one integer (series._pack) inside
+    the block; a call of dot that packs packs two per product."""
+    calls = []
+    inner = series._pack
+
+    def counting(terms, stride, bits):
+        calls.append(terms)
+        return inner(terms, stride, bits)
+
+    with patch.object(series, "_pack", counting):
+        yield calls
+
+
+def fields(s):
+    return (s.num, s.den, s.tx, s.ty, s.exact)
+
+
+def loop_dot(pairs):
+    """dot with every call kept on the term-pair loop."""
+    with patch.object(series, "_PACK_PAIRS", float("inf")):
+        return dot(pairs)
+
+
+@st.composite
+def large_series(draw):
+    """Up to 64 terms, numerators up to 10^30 of both signs over the
+    operand's own denominator; exact, with terms beyond its nominal orders,
+    or truncated."""
+    exact = draw(st.booleans())
+    tx, ty = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    den = draw(st.integers(1, 10**6))
+    size = draw(st.integers(0, 64))
+    coeffs = draw(st.dictionaries(
+        st.tuples(st.integers(0, 10), st.integers(0, 10)),
+        st.integers(-10**30, 10**30), min_size=size, max_size=size))
+    return BiSeries({e: Fraction(v, den) for e, v in coeffs.items()}, tx, ty,
+                    exact=exact)
+
+
+def test_packed_dot_matches_sequential_sum():
+    # Sums of up to three products of large operands: both paths of dot
+    # run over the examples, and each result equals the sequential sum of
+    # reference products and, field for field, the term-pair loop's.
+    packed = []
+
+    @given(st.lists(st.tuples(large_series(), large_series()), min_size=1,
+                    max_size=3))
+    def check(pairs):
+        with counting_packs() as calls:
+            got = dot(pairs)
+        packed.append(bool(calls))
+        same_bi(got, reference_dot(pairs))
+        assert fields(got) == fields(loop_dot(pairs))
+
+    check()
+    assert any(packed) and not all(packed)
+
+
+def _row(coeff, count):
+    """The exact series coeff * (1 + x + ... + x^(count - 1))."""
+    return BiSeries({(k, 0): coeff for k in range(count)}, 1, 1, exact=True)
+
+
+def check_packed(pairs, packs):
+    """dot(pairs) packs `packs` operands, equals the reference and the
+    term-pair loop's result field for field; returns it."""
+    with counting_packs() as calls:
+        got = dot(pairs)
+    assert len(calls) == packs
+    same_bi(got, reference_dot(pairs))
+    assert fields(got) == fields(loop_dot(pairs))
+    return got
+
+
+def test_slot_at_the_bound():
+    # 16 x 16 terms of magnitude M: the slot of x^15 receives 16 term
+    # pairs of M^2, exactly the bound, whose bit length 64 is a multiple
+    # of 8.  Both signs.
+    m = 2**30 - 1
+    bound = 16 * m * m
+    assert bound.bit_length() == 64
+    for sign in (1, -1):
+        got = check_packed([(_row(m, 16), _row(sign * m, 16))], 2)
+        assert got.den == 1 and got.num[(15, 0)] == sign * bound
+
+
+def test_sum_cancelling_on_the_window():
+    # f (1 + x) times g (1 - x + x^2 - x^3) minus f g is x^4 f g (-1): it
+    # vanishes on the x-window 4, while the packed slots beyond it do not.
+    f = BiSeries({(i, j): Fraction(i - 2 * j + 5, 7)
+                  for i in range(4) for j in range(4)}, 1, 1, exact=True)
+    g = BiSeries({(i, j): Fraction(3 * i + j + 1, 11)
+                  for i in range(4) for j in range(4)}, 4, 4)
+    one_x = BiSeries({(0, 0): 1, (1, 0): 1}, 1, 1, exact=True)
+    alt = BiSeries({(k, 0): (-1) ** k for k in range(4)}, 1, 1, exact=True)
+    got = check_packed([(f * one_x, g * alt), (-f, g)], 4)
+    assert got.num == {} and got.den == 1 and got.window == (4, 4)
+
+
+def test_crossover():
+    # One pair short of the crossover stays on the loop; at the crossover
+    # it packs.
+    c = series._PACK_PAIRS
+    three = BiSeries.const(3, 1, 1)
+    check_packed([(three, _row(Fraction(1, 2), c - 1))], 0)
+    check_packed([(three, _row(Fraction(1, 2), c))], 2)
+
+
+def test_sparse_exact_operands_stay_on_the_loop():
+    # As many term pairs as the crossover, but spread over more slots than
+    # term pairs: exponents 10 k in x.
+    c = series._PACK_PAIRS
+    a = BiSeries({(10 * k, 0): k + 1 for k in range(c)}, 1, 1, exact=True)
+    check_packed([(a, BiSeries.const(Fraction(-5, 3), 1, 1))], 0)
 
 
 def const_matrices(rows, cols, values=rationals):

@@ -11,7 +11,8 @@ truncated, zero on their window (tx or ty == 0) and mixed, on both axes.
 
 The series kernel runs on the stored integers alone: products read the
 operands' numerators as they are and leave them unchanged, and the
-arithmetic of an integrability check builds no Fraction.
+arithmetic of an integrability check builds no Fraction, whether dot
+packs its operands into one integer each or multiplies term pairs.
 """
 
 import random
@@ -21,6 +22,7 @@ from math import gcd
 from hypothesis import assume, given, strategies as st
 
 from conftest import count_fractions, random_integrable_system
+from pfaffred import series
 from pfaffred.errors import PfaffredError, TruncationExhausted
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.moser import theta_poly
@@ -189,18 +191,27 @@ def test_product_reads_the_stored_numerators(monkeypatch):
 
 
 def test_series_kernel_builds_no_fraction(monkeypatch):
-    # A seeded n = 4 system cut to a window: products, sums, differences,
-    # negation, scalings, Euler derivatives, shifts, window cuts, a unit
-    # inverse and the integrability check run on the stored integers
-    # alone, and give canonical results.
+    # A seeded n = 4 system cut to a window, and exact: products (packed
+    # into one integer each and term pair by term pair), sums,
+    # differences, negation, scalings, Euler derivatives, shifts, window
+    # cuts, a unit inverse and the integrability check run on the stored
+    # integers alone, and give canonical results.
     sys_obj = random_integrable_system(random.Random(4), n=4, p=1, q=1)
     a, b = sys_obj.amat.truncated(6, 6), sys_obj.bmat.truncated(6, 6)
     half = Fraction(1, 2)
     unit = BiSeries.const(3, 6, 6) + a.at(0, 1).shift(1, 0)
+    inner, packs = series._pack, []
+    monkeypatch.setattr(series, "_pack",
+                        lambda *args: packs.append(args) or inner(*args))
     built = count_fractions(monkeypatch)
     ab = a * b
-    results = [ab, a + b, a - b, -a, a.scale(3), a.scale(half), b.delta("x"),
-               b.delta("y"), a.shift(1, 2), ab.truncated(4, 5), a * b - b * a]
+    exact_ab = sys_obj.amat * sys_obj.bmat
+    packed = len(packs)
+    small_ab = a.truncated(2, 1) * b.truncated(2, 1)
+    assert packed and len(packs) == packed
+    results = [ab, exact_ab, small_ab, a + b, a - b, -a, a.scale(3),
+               a.scale(half), b.delta("x"), b.delta("y"), a.shift(1, 2),
+               ab.truncated(4, 5), a * b - b * a]
     inverse = unit.invert()
     integrable, _ = check_integrability(
         PfaffianSystem.make(4, sys_obj.p, sys_obj.q, a, b, strict=False))
