@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from functools import cache
 
 from .errors import (
     AlgebraicExtensionRequired,
@@ -289,7 +290,18 @@ def _error_exit(command, args, err):
     return code
 
 
+COMMANDS = {
+    "check": (cmd_check, "test the integrability identity"),
+    "reduce": (cmd_reduce, "Moser rank reduction to the true Poincare rank"),
+    "expparts": (cmd_expparts, "exponential parts of both axes"),
+    "katz": (cmd_katz, "Katz invariant pair and true Poincare rank"),
+    "solve": (cmd_solve, "fundamental-matrix data of formal solutions"),
+}
+
+
+@cache
 def build_parser():
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="pfaffred",
         description=(
@@ -298,13 +310,7 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, help_ in (
-        ("check", cmd_check, "test the integrability identity"),
-        ("reduce", cmd_reduce, "Moser rank reduction to the true Poincare rank"),
-        ("expparts", cmd_expparts, "exponential parts of both axes"),
-        ("katz", cmd_katz, "Katz invariant pair and true Poincare rank"),
-        ("solve", cmd_solve, "fundamental-matrix data of formal solutions"),
-    ):
+    for name, (_, help_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("path", help="system document (JSON)")
         p.add_argument("--trunc-x", type=int, default=None,
@@ -316,15 +322,14 @@ def build_parser():
         p.add_argument("--strict", action="store_true",
                        help="treat window-limited zero verdicts as errors "
                        "(acts on check and reduce only)")
-        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, _ = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        return run(args)
     except (PfaffredError, OSError) as err:   # OSError: a file it cannot open
         return _error_exit(args.command, args, err)
 

@@ -15,11 +15,12 @@ smallest column), so every verdict is certified on the stated window.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import lcm
 
 from . import qlinalg
 from .errors import DimensionMismatch, TruncationExhausted
-from .series import BiSeries, dot, exponent
+from .series import BiSeries, dots, exponent
 
 
 class SeriesMatrix:
@@ -188,18 +189,30 @@ class SeriesMatrix:
             return SeriesMatrix(
                 self.rows, self.cols, [e * other for e in self.entries]
             )
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} times {other.rows}x{other.cols}"
-            )
-        # Each entry is one fused sum of products, with the window of the
-        # sequential sum of its series products.
-        out = [
-            dot(zip(self.row(i), other.entries[j :: other.cols]))
-            for i in range(self.rows)
-            for j in range(other.cols)
-        ]
-        return SeriesMatrix(self.rows, other.cols, out)
+        return SeriesMatrix.dot([(1, self, other)])
+
+    @staticmethod
+    def dot(terms):
+        """The sum of c * a * b over terms (c, a, b), c = 1 or -1, of one
+        shape.  Entry (i, j) is one fused sum of the products c a_ik b_kj
+        over the terms and k, with the window of their sequential sum
+        (series.dots); each operand entry is prepared and packed once per
+        call, however many entries it enters."""
+        terms = list(terms)
+        rows, cols = terms[0][1].rows, terms[0][2].cols
+        for _, a, b in terms:
+            if a.cols != b.rows or (a.rows, b.cols) != (rows, cols):
+                raise DimensionMismatch(
+                    f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
+        sums = [[] for _ in range(rows * cols)]
+        for c, a, b in terms:
+            b_cols = [b.entries[j::cols] for j in range(cols)]
+            cells = iter(sums)
+            for i in range(rows):
+                a_row = a.row(i)
+                for b_col in b_cols:
+                    next(cells).extend(zip(repeat(c), a_row, b_col))
+        return SeriesMatrix(rows, cols, dots(sums))
 
     def scale(self, c):
         """c times self, c an int or a Fraction."""

@@ -18,20 +18,25 @@ an exact monic monomial x^i y^j only moves the other factor's numerators
 by (i, j).  Fractions are built only when a coefficient is read (coeff,
 terms, coeffs).
 
-A large sum of products (dot) is computed by Kronecker substitution (D.
-Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", JSC 44, 2009): each operand's windowed numerators are
-packed into one integer, exponent (i, j) into the signed slot
-i * stride + j of `bits` bits, each product is one big-integer multiply,
-and the scaled products are summed and unpacked once.  A slot of one
-product receives at most min(#a, #b) term pairs, so its sum is at most
-bound = sum over products of (den / da db) max|a| max|b| min(#a, #b) in
-absolute value; bits = 8 ceil((bound.bit_length() + 2) / 8) keeps every
-slot below 2^(bits - 2), and a bias of 2^(bits - 1) in every slot makes
-the total nonnegative, so that one to_bytes splits it into its slots.
-Sums with fewer than _PACK_PAIRS windowed term pairs, or with more slots
-than term pairs (sparse exact operands), take the term-pair loop.  Both
-give the same numerators.
+Sums of products are computed many at a time (dots): the entries of a
+matrix product, or of B A - A B, are one call, and each distinct operand
+is prepared once per call, however many sums it enters.  A large sum is
+computed by Kronecker substitution (D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", JSC 44, 2009):
+each operand's windowed numerators are packed into one integer, once per
+call, exponent (i, j) into the signed slot i * stride + j of `bits` bits;
+each product is one big-integer multiply, and each sum's scaled products
+are summed and unpacked once.  A slot of one product receives at most
+min(#a, #b) term pairs, so a sum's slot is at most bound = sum over its
+products of (den / da db) max|a| max|b| min(#a, #b) in absolute value;
+bits = 8 ceil((bound.bit_length() + 2) / 8) keeps every slot below
+2^(bits - 2), and a bias of 2^(bits - 1) in every slot makes the total
+nonnegative, so that one to_bytes splits it into its slots.  One call
+packs at one stride and one slot width, the largest that any of its
+packed sums needs: a longer stride or a wider slot than a sum needs
+leaves its slot values as they are.  Sums with fewer than _PACK_PAIRS
+windowed term pairs, or with more slots than term pairs (sparse exact
+operands), take the term-pair loop.  Both give the same numerators.
 
 The public constructor BiSeries(...) is the one validating path: it checks
 the orders and exponents, coerces each coefficient with q() (ints pass as
@@ -98,113 +103,223 @@ def _valuations_once(s):
 
 def dot(pairs):
     """The sum of a * b over pairs (a, b) of BiSeries, with the window that
-    the sequential sum of the products has.
+    the sequential sum of the products has: the one-sum case of dots."""
+    return dots([[(1, a, b) for a, b in pairs]])[0]
 
-    The sum is exact iff every product is, and its nominal orders are then
-    the maximum over all operands.  Otherwise its window is the minimum
-    over the truncated products' windows, each from the product rule (the
-    unknown terms of one factor enter at the other factor's valuation, per
-    variable), and only terms inside it are kept.  An exact zero factor
-    makes an exact zero product.  When a single product is left and one of
-    its factors is an exact monic monomial x^i y^j, the sum is the other
-    factor's numerators moved by (i, j), over its denominator; otherwise
-    the numerators are accumulated over one common denominator, and the
-    sum is divided by its gcd with that denominator.
+
+def dots(sums):
+    """One BiSeries per list of terms (c, a, b) in sums, c = 1 or -1: the
+    sum of c * a * b over its terms, with the window that the sequential
+    sum of the products has.
+
+    A sum is exact iff every product is, and its nominal orders are then
+    the maximum over all operands (0 when it has no terms).  Otherwise its
+    window is the minimum over the truncated products' windows, each from
+    the product rule (the unknown terms of one factor enter at the other
+    factor's valuation, per variable), and only terms inside it are kept.
+    An exact zero factor makes an exact zero product.  When a single
+    product is left and one of its factors is an exact monic monomial
+    x^i y^j, the sum is the other factor's numerators moved by (i, j),
+    negated for c = -1, over its denominator; otherwise the numerators are
+    accumulated over one common denominator, and the sum is divided by its
+    gcd with that denominator.
 
     A sum with at least _PACK_PAIRS windowed term pairs and no more slots
     i * stride + j (stride one more than its largest y-exponent) than
-    term pairs packs each operand into one integer, multiplies each pair
-    once and unpacks the sum once, in-window slots only (see the module
-    docstring for the slot width); any other sum multiplies term pair by
-    term pair.  Both give the same numerators.
+    term pairs is packed, in-window slots only; any other sum multiplies
+    term pair by term pair.  Both give the same numerators.  Each distinct
+    operand is prepared once per call, however many sums it enters (an
+    _Operand), and the packed sums share one stride and one slot width,
+    the largest that any of them needs (see the module docstring).
     """
-    pairs = list(pairs)
-    live = []
-    exact = True
-    tx = ty = INF_ORDER
-    for a, b in pairs:
-        if (a.exact and not a.num) or (b.exact and not b.num):
+    out = []
+    prepared = {}
+    packed = []
+    for terms in sums:
+        live = []
+        exact = True
+        tx = ty = INF_ORDER
+        for t in terms:
+            _, a, b = t
+            if (a.exact and not a.num) or (b.exact and not b.num):
+                continue
+            live.append(t)
+            if not (a.exact and b.exact):
+                exact = False
+                (vax, vay), (vbx, vby) = _valuations_once(a), _valuations_once(b)
+                tx = min(tx, vax + b._eff_tx(), vbx + a._eff_tx())
+                ty = min(ty, vay + b._eff_ty(), vby + a._eff_ty())
+        if exact:
+            # Plain comparisons: this runs for most entries of every product.
+            ox = oy = 0
+            for _, a, b in terms:
+                if a.tx > ox:
+                    ox = a.tx
+                if b.tx > ox:
+                    ox = b.tx
+                if a.ty > oy:
+                    oy = a.ty
+                if b.ty > oy:
+                    oy = b.ty
+            orders = (ox, oy)
+        else:
+            orders = (tx, ty)
+        if not live:
+            out.append(BiSeries._of({}, 1, *orders, exact))
             continue
-        live.append((a, b))
-        if not (a.exact and b.exact):
-            exact = False
-            (vax, vay), (vbx, vby) = _valuations_once(a), _valuations_once(b)
-            tx = min(tx, vax + b._eff_tx(), vbx + a._eff_tx())
-            ty = min(ty, vay + b._eff_ty(), vby + a._eff_ty())
-    if exact:
-        orders = (max(max(a.tx, b.tx) for a, b in pairs),
-                  max(max(a.ty, b.ty) for a, b in pairs))
-    else:
-        orders = (tx, ty)
-    if not live:
-        return BiSeries._of({}, 1, *orders, exact)
-    if len(live) == 1:
-        [(a, b)] = live
-        for m, other in ((a, b), (b, a)):
-            if m.exact and m.den == 1 and list(m.num.values()) == [1]:
+        if len(live) == 1:
+            [(c, a, b)] = live
+            if a.exact and a.den == 1 and list(a.num.values()) == [1]:
+                m, other = a, b
+            elif b.exact and b.den == 1 and list(b.num.values()) == [1]:
+                m, other = b, a
+            else:
+                m = None
+            if m is not None:
                 [(di, dj)] = m.num
-                return BiSeries._of({(i + di, j + dj): v
-                                     for (i, j), v in other.num.items()},
-                                    other.den, *orders, exact)
-    # Each product's numerators over its own denominator da * db, inside
-    # the window.
-    products = []
-    jmax = pairs_in = 0
-    for a, b in live:
-        na = [t for t in a.num.items() if t[0][0] < tx and t[0][1] < ty]
-        nb = [t for t in b.num.items() if t[0][0] < tx and t[0][1] < ty]
-        if na and nb:
-            jmax = max(jmax, max(j for (_, j), _ in na) + max(j for (_, j), _ in nb))
-            pairs_in += len(na) * len(nb)
-            products.append((a.den * b.den, na, nb))
-    # Exponents (i, j) of the sum are numbered as slots i * stride + j; a
-    # packed sum has height * stride slots, height one more than its
-    # largest x-exponent.
-    stride = jmax + 1
-    den = lcm(*[d for d, _, _ in products])
-    if pairs_in >= _PACK_PAIRS and stride * (height := 1 + max(
-            max(i for (i, _), _ in na) + max(i for (i, _), _ in nb)
-            for _, na, nb in products)) <= pairs_in:
-        slots = height * stride
-        bound = sum(den // d * max(abs(v) for _, v in na)
-                    * max(abs(v) for _, v in nb) * min(len(na), len(nb))
-                    for d, na, nb in products)
-        bits = 8 * ((bound.bit_length() + 9) // 8)
-        half = 1 << (bits - 1)
+                if c == 1:
+                    num = {(i + di, j + dj): v for (i, j), v in other.num.items()}
+                else:
+                    num = {(i + di, j + dj): -v
+                           for (i, j), v in other.num.items()}
+                out.append(BiSeries._of(num, other.den, *orders, exact))
+                continue
+        # Each product's numerators over its own denominator da * db, inside
+        # the window.
+        products = []
+        jmax = pairs_in = 0
+        for c, a, b in live:
+            pa = _operand(prepared, a, exact, tx, ty)
+            pb = _operand(prepared, b, exact, tx, ty)
+            if pa and pb:
+                jmax = max(jmax, pa.jmax + pb.jmax)
+                pairs_in += len(pa.terms) * len(pb.terms)
+                products.append((c, a.den * b.den, pa, pb))
+        # Exponents (i, j) of the sum are numbered as slots i * stride + j; a
+        # packed sum has height * stride slots, height one more than its
+        # largest x-exponent.
+        stride = jmax + 1
+        den = lcm(*[d for _, d, _, _ in products])
+        if pairs_in >= _PACK_PAIRS and stride * (height := 1 + max(
+                pa.imax() + pb.imax() for _, _, pa, pb in products)) <= pairs_in:
+            bound = sum(den // d * pa.top() * pb.top()
+                        * min(len(pa.terms), len(pb.terms))
+                        for _, d, pa, pb in products)
+            packed.append((len(out), products, den, stride, height,
+                           8 * ((bound.bit_length() + 9) // 8), orders, exact))
+            out.append(None)
+            continue
+        acc = defaultdict(int)
+        for c, d, pa, pb in products:
+            scale = c * (den // d)
+            rows = pb.rows()
+            for (i1, j1), x in pa.terms:
+                x *= scale
+                ilim, jlim = tx - i1, ty - j1
+                for i2, row in rows:
+                    if i2 >= ilim:
+                        break
+                    base = (i1 + i2) * stride + j1
+                    for j2, y in row:
+                        if j2 >= jlim:
+                            break
+                        acc[base + j2] += x * y
+        out.append(BiSeries._reduced({divmod(e, stride): s
+                                      for e, s in acc.items() if s},
+                                     den, *orders, exact))
+    if packed:
+        _packed_sums(packed, out)
+    return out
+
+
+def _operand(prepared, s, exact, tx, ty):
+    """The _Operand of s for a sum with window (tx, ty), exact or not,
+    kept in `prepared` for the rest of the call; None when s has no terms
+    on the window.  An exact sum, and a truncated s inside the window,
+    take all of s's terms, once per call; any other s is cut to the
+    window, and shares the whole s's _Operand when the cut drops
+    nothing."""
+    whole = exact or not (s.exact or s.tx > tx or s.ty > ty)
+    key = id(s) if whole else (id(s), tx, ty)
+    if key in prepared:
+        return prepared[key]
+    terms = s.num.items()
+    if not whole:
+        cut = [t for t in terms if t[0][0] < tx and t[0][1] < ty]
+        if len(cut) == len(terms):
+            p = prepared[key] = _operand(prepared, s, True, tx, ty)
+            return p
+        terms = cut
+    p = prepared[key] = _Operand(terms) if terms else None
+    return p
+
+
+class _Operand:
+    """An operand's terms ((i, j), v) on the window of the sums it enters,
+    with their largest y-exponent; their largest x-exponent and
+    |numerator|, their rows of equal x-exponent (each by y-exponent) and
+    their packed integer are computed on first use.  All packed sums of
+    one call of dots share one stride and slot width, so the first packing
+    serves them all."""
+
+    __slots__ = ("terms", "jmax", "_imax", "_top", "_rows", "_packed")
+
+    def __init__(self, terms):
+        self.terms = terms
+        self.jmax = max(j for (_, j), _ in terms)
+        self._imax = self._top = self._rows = self._packed = None
+
+    def imax(self):
+        if self._imax is None:
+            self._imax = max(i for (i, _), _ in self.terms)
+        return self._imax
+
+    def top(self):
+        if self._top is None:
+            self._top = max(abs(v) for _, v in self.terms)
+        return self._top
+
+    def rows(self):
+        if self._rows is None:
+            self._rows = [(i, [(j, v) for (_, j), v in row])
+                          for i, row in groupby(sorted(self.terms),
+                                                key=lambda t: t[0][0])]
+        return self._rows
+
+    def packed(self, stride, bits):
+        if self._packed is None:
+            self._packed = _pack(self.terms, stride, bits)
+        return self._packed
+
+
+def _packed_sums(packed, out):
+    """Fill out[k] for each packed sum (k, products, den, stride, height,
+    bits, orders, exact) of one call of dots: each operand packed once, at
+    the largest stride and slot width of the call, each product one
+    multiply, and each sum unpacked once, in-window slots only."""
+    stride = max(p[3] for p in packed)
+    bits = max(p[5] for p in packed)
+    width = bits // 8
+    half = 1 << (bits - 1)
+    for k, products, den, jstride, height, _, orders, exact in packed:
         total = 0
-        for d, na, nb in products:
-            p = _pack(na, stride, bits) * _pack(nb, stride, bits)
-            total += p if d == den else p * (den // d)
-        width = bits // 8
+        for c, d, pa, pb in products:
+            p = pa.packed(stride, bits) * pb.packed(stride, bits)
+            if d != den:
+                p *= den // d
+            total = total + p if c == 1 else total - p
+        slots = height * stride
         buf = (total + int.from_bytes(half.to_bytes(width, "little") * slots,
                                       "little")).to_bytes(width * slots, "little")
-        out = {}
+        tx, ty = (INF_ORDER, INF_ORDER) if exact else orders
+        num = {}
         for i in range(min(tx, height)):
-            for j in range(min(ty, stride)):
+            for j in range(min(ty, jstride)):
                 at = (i * stride + j) * width
                 v = int.from_bytes(buf[at:at + width], "little") - half
                 if v:
-                    out[(i, j)] = v
-        return BiSeries._reduced(out, den, *orders, exact)
-    acc = defaultdict(int)
-    for d, na, nb in products:
-        scale = den // d
-        # b's terms in rows of equal x-exponent, each row by y-exponent.
-        rows = [(i, [(j, v) for (_, j), v in row])
-                for i, row in groupby(sorted(nb), key=lambda t: t[0][0])]
-        for (i1, j1), x in na:
-            x *= scale
-            ilim, jlim = tx - i1, ty - j1
-            for i2, row in rows:
-                if i2 >= ilim:
-                    break
-                base = (i1 + i2) * stride + j1
-                for j2, y in row:
-                    if j2 >= jlim:
-                        break
-                    acc[base + j2] += x * y
-    out = {divmod(e, stride): s for e, s in acc.items() if s}
-    return BiSeries._reduced(out, den, *orders, exact)
+                    num[(i, j)] = v
+        out[k] = BiSeries._reduced(num, den, *orders, exact)
 
 
 def _pack(terms, stride, bits):

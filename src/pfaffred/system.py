@@ -140,13 +140,14 @@ def check_integrability(sys: PfaffianSystem):
 
     vanishes within the guaranteed window (the identity is checked after
     clearing the poles x^p y^q, which keeps everything in the series ring).
+    B A - A B is one sum of products, so each entry of A and B is packed
+    once for both products and each entry of it is unpacked once.
     """
     sa, sb = sys.amat, sys.bmat
     r = (
         sb.delta("x").shift(sys.p, 0)
-        + sb * sa
+        + SeriesMatrix.dot([(1, sb, sa), (-1, sa, sb)])
         - sa.delta("y").shift(0, sys.q)
-        - sa * sb
     )
     if r.is_exact:
         return r.is_zero(), (INF_ORDER, INF_ORDER)

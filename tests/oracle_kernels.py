@@ -8,6 +8,9 @@ their windows follow directly from BiSeries.__mul__ and __add__.  The
 unit inverse is the graded fill that BiSeries.invert used before it
 filled the window in row-major order.
 
+integrability is the four-term residual by which the integrability
+check certified the identity before it summed B A - A B in one call.
+
 sylvester_solve is the Sylvester solve that qlinalg.sylvester_solver
 replaced (two rrefs of the Kronecker operator per right-hand side), and
 accumulate is the chain of qlinalg add/sub/scale over products by which
@@ -60,6 +63,17 @@ def matrix_mul(self, other):
                 s = t if s is None else s + t
             out.append(s)
     return SeriesMatrix(self.rows, other.cols, out)
+
+
+def integrability(sys_obj):
+    """(verdict, window) of x dB/dx + B A - y dA/dy - A B, cleared of the
+    poles x^p y^q, from reference matrix products."""
+    sa, sb = sys_obj.amat, sys_obj.bmat
+    r = (sb.delta("x").shift(sys_obj.p, 0) + matrix_mul(sb, sa)
+         - sa.delta("y").shift(0, sys_obj.q) - matrix_mul(sa, sb))
+    if r.is_exact:
+        return r.is_zero(), (INF_ORDER, INF_ORDER)
+    return r.is_zero(), r.window
 
 
 def qmul(a, b):

@@ -1,10 +1,15 @@
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from pfaffred import cli
 from pfaffred.cli import main
 from pfaffred.io import (
     MAX_N,
@@ -552,3 +557,54 @@ def test_invariant_violation_zero_leading(tmp_path):
     path = tmp_path / "zero_lead.json"
     path.write_text(json.dumps(doc))
     assert main(["check", str(path)]) == 2
+
+
+def test_consecutive_calls_match_single_calls(tmp_path, capsys):
+    # One process builds the parser once.  A run of calls with different
+    # commands and flags, a failing one and an argument error among them,
+    # gives each call's exit code, output and report as a fresh process
+    # running that call alone.
+    exm = copy_fixture(tmp_path, "exm.json")
+    naive = copy_fixture(tmp_path, "exmnaive.json")
+    bad = tmp_path / "perturbed.json"
+    bad.write_text(json.dumps(perturbed_doc()))
+    calls = [
+        ["check", exm, "--trunc-x", "5", "--trunc-y", "6"],
+        ["reduce", naive, "--strict"],
+        ["katz", exm],
+        ["check", bad],
+        ["expparts", naive, "--trunc-y", "7"],
+        ["solve", exm],
+        ["check", tmp_path / "nope.json"],
+        ["katz"],
+        ["check", exm, "--strict"],
+    ]
+    reports = [tmp_path / f"report{k}.json" if len(call) > 1 else None
+               for k, call in enumerate(calls)]
+    argvs = [[str(a) for a in call] + (["--report", str(r)] if r else [])
+             for call, r in zip(calls, reports)]
+
+    def result(code, out, err, r):
+        text = r.read_text() if r and r.exists() else None
+        if r:
+            r.unlink(missing_ok=True)
+        return code, out, err, text
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    alone = []
+    for argv, r in zip(argvs, reports):
+        done = subprocess.run([sys.executable, "-m", "pfaffred.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        alone.append(result(done.returncode, done.stdout, done.stderr, r))
+    together = []
+    for argv, r in zip(argvs, reports):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        out = capsys.readouterr()
+        together.append(result(code, out.out, out.err, r))
+    assert [c[0] for c in alone] == [0, 0, 0, 1, 0, 0, 2, 2, 0]
+    assert together == alone
+    assert cli.build_parser() is cli.build_parser()

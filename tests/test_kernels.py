@@ -17,14 +17,18 @@ must give the same matrices as the add/mul chains and the two-rref
 Sylvester solve they replaced, singular operators (None) included.  qlinalg.dot reads each QMatrix's
 stored integer rows, so it is also checked over chains of calls that
 reuse operands on either side, feed results back in and take operands
-from every QMatrix constructor.
+from every QMatrix constructor.  SeriesMatrix.dot, the signed sum of
+matrix products that computes all entries in one call and packs each
+operand entry once, must equal the reference products and, field for
+field, one series.dot per entry and the term-pair loop.
 """
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest.mock import patch
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracle_kernels as oracle
 from pfaffred import qlinalg, series
@@ -359,6 +363,172 @@ def test_sparse_exact_operands_stay_on_the_loop():
     c = series._PACK_PAIRS
     a = BiSeries({(10 * k, 0): k + 1 for k in range(c)}, 1, 1, exact=True)
     check_packed([(a, BiSeries.const(Fraction(-5, 3), 1, 1))], 0)
+
+
+# -- the matrix-level sum of products --------------------------------------------
+
+
+@st.composite
+def dense_series(draw):
+    """Exact or truncated, with up to 16 terms in the box [0, 4) x [0, 4):
+    products of two of them pack once they have 64 term pairs."""
+    exact = draw(st.booleans())
+    tx, ty = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    coeffs = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                  rationals, min_size=8, max_size=16))
+    return BiSeries(coeffs, tx, ty, exact=exact)
+
+
+def mixed_matrices(rows, cols):
+    """Entries exact, truncated, exact zero or zero on their window (from
+    bi_series), or dense enough to pack."""
+    return st.lists(st.one_of(bi_series(4), dense_series(), dense_series()),
+                    min_size=rows * cols, max_size=rows * cols).map(
+        lambda entries: SeriesMatrix(rows, cols, entries))
+
+
+# (rows, inner, cols): square, rectangular, an empty inner dimension and
+# an empty result.
+SHAPES = ((1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 2, 2), (3, 3, 3), (1, 3, 2),
+          (3, 2, 1), (2, 1, 3), (2, 0, 3), (2, 2, 0))
+
+
+@st.composite
+def matrix_terms(draw):
+    """One or two signed terms (c, a, b) of one shape, empty and
+    rectangular shapes included.  A second term has new operands, the
+    first term's, or, when they are square, the first term's swapped
+    (b a - a b shares every operand entry between the two products)."""
+    rows, inner, cols = draw(st.sampled_from(SHAPES))
+    a, b = draw(mixed_matrices(rows, inner)), draw(mixed_matrices(inner, cols))
+    terms = [(draw(st.sampled_from((1, -1))), a, b)]
+    second = draw(st.sampled_from(("none", "new", "same", "swapped")))
+    if second == "swapped" and rows == inner == cols:
+        terms.append((-terms[0][0], b, a))
+    elif second == "same":
+        terms.append((draw(st.sampled_from((1, -1))), a, b))
+    elif second != "none":
+        terms.append((draw(st.sampled_from((1, -1))),
+                      draw(mixed_matrices(rows, inner)),
+                      draw(mixed_matrices(inner, cols))))
+    return terms
+
+
+def reference_sum(terms):
+    """The sum of c a b as sums and differences of reference products."""
+    rows, cols = terms[0][1].rows, terms[0][2].cols
+    if not terms[0][1].cols:
+        return SeriesMatrix(rows, cols, [BiSeries.zero(0, 0)] * (rows * cols))
+    out = None
+    for c, a, b in terms:
+        p = oracle.matrix_mul(a, b)
+        p = p if c == 1 else -p
+        out = p if out is None else out + p
+    return out
+
+
+def per_entry_sum(terms):
+    """The sum of c a b entry by entry: one series.dot per sign."""
+    rows, cols = terms[0][1].rows, terms[0][2].cols
+    entries = []
+    for i in range(rows):
+        for j in range(cols):
+            sums = {1: [], -1: []}
+            for c, a, b in terms:
+                sums[c] += zip(a.row(i), b.entries[j::cols])
+            entry = dot(sums[1])
+            if sums[-1]:
+                entry = entry - dot(sums[-1]) if sums[1] else -dot(sums[-1])
+            entries.append(entry)
+    return SeriesMatrix(rows, cols, entries)
+
+
+def test_matrix_sum_matches_reference_and_per_entry_dot():
+    # SeriesMatrix.dot against the sequential sums of reference products
+    # and, field for field, against one series.dot per entry and sign;
+    # both the term-pair loop and the packed path run over the examples.
+    ran = {"loop": 0, "packed": 0}
+    rows = series._Operand.rows
+
+    def counting_rows(self):
+        ran["loop"] += 1
+        return rows(self)
+
+    @settings(max_examples=100)
+    @given(matrix_terms())
+    def check(terms):
+        with counting_packs() as packs, \
+                patch.object(series._Operand, "rows", counting_rows):
+            got = SeriesMatrix.dot(terms)
+        ran["packed"] += bool(packs)
+        assert (got.rows, got.cols) == (terms[0][1].rows, terms[0][2].cols)
+        want = reference_sum(terms)
+        for g, w in zip(got.entries, want.entries):
+            same_bi(g, w)
+        assert ([fields(e) for e in got.entries]
+                == [fields(e) for e in per_entry_sum(terms).entries])
+        with patch.object(series, "_PACK_PAIRS", float("inf")):
+            loop = SeriesMatrix.dot(terms)
+        assert [fields(e) for e in got.entries] == [fields(e) for e in loop.entries]
+
+    check()
+    assert ran["loop"] and ran["packed"]
+
+
+def test_packed_sums_of_one_call_share_the_widest_slots():
+    # f times [g, h]: both entries pack, g's numerators need slots of 13
+    # bytes, h's of 2, and h reaches a longer stride in y.  Packed at one
+    # width and stride, each entry equals its own series.dot and the loop.
+    f = BiSeries({(i, j): 1 + i - j for i in range(4) for j in range(4)}, 1, 1,
+                 exact=True)
+    g = BiSeries({(i, j): (-1) ** j * (10**30 + i) for i in range(4)
+                  for j in range(4)}, 8, 8)
+    h = BiSeries({(i, j): i + 2 * j + 1 for i in range(4) for j in range(6)},
+                 8, 8)
+    a, b = SeriesMatrix(1, 1, [f]), SeriesMatrix(1, 2, [g, h])
+    with counting_packs() as packs:
+        got = a * b
+    assert len(packs) == 3
+    with patch.object(series, "_PACK_PAIRS", float("inf")):
+        loop = a * b
+    for e, l, other in zip(got.entries, loop.entries, (g, h)):
+        assert fields(e) == fields(dot([(f, other)])) == fields(l)
+
+
+@given(st.lists(st.tuples(monic, partners(), st.booleans()), min_size=1,
+                max_size=3))
+def test_negated_monomial_products_move_negated_numerators(cases):
+    # Sums -m b or -b m of one call, m an exact monic monomial: each is
+    # b's numerators moved and negated, over b's denominator, with no gcd.
+    sums = [[(-1, m, b) if left else (-1, b, m)] for m, b, left in cases]
+    with counting_reductions() as calls:
+        got = series.dots(sums)
+    assert not calls
+    for g, [(_, x, y)] in zip(got, sums):
+        same_bi(g, -oracle.bi_mul(x, y))
+
+
+def dense_matrix(rng, n, tx, ty, exact=False):
+    """n x n distinct entries with about 3/4 of the box [0, tx) x [0, ty)
+    filled: every product of two of them packs."""
+    return SeriesMatrix(n, n, [
+        BiSeries({(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for i in range(tx) for j in range(ty) if rng.random() < 0.75},
+                 tx, ty, exact=exact) for _ in range(n * n)])
+
+
+def test_each_operand_entry_is_packed_once_per_call():
+    # Every entry pair of these products packs; series.dot per entry
+    # would pack each operand entry n times.
+    rng = random.Random(3)
+    for n in (2, 4):
+        a, b = dense_matrix(rng, n, 6, 6), dense_matrix(rng, n, 6, 6, exact=True)
+        for terms in ([(1, a, b)], [(1, b, a), (-1, a, b)]):
+            with counting_packs() as packs:
+                got = SeriesMatrix.dot(terms)
+            assert len(packs) == 2 * n * n
+            assert [fields(e) for e in got.entries] == [
+                fields(e) for e in per_entry_sum(terms).entries]
 
 
 def const_matrices(rows, cols, values=rationals):

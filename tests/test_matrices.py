@@ -14,7 +14,7 @@ from pfaffred.matrices import (
     column_echelon,
     series_rank,
 )
-from pfaffred.series import BiSeries
+from pfaffred.series import BiSeries, dot
 from pfaffred.system import GaugeTransform
 
 import oracle_cofactor
@@ -232,6 +232,16 @@ def test_empty_blocks_have_rank_zero():
         v, red, rank, v_inv = column_echelon(m, "y")
         assert rank == 0 and red == m
         assert (v.rows, v.cols) == (v_inv.rows, v_inv.cols) == (m.cols, m.cols)
+
+
+def test_empty_inner_dimension_is_an_exact_zero():
+    # An r x 0 times a 0 x c matrix is the r x c exact zero, at nominal
+    # orders (0, 0), the largest over no operands.
+    got = SeriesMatrix(2, 0, []) * SeriesMatrix(0, 3, [])
+    assert (got.rows, got.cols) == (2, 3)
+    assert all(e.exact and e.is_zero() and e.window == (0, 0)
+               for e in got.entries)
+    assert dot([]).exact and dot([]).is_zero()
 
 
 def test_column_echelon_unimodular_and_reduced():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_kernels
+
 from pfaffred.errors import InvariantViolation
 from pfaffred.matrices import LaurentMatrix, SeriesMatrix
 from pfaffred.series import BiSeries
@@ -79,6 +81,47 @@ def test_integrability_counterexample():
     sys_obj = PfaffianSystem.make(2, 1, 1, a, b)
     ok, _ = check_integrability(sys_obj)
     assert not ok
+
+
+def integrability_cases():
+    """Integrable systems exact and cut, with one side exact and the other
+    truncated, a dense n = 4 system cut to (8, 8), and perturbed copies of
+    each, most of them not integrable."""
+    rng = random.Random(17)
+    for k in range(6):
+        s = random_integrable_system(rng, n=2 + k % 2, p=rng.randint(0, 2),
+                                     q=rng.randint(0, 2))
+        w = (rng.randint(2, 6), rng.randint(2, 6))
+        yield s
+        yield PfaffianSystem(s.n, s.p, s.q, s.amat.truncated(*w),
+                             s.bmat.truncated(*w))
+        yield PfaffianSystem(s.n, s.p, s.q, s.amat, s.bmat.truncated(*w))
+        yield PfaffianSystem(s.n, s.p, s.q, s.amat.truncated(*w), s.bmat)
+    s = random_integrable_system(random.Random(4), n=4, p=1, q=1)
+    yield PfaffianSystem(4, s.p, s.q, s.amat.truncated(8, 8),
+                         s.bmat.truncated(8, 8))
+
+
+def perturbed(s, rng):
+    """s with x^i y^j added to one entry of Amat."""
+    k = rng.randrange(s.n * s.n)
+    bump = BiSeries.monomial(1, rng.randint(0, 2), rng.randint(0, 2), T, T)
+    entries = list(s.amat.entries)
+    entries[k] = entries[k] + bump
+    return PfaffianSystem(s.n, s.p, s.q, SeriesMatrix(s.n, s.n, entries), s.bmat)
+
+
+def test_integrability_matches_the_four_term_residual():
+    # One sum B A - A B gives the verdict and window of the residual built
+    # from two reference products and two matrix differences.
+    rng = random.Random(5)
+    verdicts = []
+    for s in integrability_cases():
+        for case in (s, perturbed(s, rng)):
+            got = check_integrability(case)
+            assert got == oracle_kernels.integrability(case)
+            verdicts.append(got[0])
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_apply_gauge_identity(exmnaive):
