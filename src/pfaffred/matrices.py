@@ -20,7 +20,7 @@ from math import lcm
 
 from . import qlinalg
 from .errors import DimensionMismatch, TruncationExhausted
-from .series import BiSeries, dots, exponent
+from .series import ONE, BiSeries, dots, exponent
 
 
 class SeriesMatrix:
@@ -193,19 +193,27 @@ class SeriesMatrix:
 
     @staticmethod
     def dot(terms):
-        """The sum of c * a * b over terms (c, a, b), c = 1 or -1, of one
-        shape.  Entry (i, j) is one fused sum of the products c a_ik b_kj
-        over the terms and k, with the window of their sequential sum
-        (series.dots); each operand entry is prepared and packed once per
-        call, however many entries it enters."""
+        """The sum of c * a * b over the terms (c, a, b), and of c * m over
+        the terms (c, m), c = 1 or -1, of one shape.  Entry (i, j) is one
+        fused sum of the products c a_ik b_kj over the terms and k, and of
+        c m_ij against the exact 1, with the window of their sequential
+        sum (series.dots); each operand entry is prepared and packed once
+        per call, however many entries it enters."""
         terms = list(terms)
-        rows, cols = terms[0][1].rows, terms[0][2].cols
-        for _, a, b in terms:
+        rows, cols = terms[0][1].rows, terms[0][-1].cols
+        sums = [[] for _ in range(rows * cols)]
+        for c, a, *b in terms:
+            if not b:
+                if (a.rows, a.cols) != (rows, cols):
+                    raise DimensionMismatch(
+                        f"{a.rows}x{a.cols} added to {rows}x{cols}")
+                for cell, e in zip(sums, a.entries):
+                    cell.append((c, e, ONE))
+                continue
+            [b] = b
             if a.cols != b.rows or (a.rows, b.cols) != (rows, cols):
                 raise DimensionMismatch(
                     f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-        sums = [[] for _ in range(rows * cols)]
-        for c, a, b in terms:
             b_cols = [b.entries[j::cols] for j in range(cols)]
             cells = iter(sums)
             for i in range(rows):
@@ -345,20 +353,25 @@ def embed_block(block: LaurentMatrix, coords, n, tx, ty) -> LaurentMatrix:
 # -- elimination over the one-variable series ring ---------------------------
 
 
-def _divide(a: BiSeries, b: BiSeries, var: str) -> BiSeries:
-    """a / b where val_var(a) >= val_var(b) and b = var^v * unit."""
+def _quotients(es, b: BiSeries, var: str):
+    """[e / b for e in es], where each val_var(e) >= val_var(b) and
+    b = var^v * unit: the unit is inverted once, and the products by its
+    inverse are one call of dots."""
     dx, dy = exponent(var, b.val(var))
     b0 = b.divide_monomial(dx, dy)
     if b0.coeff(0, 0) == 0:
         raise TruncationExhausted(
             "pivot is not monomial times unit on its window", window=b.window
         )
-    q0 = a.divide_monomial(dx, dy)
-    if q0.is_zero():
-        # A window-zero quotient times a unit is itself: the unit's
-        # constant term keeps the window at q0's.
-        return q0
-    return q0 * b0.invert()
+    qs = [e.divide_monomial(dx, dy) for e in es]
+    live = [q for q in qs if not q.is_zero()]
+    if not live:
+        return qs
+    inv = b0.invert()
+    products = iter(dots([[(1, q, inv)] for q in live]))
+    # A window-zero quotient times a unit is itself: the unit's constant
+    # term keeps the window at the quotient's.
+    return [q if q.is_zero() else next(products) for q in qs]
 
 
 def column_echelon(m: SeriesMatrix, var: str):
@@ -427,17 +440,28 @@ def _eliminate(m: SeriesMatrix, var: str, v=None, v_inv=None):
         pivot = work[pi][placed]
         # Only not-yet-placed columns: their entries in unused rows have
         # valuation >= the pivot's by pivot selection, so division is exact.
-        for j in range(placed + 1, ncols):
-            e = work[pi][j]
-            if e.exact and e.is_zero():
-                continue
-            f = _divide(e, pivot, var)
-            for i in range(nrows):
-                work[i][j] = work[i][j] - work[i][placed] * f
+        cols = [j for j in range(placed + 1, ncols)
+                if not (work[pi][j].exact and work[pi][j].is_zero())]
+        if cols:
+            fs = _quotients([work[pi][j] for j in cols], pivot, var)
+            # col_j -= col_placed * f_j for every such j, on work and v,
+            # and row_placed(v_inv) += sum_j f_j * row_j(v_inv), as one
+            # call of dots.
+            mats = [work] if v is None else [work, v]
+            sums = [[(1, rows[i][j], ONE), (-1, rows[i][placed], f)]
+                    for rows in mats for j, f in zip(cols, fs)
+                    for i in range(len(rows))]
             if v is not None:
-                for i in range(ncols):
-                    v[i][j] = v[i][j] - v[i][placed] * f
-                    v_inv[placed][i] = v_inv[placed][i] + f * v_inv[j][i]
+                sums += [[(1, v_inv[placed][i], ONE),
+                          *[(1, f, v_inv[j][i]) for j, f in zip(cols, fs)]]
+                         for i in range(ncols)]
+            out = iter(dots(sums))
+            for rows in mats:
+                for j in cols:
+                    for i in range(len(rows)):
+                        rows[i][j] = next(out)
+            if v is not None:
+                v_inv[placed] = list(out)
         used_rows.append(pi)
         placed += 1
     return work, placed

@@ -47,7 +47,7 @@ from .matrices import (
     embed_block,
     series_rank,
 )
-from .series import INF_ORDER, BiSeries, exponent, other
+from .series import INF_ORDER, ONE, BiSeries, dots, exponent, other
 from .system import (
     GaugeTransform,
     PfaffianSystem,
@@ -116,8 +116,9 @@ def theta_poly(sys: PfaffianSystem, axis: str) -> ThetaPolynomial:
     a1 = side.coeff_matrix(axis, 1)
     tx, ty = side.window
     v = BiSeries.monomial(1, *exponent(axis, 1), tx, ty)
-    minus_m = [[-(a0.at(i, j) + v * a1.at(i, j)) for j in range(n)]
-               for i in range(n)]
+    entries = dots([[(-1, a0.at(i, j), ONE), (-1, v, a1.at(i, j))]
+                    for i in range(n) for j in range(n)])
+    minus_m = [entries[i * n:(i + 1) * n] for i in range(n)]
     cp = qlinalg.charpoly(minus_m, BiSeries.const(1, tx, ty))
     coeffs = []
     for k in range(n - r + 1):

@@ -16,9 +16,10 @@ Two kernels carry the order-by-order solvers (splitting, the regular
 solve, the first-kind solve), which multiply the same coefficient
 matrices at every order:
 
-- dot, the sum of c * A * B over a list of terms, accumulates integer
-  products over one common denominator and divides by one gcd; mul is
-  dot of one pair.
+- dot, the sum of c * A * B over a list of terms, takes each entry as
+  one integer inner product, of the terms' rows, each scaled to one
+  common denominator, with their columns, and divides by one gcd; mul
+  is dot of one pair.
 - sylvester_solver inverts the Kronecker operator of a X - X b once, with
   one rref, and returns a solver that costs one integer product per
   right-hand side.
@@ -28,10 +29,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, SingularMatrix
-from .series import q
+from .series import ONE, BiSeries, dots, q
 
 
 class QMatrix:
@@ -107,8 +109,10 @@ def dot(terms, shape=None):
     """The sum of c * a * b over terms (c, a, b), c an integer.
 
     The products are summed as integer numerators over the lcm of their
-    denominators da * db, and the sum is divided by one gcd.  `shape`
-    (rows, cols) is the shape of the sum when there are no terms.
+    denominators da * db: entry (i, j) is one inner product of the terms'
+    rows i, each scaled by c * lcm / (da * db), set end to end, with
+    their columns j, set end to end.  The sum is divided by one gcd.
+    `shape` (rows, cols) is the shape of the sum when there are no terms.
     """
     prepared = []
     for c, a, b in terms:
@@ -123,13 +127,22 @@ def dot(terms, shape=None):
     if any(len(ra) != rows or len(cb) != cols for _, _, ra, cb in prepared):
         raise DimensionMismatch("terms of a dot have different shapes")
     den = lcm(*[d for _, d, _, _ in prepared])
-    acc = [[0] * cols for _ in range(rows)]
-    for c, d, ra, cb in prepared:
+    # Entry (i, j) is the inner product of every term's row i, scaled by
+    # c * den / d, with every term's column j.  The scaled rows are made
+    # one at a time, so that one row of new integers is alive at a time.
+    if len(prepared) == 1:
+        [(c, d, ra, right)] = prepared
         scale = c * (den // d)
-        for acc_row, row in zip(acc, ra):
-            for j, col in enumerate(cb):
-                acc_row[j] += scale * sum(map(operator.mul, row, col))
-    return QMatrix._reduced(acc, den)
+        left = ra if scale == 1 else ([scale * v for v in r] for r in ra)
+    else:
+        right = [list(chain.from_iterable(cb))
+                 for cb in zip(*[cb for *_, cb in prepared])]
+        scaled = [(c * (den // d), ra) for c, d, ra, _ in prepared]
+        left = (list(chain.from_iterable(
+            ra[i] if scale == 1 else [scale * v for v in ra[i]]
+            for scale, ra in scaled)) for i in range(rows))
+    return QMatrix._reduced([[sum(map(operator.mul, row, col)) for col in right]
+                             for row in left], den)
 
 
 def transpose(a):
@@ -216,10 +229,19 @@ def charpoly(a, one=Fraction(1)):
     adj(tI - B) = sum_k p_B[k] sum_(j<k) t^(k-1-j) B^j (Cayley-Hamilton).
     A QMatrix runs on its integer rows N: det(tI - N/d) has the
     coefficient c_k(N) / d^(n-k) at t^k.
+
+    Each step's sums are taken together, r B^j c with B^(j+1) c, then the
+    new coefficients: calls of series.dots over series.  Each inner
+    product keeps the start of the sequential sum, the exact zero
+    one * 0, as a term.
     """
     if isinstance(a, QMatrix):
         return [Fraction(c, a.den ** (len(a) - k))
                 for k, c in enumerate(charpoly(a.num, 1))]
+    if isinstance(one, BiSeries):
+        sums, unit = dots, ONE
+    else:
+        sums, unit = _scalar_sums, 1
     zero = one * 0
     poly = [one]
     for m in range(len(a)):
@@ -227,18 +249,23 @@ def charpoly(a, one=Fraction(1)):
         col = [a[i][m] for i in range(m)]
         w = []
         for j in range(m):
-            if j:
-                col = [sum(map(operator.mul, a[i], col), zero)
-                       for i in range(m)]
-            w.append(sum(map(operator.mul, a[m], col), zero))
-        new = [zero] + poly
-        for k, c in enumerate(poly):
-            new[k] -= a[m][m] * c
-        for s in range(m):
-            for j in range(m - s):
-                new[s] -= poly[s + 1 + j] * w[j]
-        poly = new
+            # r B^j c, with B^(j + 1) c unless j is the last; zip stops at
+            # col, which cuts each row to the block's m columns.
+            rows = [a[m]] if j == m - 1 else [a[m], *a[:m]]
+            out = sums([[(1, zero, unit), *zip(repeat(1), row, col)]
+                        for row in rows])
+            w.append(out[0])
+            col = out[1:]
+        poly = sums([[(1, poly[k - 1] if k else zero, unit),
+                      (-1, a[m][m], poly[k]),
+                      *[(-1, poly[k + 1 + j], w[j]) for j in range(m - k)]]
+                     for k in range(m + 1)]) + [poly[m]]
     return poly
+
+
+def _scalar_sums(sums):
+    """series.dots for rationals: the sum of c * a * b per list of terms."""
+    return [sum(c * a * b for c, a, b in terms) for terms in sums]
 
 
 def poly_eval_matrix(coeffs, a):

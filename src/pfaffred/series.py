@@ -20,7 +20,11 @@ terms, coeffs).
 
 Sums of products are computed many at a time (dots): the entries of a
 matrix product, or of B A - A B, are one call, and each distinct operand
-is prepared once per call, however many sums it enters.  A large sum is
+is prepared once per call, however many sums it enters.  A series s
+enters a sum as it is as the term (c, s, ONE), ONE the exact 1 at nominal
+orders (0, 0).  A product by an exact monic monomial x^i y^j, ONE
+included, is moved, not multiplied: the other factor's numerators, moved
+by (i, j), are added after the products, unprepared.  A large sum is
 computed by Kronecker substitution (D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 44, 2009):
 each operand's windowed numerators are packed into one integer, once per
@@ -120,12 +124,14 @@ def dots(sums):
     An exact zero factor makes an exact zero product.  When a single
     product is left and one of its factors is an exact monic monomial
     x^i y^j, the sum is the other factor's numerators moved by (i, j),
-    negated for c = -1, over its denominator; otherwise the numerators are
-    accumulated over one common denominator, and the sum is divided by its
-    gcd with that denominator.
+    negated for c = -1, over its denominator.  Otherwise the numerators of
+    the products are accumulated over one common denominator, those of the
+    products by an exact monic monomial are moved and added to them, and
+    the sum is divided by its gcd with that denominator.
 
-    A sum with at least _PACK_PAIRS windowed term pairs and no more slots
-    i * stride + j (stride one more than its largest y-exponent) than
+    A sum whose products (those by an exact monic monomial left out) have
+    at least _PACK_PAIRS windowed term pairs and no more slots
+    i * stride + j (stride one more than their largest y-exponent) than
     term pairs is packed, in-window slots only; any other sum multiplies
     term pair by term pair.  Both give the same numerators.  Each distinct
     operand is prepared once per call, however many sums it enters (an
@@ -167,45 +173,45 @@ def dots(sums):
         if not live:
             out.append(BiSeries._of({}, 1, *orders, exact))
             continue
-        if len(live) == 1:
-            [(c, a, b)] = live
-            if a.exact and a.den == 1 and list(a.num.values()) == [1]:
-                m, other = a, b
-            elif b.exact and b.den == 1 and list(b.num.values()) == [1]:
-                m, other = b, a
-            else:
-                m = None
-            if m is not None:
-                [(di, dj)] = m.num
-                if c == 1:
-                    num = {(i + di, j + dj): v for (i, j), v in other.num.items()}
-                else:
-                    num = {(i + di, j + dj): -v
-                           for (i, j), v in other.num.items()}
-                out.append(BiSeries._of(num, other.den, *orders, exact))
-                continue
-        # Each product's numerators over its own denominator da * db, inside
-        # the window.
-        products = []
+        # Products by an exact monic monomial x^i y^j are moved, not
+        # multiplied: the other factor's numerators, moved by (i, j).
+        moved, products = [], []
         jmax = pairs_in = 0
         for c, a, b in live:
-            pa = _operand(prepared, a, exact, tx, ty)
-            pb = _operand(prepared, b, exact, tx, ty)
-            if pa and pb:
-                jmax = max(jmax, pa.jmax + pb.jmax)
-                pairs_in += len(pa.terms) * len(pb.terms)
-                products.append((c, a.den * b.den, pa, pb))
-        # Exponents (i, j) of the sum are numbered as slots i * stride + j; a
-        # packed sum has height * stride slots, height one more than its
-        # largest x-exponent.
+            if (len(a.num) == 1 and a.exact and a.den == 1
+                    and 1 in a.num.values()):
+                moved.append((c, *a.num, b))
+            elif (len(b.num) == 1 and b.exact and b.den == 1
+                    and 1 in b.num.values()):
+                moved.append((c, *b.num, a))
+            else:
+                # Each product's numerators over its own denominator
+                # da * db, inside the window.
+                pa = _operand(prepared, a, exact, tx, ty)
+                pb = _operand(prepared, b, exact, tx, ty)
+                if pa and pb:
+                    jmax = max(jmax, pa.jmax + pb.jmax)
+                    pairs_in += len(pa.terms) * len(pb.terms)
+                    products.append((c, a.den * b.den, pa, pb))
+        if len(live) == 1 and moved:
+            [(c, (di, dj), other)] = moved
+            if c == 1:
+                num = {(i + di, j + dj): v for (i, j), v in other.num.items()}
+            else:
+                num = {(i + di, j + dj): -v for (i, j), v in other.num.items()}
+            out.append(BiSeries._of(num, other.den, *orders, exact))
+            continue
+        # Exponents (i, j) of the products are numbered as slots
+        # i * stride + j; a packed sum has height * stride slots, height one
+        # more than its largest x-exponent.
         stride = jmax + 1
-        den = lcm(*[d for _, d, _, _ in products])
+        den = lcm(*[d for _, d, _, _ in products], *[m[2].den for m in moved])
         if pairs_in >= _PACK_PAIRS and stride * (height := 1 + max(
                 pa.imax() + pb.imax() for _, _, pa, pb in products)) <= pairs_in:
             bound = sum(den // d * pa.top() * pb.top()
                         * min(len(pa.terms), len(pb.terms))
                         for _, d, pa, pb in products)
-            packed.append((len(out), products, den, stride, height,
+            packed.append((len(out), products, moved, den, stride, height,
                            8 * ((bound.bit_length() + 9) // 8), orders, exact))
             out.append(None)
             continue
@@ -224,9 +230,8 @@ def dots(sums):
                         if j2 >= jlim:
                             break
                         acc[base + j2] += x * y
-        out.append(BiSeries._reduced({divmod(e, stride): s
-                                      for e, s in acc.items() if s},
-                                     den, *orders, exact))
+        out.append(_summed({divmod(e, stride): s for e, s in acc.items() if s},
+                           moved, den, orders, exact))
     if packed:
         _packed_sums(packed, out)
     return out
@@ -293,15 +298,16 @@ class _Operand:
 
 
 def _packed_sums(packed, out):
-    """Fill out[k] for each packed sum (k, products, den, stride, height,
-    bits, orders, exact) of one call of dots: each operand packed once, at
-    the largest stride and slot width of the call, each product one
-    multiply, and each sum unpacked once, in-window slots only."""
-    stride = max(p[3] for p in packed)
-    bits = max(p[5] for p in packed)
+    """Fill out[k] for each packed sum (k, products, moved, den, stride,
+    height, bits, orders, exact) of one call of dots: each operand packed
+    once, at the largest stride and slot width of the call, each product
+    one multiply, and each sum unpacked once, in-window slots only, before
+    its moved terms are added."""
+    stride = max(p[4] for p in packed)
+    bits = max(p[6] for p in packed)
     width = bits // 8
     half = 1 << (bits - 1)
-    for k, products, den, jstride, height, _, orders, exact in packed:
+    for k, products, moved, den, jstride, height, _, orders, exact in packed:
         total = 0
         for c, d, pa, pb in products:
             p = pa.packed(stride, bits) * pb.packed(stride, bits)
@@ -319,7 +325,25 @@ def _packed_sums(packed, out):
                 v = int.from_bytes(buf[at:at + width], "little") - half
                 if v:
                     num[(i, j)] = v
-        out[k] = BiSeries._reduced(num, den, *orders, exact)
+        out[k] = _summed(num, moved, den, orders, exact)
+
+
+def _summed(num, moved, den, orders, exact):
+    """The sum num / den + c x^i y^j s over the moved terms (c, (i, j), s)
+    of a sum of dots, its terms inside the window `orders` unless exact."""
+    tx, ty = (INF_ORDER, INF_ORDER) if exact else orders
+    for c, (di, dj), s in moved:
+        scale = c * (den // s.den)
+        for (i, j), v in s.num.items():
+            i += di
+            j += dj
+            if i < tx and j < ty:
+                v = num.get((i, j), 0) + scale * v
+                if v:
+                    num[(i, j)] = v
+                else:
+                    del num[(i, j)]
+    return BiSeries._reduced(num, den, *orders, exact)
 
 
 def _pack(terms, stride, bits):
@@ -664,3 +688,7 @@ class BiSeries:
         return BiSeries._of({(i, j * s): v for (i, j), v in self.num.items()},
                             self.den, self.tx, min(self.ty * s, INF_ORDER),
                             self.exact)
+
+
+# A term (c, s, ONE) of dots adds c * s with s's window and nominal orders.
+ONE = BiSeries.const(1, 0, 0)

@@ -315,9 +315,23 @@ def _gauge_one_factor(ax: LaurentMatrix, by: LaurentMatrix, f: LaurentMatrix,
                       f_inv: LaurentMatrix):
     """F[A] = F^(-1) (A F - delta F) on both sides, normalized, with f_inv
     = F^(-1)."""
-    new_ax = f_inv * (ax * f - f.delta("x"))
-    new_by = f_inv * (by * f - f.delta("y"))
-    return new_ax.normalize(), new_by.normalize()
+    return _gauge_side(ax, f, f_inv, "x"), _gauge_side(by, f, f_inv, "y")
+
+
+def _gauge_side(a: LaurentMatrix, f: LaurentMatrix, f_inv: LaurentMatrix, var):
+    """F^(-1) (A F - delta F), normalized, for the side A of variable var.
+    A F - delta F is one sum per entry, delta F moved to A F's poles; a
+    negative pole of A would move A F too, changing the nominal orders of
+    its exact entries, so there the Laurent matrices are subtracted."""
+    d = f.delta(var)
+    if a.px < 0 or a.py < 0:
+        inner = a * f - d
+    else:
+        inner = LaurentMatrix(
+            SeriesMatrix.dot([(1, a.series, f.series),
+                              (-1, d.series.shift(a.px, a.py))]),
+            a.px + f.px, a.py + f.py)
+    return (f_inv * inner).normalize()
 
 
 def apply_gauge(sys: PfaffianSystem, gauge: GaugeTransform) -> GaugeResult:

@@ -11,18 +11,28 @@ filled the window in row-major order.
 integrability is the four-term residual by which the integrability
 check certified the identity before it summed B A - A B in one call.
 
+charpoly, column_echelon and gauge_one_factor are the Moser layer's
+kernels as they were before each of their sums became one call of
+series.dots: Berkowitz's charpoly adds one series product at a time to
+sum(..., one * 0), the column update subtracts one product per entry and
+pivot column (its quotient by a fresh inverse of the pivot's unit), and a
+gauge factor subtracts delta F from the Laurent product A F.  They run on
+the library's own products, so they differ from the fused forms only in
+how the sums are grouped.
+
 sylvester_solve is the Sylvester solve that qlinalg.sylvester_solver
 replaced (two rrefs of the Kronecker operator per right-hand side), and
 accumulate is the chain of qlinalg add/sub/scale over products by which
 the order-by-order solvers summed their known parts before qlinalg.dot.
 """
 
+import operator
 from fractions import Fraction
 
-from pfaffred.errors import ZeroConstantTerm
+from pfaffred.errors import TruncationExhausted, ZeroConstantTerm
 from pfaffred.qlinalg import QMatrix, add, rank, rref, scale, sub, zeros
 from pfaffred.matrices import SeriesMatrix
-from pfaffred.series import INF_ORDER, BiSeries
+from pfaffred.series import INF_ORDER, BiSeries, exponent
 
 
 def bi_mul(self, other):
@@ -164,3 +174,108 @@ def sylvester_solve(a, b, c):
     if aug_rank != n * m:
         return None
     return tuple(tuple(sol[i * m + j] for j in range(m)) for i in range(n))
+
+
+def charpoly(a, one):
+    """det(tI - a), coefficients low to high, over series with unit `one`:
+    Berkowitz's algorithm with one product and one merge at a time."""
+    zero = one * 0
+    poly = [one]
+    for m in range(len(a)):
+        # w[j] = r B^j c for j < m.
+        col = [a[i][m] for i in range(m)]
+        w = []
+        for j in range(m):
+            if j:
+                col = [sum(map(operator.mul, a[i], col), zero)
+                       for i in range(m)]
+            w.append(sum(map(operator.mul, a[m], col), zero))
+        new = [zero] + poly
+        for k, c in enumerate(poly):
+            new[k] -= a[m][m] * c
+        for s in range(m):
+            for j in range(m - s):
+                new[s] -= poly[s + 1 + j] * w[j]
+        poly = new
+    return poly
+
+
+def _divide(a, b, var):
+    """a / b where val_var(a) >= val_var(b) and b = var^v * unit."""
+    dx, dy = exponent(var, b.val(var))
+    b0 = b.divide_monomial(dx, dy)
+    if b0.coeff(0, 0) == 0:
+        raise TruncationExhausted(
+            "pivot is not monomial times unit on its window", window=b.window
+        )
+    q0 = a.divide_monomial(dx, dy)
+    if q0.is_zero():
+        return q0
+    return q0 * b0.invert()
+
+
+def _eliminate(m, var, v=None, v_inv=None):
+    """column_echelon's pivot loop, one column update at a time."""
+    work = m.to_rows()
+    nrows, ncols = m.rows, m.cols
+    used_rows = []
+    placed = 0
+    while placed < ncols:
+        best = None
+        for j in range(placed, ncols):
+            for i in range(nrows):
+                if i in used_rows:
+                    continue
+                e = work[i][j]
+                if e.is_zero():
+                    continue
+                key = (e.val(var), i, j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        _, pi, pj = best
+        if pj != placed:
+            for row in work:
+                row[placed], row[pj] = row[pj], row[placed]
+            if v is not None:
+                for row in v:
+                    row[placed], row[pj] = row[pj], row[placed]
+                v_inv[placed], v_inv[pj] = v_inv[pj], v_inv[placed]
+        pivot = work[pi][placed]
+        for j in range(placed + 1, ncols):
+            e = work[pi][j]
+            if e.exact and e.is_zero():
+                continue
+            f = _divide(e, pivot, var)
+            for i in range(nrows):
+                work[i][j] = work[i][j] - work[i][placed] * f
+            if v is not None:
+                for i in range(ncols):
+                    v[i][j] = v[i][j] - v[i][placed] * f
+                    v_inv[placed][i] = v_inv[placed][i] + f * v_inv[j][i]
+        used_rows.append(pi)
+        placed += 1
+    return work, placed
+
+
+def column_echelon(m, var):
+    """(v, reduced, rank, v_inv) of matrices.column_echelon."""
+    identity = SeriesMatrix.identity(m.cols, *m.window)
+    v, v_inv = identity.to_rows(), identity.to_rows()
+    work, rank_ = _eliminate(m, var, v, v_inv)
+    reduced = SeriesMatrix(m.rows, m.cols, [e for row in work for e in row])
+    return (SeriesMatrix.from_rows(v), reduced, rank_,
+            SeriesMatrix.from_rows(v_inv))
+
+
+def series_rank(m, var):
+    return _eliminate(m, var)[1]
+
+
+def gauge_one_factor(ax, by, f, f_inv):
+    """F^(-1) (A F - delta F) on both sides, normalized, from the Laurent
+    product A F and a Laurent subtraction."""
+    new_ax = f_inv * (ax * f - f.delta("x"))
+    new_by = f_inv * (by * f - f.delta("y"))
+    return new_ax.normalize(), new_by.normalize()

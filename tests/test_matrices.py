@@ -244,6 +244,18 @@ def test_empty_inner_dimension_is_an_exact_zero():
     assert dot([]).exact and dot([]).is_zero()
 
 
+def test_added_matrices_have_the_shape_of_the_sum():
+    # SeriesMatrix.dot adds a term (c, m) entry by entry: m has the shape
+    # of the products, and the sum equals the product plus m.
+    a = SeriesMatrix.from_rows([[poly_series({(1, 0): 1}), poly_series({})]])
+    b = SeriesMatrix.from_rows([[poly_series({(0, 1): 2})],
+                                [poly_series({(0, 0): 3})]])
+    m = SeriesMatrix.from_rows([[poly_series({(0, 0): 5})]])
+    assert SeriesMatrix.dot([(1, a, b), (-1, m)]) == a * b - m
+    with pytest.raises(DimensionMismatch):
+        SeriesMatrix.dot([(1, a, b), (1, a)])
+
+
 def test_column_echelon_unimodular_and_reduced():
     rng = random.Random(5)
     for _ in range(8):
