@@ -15,7 +15,6 @@ machine-readable report (--report).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys as _sys
 from functools import cache
 
@@ -33,6 +32,7 @@ from .io import (
     parse_document,
     rat_str,
     read_document,
+    write_json,
     write_system,
 )
 from .moser import rank_reduce
@@ -81,9 +81,7 @@ def _load(args):
 
 def _emit(args, report):
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(report, args.report)
 
 
 def _report_base(command, args, digest):

@@ -14,6 +14,11 @@ corresponding subsystem; rationals are JSON integers or strings "num/den"
 (or "num") of ASCII digits with an optional sign, and are written in
 lowest terms.  Parsing round-trips losslessly.
 
+Both directions build no Fraction: each distinct string of a document is
+read once into a reduced (num, den) pair, and each entry is built in the
+stored form of a series (see series.py); a document is written from each
+entry's numerators and denominator, one gcd per coefficient.
+
 Limits: 1 <= n <= MAX_N, checked before any n x n grid is allocated,
 0 <= p, q <= MAX_POLE, and 1 <= trunc_x, trunc_y <= MAX_WINDOW, the range
 of --trunc-x/-y too.  Anything else is a ParseError.
@@ -21,15 +26,25 @@ of --trunc-x/-y too.  Anything else is a ParseError.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from fractions import Fraction
+from importlib import import_module
+from math import gcd, lcm
 
 from .errors import InvariantViolation, ParseError
 from .matrices import SeriesMatrix
 from .series import BiSeries
 from .system import PfaffianSystem
+
+# SHA-256 from the built-in module that hashlib falls back to, since
+# importing hashlib loads OpenSSL: _sha2 on Python 3.12+, _sha256 before.
+for _module in ("_sha2", "_sha256", "hashlib"):
+    try:
+        sha256 = import_module(_module).sha256
+        break
+    except ImportError:
+        pass
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
@@ -51,20 +66,25 @@ MAX_WINDOW = 128
 MAX_POLE = 64
 
 
-def _rat(text, where, r, c):
-    """The rational that entry [r][c] of the matrix at `where` spells: an
-    int, or a Fraction for 'a/b'."""
+def _rat(text, memo, where, r, c):
+    """The rational that entry [r][c] of the matrix at `where` spells, as
+    (num, den) in lowest terms with den > 0; a string's pair is kept in
+    memo, which the caller reads first."""
     if type(text) is int:
-        return text
+        return text, 1
     if isinstance(text, str) and _RATIONAL.fullmatch(text):
         num, _, den = text.partition("/")
         try:
-            return Fraction(int(num), int(den)) if den else int(num)
-        except ZeroDivisionError:
-            problem = f"bad rational {text!r}: zero denominator"
+            v, d = int(num), int(den or 1)
         except ValueError:
             # Python's int/str conversion limit.
             problem = f"rational of {len(text)} characters has too many digits"
+        else:
+            if d:
+                g = gcd(v, d)
+                memo[text] = rat = (v // g, d // g)
+                return rat
+            problem = f"bad rational {text!r}: zero denominator"
     else:
         problem = f"rational must be an integer or a string 'num/den': {text!r}"
     raise ParseError(problem, field=f"{where}.matrix[{r}][{c}]")
@@ -72,6 +92,12 @@ def _rat(text, where, r, c):
 
 def rat_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+
+
+def _ratio_str(v, d):
+    """rat_str of v / d, for ints v and d > 0."""
+    g = gcd(v, d)
+    return f"{v // g}/{d // g}" if d != g else str(v // g)
 
 
 def _nonneg_int(doc, key):
@@ -88,7 +114,7 @@ def check_window(t, where):
                          field=where)
 
 
-def _terms_to_matrix(terms, n, tx, ty, side):
+def _terms_to_matrix(terms, n, tx, ty, side, memo):
     if not isinstance(terms, list):
         raise ParseError(f"{side} must be a list of terms", field=side)
     cells = [{} for _ in range(n * n)]    # per entry, in row-major order
@@ -102,7 +128,7 @@ def _terms_to_matrix(terms, n, tx, ty, side):
                 raise ParseError(f"{key} must be an integer", field=where)
             if v < 0:
                 raise ParseError(f"negative exponent {key}={v}", field=where)
-        i, j = term["i"], term["j"]
+        i, j = e = term["i"], term["j"]
         if i >= tx or j >= ty:
             raise ParseError(
                 f"exponent ({i},{j}) outside the truncation window", field=where
@@ -116,15 +142,30 @@ def _terms_to_matrix(terms, n, tx, ty, side):
             raise ParseError(f"matrix must be {n}x{n}", field=where)
         for r, row in enumerate(mat):
             for c, text in enumerate(row):
-                val = _rat(text, where, r, c)
-                if val:
-                    # A first value is stored as it is; repeated terms add up.
+                rat = memo.get(text) if type(text) is str else None
+                if rat is None:
+                    rat = _rat(text, memo, where, r, c)
+                if rat[0]:
+                    # Repeated terms add up; a sum that cancels is dropped.
                     cell = cells[r * n + c]
-                    cell[i, j] = cell[i, j] + val if cell.get((i, j)) else val
+                    old = cell.get(e)
+                    if old is not None:
+                        v, d = rat
+                        rat = (old[0] * d + v * old[1], old[1] * d)
+                        if not rat[0]:
+                            del cell[e]
+                            continue
+                    cell[e] = rat
     # Document terms describe a polynomial exactly; the declared truncation
     # orders become the default working precision of derived computations.
-    return SeriesMatrix(n, n, [BiSeries(cell, tx, ty, exact=True)
-                               for cell in cells])
+    # Each entry is brought over the lcm of its denominators and divided by
+    # one gcd: a sum of repeated terms need not be in lowest terms.
+    entries = []
+    for cell in cells:
+        den = lcm(*[d for _, d in cell.values()])
+        entries.append(BiSeries._reduced(
+            {e: v * (den // d) for e, (v, d) in cell.items()}, den, tx, ty, True))
+    return SeriesMatrix(n, n, entries)
 
 
 def parse_document(doc: dict) -> PfaffianSystem:
@@ -143,8 +184,9 @@ def parse_document(doc: dict) -> PfaffianSystem:
     ty = _nonneg_int(doc, "trunc_y")
     for key, t in (("trunc_x", tx), ("trunc_y", ty)):
         check_window(t, key)
-    amat = _terms_to_matrix(doc.get("A_terms", []), n, tx, ty, "A_terms")
-    bmat = _terms_to_matrix(doc.get("B_terms", []), n, tx, ty, "B_terms")
+    memo = {}   # each distinct string of the document is read once
+    amat = _terms_to_matrix(doc.get("A_terms", []), n, tx, ty, "A_terms", memo)
+    bmat = _terms_to_matrix(doc.get("B_terms", []), n, tx, ty, "B_terms", memo)
     if p > 0 and amat.eval_zero_matrix("x").is_zero():
         raise InvariantViolation("A_terms have no x^0 part although p > 0")
     if q > 0 and bmat.eval_zero_matrix("y").is_zero():
@@ -171,36 +213,44 @@ def parse_system(path) -> PfaffianSystem:
 
 
 def serialize_system(sys: PfaffianSystem) -> dict:
-    tx, ty = sys.window
-    a, b = sys.amat.coefficients(), sys.bmat.coefficients()
+    n, (tx, ty) = sys.n, sys.window
+
+    def side(mat):
+        # The text of each nonzero coefficient, per entry.
+        texts = [{e: _ratio_str(v, s.den) for e, v in s.num.items()}
+                 for s in mat.entries]
+        rows = [texts[r * n:(r + 1) * n] for r in range(n)]
+        return [{"i": i, "j": j,
+                 "matrix": [[t.get((i, j), "0") for t in row] for row in rows]}
+                for (i, j) in sorted({e for t in texts for e in t})]
+
+    a, b = side(sys.amat), side(sys.bmat)
     # Exact entries may carry exponents beyond the nominal window; widen
     # the declared orders so the document round-trips.
-    for (i, j) in (*a, *b):
-        tx = max(tx, i + 1)
-        ty = max(ty, j + 1)
-
-    def side(coeffs):
-        return [{"i": i, "j": j,
-                 "matrix": [[rat_str(c) for c in row] for row in coeffs[(i, j)]]}
-                for (i, j) in sorted(coeffs)]
-
+    for term in (*a, *b):
+        tx = max(tx, term["i"] + 1)
+        ty = max(ty, term["j"] + 1)
     return {
-        "n": sys.n,
+        "n": n,
         "p": sys.p,
         "q": sys.q,
         "trunc_x": tx,
         "trunc_y": ty,
-        "A_terms": side(a),
-        "B_terms": side(b),
+        "A_terms": a,
+        "B_terms": b,
     }
 
 
-def write_system(sys: PfaffianSystem, path):
+def write_json(obj, path):
+    """Write obj to path as indented JSON with sorted keys, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize_system(sys), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+
+
+def write_system(sys: PfaffianSystem, path):
+    write_json(serialize_system(sys), path)
 
 
 def document_digest(doc: dict) -> str:
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return sha256(canon.encode("utf-8")).hexdigest()

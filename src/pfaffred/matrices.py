@@ -235,6 +235,8 @@ class SeriesMatrix:
         )
 
     def shift(self, dx, dy):
+        if dx == 0 and dy == 0:
+            return self
         return SeriesMatrix(self.rows, self.cols, [e.shift(dx, dy) for e in self.entries])
 
     def divide_monomial(self, dx, dy):

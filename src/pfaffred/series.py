@@ -42,18 +42,20 @@ leaves its slot values as they are.  Sums with fewer than _PACK_PAIRS
 windowed term pairs, or with more slots than term pairs (sparse exact
 operands), take the term-pair loop.  Both give the same numerators.
 
-The public constructor BiSeries(...) is the one validating path: it checks
-the orders and exponents, coerces each coefficient with q() (ints pass as
-they are), drops zeros and, for a truncated series, terms outside the
-window, and brings the rest over their least common denominator.  It
-serves parsed documents, the const/zero/monomial constructors and users.
-Internal operations and the matrix-layer rebuilds build their results
-with the trusted BiSeries._of, which stores its arguments unchecked, or
-with BiSeries._reduced, which first divides out the gcd: the invariants
+The public constructor BiSeries(...) validates: it checks the orders and
+exponents, coerces each coefficient with q() (ints pass as they are),
+drops zeros and, for a truncated series, terms outside the window, and
+brings the rest over their least common denominator.  It serves the
+const/zero/monomial constructors and users.  Everything else builds its
+series with the trusted BiSeries._of, which stores its arguments
+unchecked, or with BiSeries._reduced, which first divides out the gcd:
+internal operations and the matrix-layer rebuilds, where the invariants
 (the canonical form, nonnegative exponents, terms of a truncated series
-inside its window) hold there by construction.  A series is immutable:
-its num dict is never mutated after construction, so its valuations are
-computed once, on first use, and kept in its _val slot.
+inside its window) hold by construction, and the document reader
+(io.py), which checks the exponents and reduces each rational itself.
+A series is immutable: its num dict is never mutated after construction,
+so its valuations are computed once, on first use, and kept in its _val
+slot, and a shift by (0, 0) returns the series itself.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import groupby, product
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import TruncationExhausted, ZeroConstantTerm
 
@@ -98,7 +101,7 @@ def _valuations_once(s):
     v = s._val
     if v is None:
         if s.num:
-            v = (min(i for i, _ in s.num), min(j for _, j in s.num))
+            v = (min(s.num)[0], min(map(itemgetter(1), s.num)))
         else:
             v = (s._eff_tx(), s._eff_ty())
         s._val = v
@@ -636,7 +639,10 @@ class BiSeries:
                                  ty, False)
 
     def shift(self, dx, dy):
-        """Multiply by the monomial x^dx y^dy (dx, dy >= 0)."""
+        """Multiply by the monomial x^dx y^dy (dx, dy >= 0); self for
+        (0, 0)."""
+        if dx == 0 and dy == 0:
+            return self
         return BiSeries._of(
             {(i + dx, j + dy): v for (i, j), v in self.num.items()},
             self.den,

@@ -132,6 +132,21 @@ def series_matrices(rows, cols, min_order=0):
         lambda entries: SeriesMatrix(rows, cols, entries))
 
 
+@given(bi_series())
+def test_valuations_are_the_least_exponents(a):
+    # The generator form that _valuations_once replaced.
+    want = ((min(i for i, _ in a.num), min(j for _, j in a.num)) if a.num
+            else (a._eff_tx(), a._eff_ty()))
+    assert (a.val_x(), a.val_y()) == want
+
+
+@given(bi_series(), series_matrices(2, 3))
+def test_shift_by_nothing_is_the_same_object(a, m):
+    # Both types are immutable, so the product by x^0 y^0 is the operand.
+    assert a.shift(0, 0) is a
+    assert m.shift(0, 0) is m
+
+
 @given(series_matrices(2, 2), axes, st.integers(0, 4))
 def test_coefficient_matrix(m, var, k):
     try:
