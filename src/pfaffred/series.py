@@ -24,7 +24,8 @@ is prepared once per call, however many sums it enters.  A series s
 enters a sum as it is as the term (c, s, ONE), ONE the exact 1 at nominal
 orders (0, 0).  A product by an exact monic monomial x^i y^j, ONE
 included, is moved, not multiplied: the other factor's numerators, moved
-by (i, j), are added after the products, unprepared.  A large sum is
+by (i, j), are added after the products, unprepared.  A sum whose other
+products fit in no more exponent slots than they have term pairs is
 computed by Kronecker substitution (D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 44, 2009):
 each operand's windowed numerators are packed into one integer, once per
@@ -38,9 +39,9 @@ bits = 8 ceil((bound.bit_length() + 2) / 8) keeps every slot below
 nonnegative, so that one to_bytes splits it into its slots.  One call
 packs at one stride and one slot width, the largest that any of its
 packed sums needs: a longer stride or a wider slot than a sum needs
-leaves its slot values as they are.  Sums with fewer than _PACK_PAIRS
-windowed term pairs, or with more slots than term pairs (sparse exact
-operands), take the term-pair loop.  Both give the same numerators.
+leaves its slot values as they are.  A sparser sum (such as
+c + k x^121 y^120 times itself) takes the term-pair loop, with the same
+numerators.
 
 The public constructor BiSeries(...) validates: it checks the orders and
 exponents, coerces each coefficient with q() (ints pass as they are),
@@ -62,19 +63,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import product
 from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import TruncationExhausted, ZeroConstantTerm
 
 INF_ORDER = 10**9
-
-# dot packs its products from this many windowed term pairs on (see the
-# module docstring).  Replaying every dot call of one pass of each
-# benchmark workload, the time of all calls is flat to within 1% for
-# crossovers from 16 to 128 term pairs, and least at 64.
-_PACK_PAIRS = 64
 
 
 def other(var):
@@ -132,12 +127,12 @@ def dots(sums):
     products by an exact monic monomial are moved and added to them, and
     the sum is divided by its gcd with that denominator.
 
-    A sum whose products (those by an exact monic monomial left out) have
-    at least _PACK_PAIRS windowed term pairs and no more slots
-    i * stride + j (stride one more than their largest y-exponent) than
-    term pairs is packed, in-window slots only; any other sum multiplies
-    term pair by term pair.  Both give the same numerators.  Each distinct
-    operand is prepared once per call, however many sums it enters (an
+    One rule picks the algorithm: a sum whose products (those by an exact
+    monic monomial left out) have no more slots i * stride + j, height *
+    stride in all (each one more than their largest x-, y-exponent), than
+    windowed term pairs is packed, in-window slots only; any other sum
+    multiplies the windowed term pairs one by one.  Both give the same
+    numerators.  Each distinct operand is prepared once per call (an
     _Operand), and the packed sums share one stride and one slot width,
     the largest that any of them needs (see the module docstring).
     """
@@ -179,7 +174,7 @@ def dots(sums):
         # Products by an exact monic monomial x^i y^j are moved, not
         # multiplied: the other factor's numerators, moved by (i, j).
         moved, products = [], []
-        jmax = pairs_in = 0
+        imax = jmax = pairs_in = 0
         for c, a, b in live:
             if (len(a.num) == 1 and a.exact and a.den == 1
                     and 1 in a.num.values()):
@@ -193,6 +188,7 @@ def dots(sums):
                 pa = _operand(prepared, a, exact, tx, ty)
                 pb = _operand(prepared, b, exact, tx, ty)
                 if pa and pb:
+                    imax = max(imax, pa.imax + pb.imax)
                     jmax = max(jmax, pa.jmax + pb.jmax)
                     pairs_in += len(pa.terms) * len(pb.terms)
                     products.append((c, a.den * b.den, pa, pb))
@@ -204,14 +200,10 @@ def dots(sums):
                 num = {(i + di, j + dj): -v for (i, j), v in other.num.items()}
             out.append(BiSeries._of(num, other.den, *orders, exact))
             continue
-        # Exponents (i, j) of the products are numbered as slots
-        # i * stride + j; a packed sum has height * stride slots, height one
-        # more than its largest x-exponent.
-        stride = jmax + 1
+        stride, height = jmax + 1, imax + 1
         den = lcm(*[d for _, d, _, _ in products], *[m[2].den for m in moved])
-        if pairs_in >= _PACK_PAIRS and stride * (height := 1 + max(
-                pa.imax() + pb.imax() for _, _, pa, pb in products)) <= pairs_in:
-            bound = sum(den // d * pa.top() * pb.top()
+        if stride * height <= pairs_in:
+            bound = sum(den // d * pa.top * pb.top
                         * min(len(pa.terms), len(pb.terms))
                         for _, d, pa, pb in products)
             packed.append((len(out), products, moved, den, stride, height,
@@ -221,20 +213,13 @@ def dots(sums):
         acc = defaultdict(int)
         for c, d, pa, pb in products:
             scale = c * (den // d)
-            rows = pb.rows()
             for (i1, j1), x in pa.terms:
                 x *= scale
-                ilim, jlim = tx - i1, ty - j1
-                for i2, row in rows:
-                    if i2 >= ilim:
-                        break
-                    base = (i1 + i2) * stride + j1
-                    for j2, y in row:
-                        if j2 >= jlim:
-                            break
-                        acc[base + j2] += x * y
-        out.append(_summed({divmod(e, stride): s for e, s in acc.items() if s},
-                           moved, den, orders, exact))
+                for (i2, j2), y in pb.terms:
+                    if i1 + i2 < tx and j1 + j2 < ty:
+                        acc[i1 + i2, j1 + j2] += x * y
+        out.append(_summed({e: v for e, v in acc.items() if v}, moved, den,
+                           orders, exact))
     if packed:
         _packed_sums(packed, out)
     return out
@@ -264,35 +249,28 @@ def _operand(prepared, s, exact, tx, ty):
 
 class _Operand:
     """An operand's terms ((i, j), v) on the window of the sums it enters,
-    with their largest y-exponent; their largest x-exponent and
-    |numerator|, their rows of equal x-exponent (each by y-exponent) and
-    their packed integer are computed on first use.  All packed sums of
-    one call of dots share one stride and slot width, so the first packing
-    serves them all."""
+    with their largest x- and y-exponents and |numerator|; their packed
+    integer is computed on first use.  All packed sums of one call of dots
+    share one stride and slot width, so the first packing serves them
+    all."""
 
-    __slots__ = ("terms", "jmax", "_imax", "_top", "_rows", "_packed")
+    __slots__ = ("terms", "imax", "jmax", "top", "_packed")
 
     def __init__(self, terms):
         self.terms = terms
-        self.jmax = max(j for (_, j), _ in terms)
-        self._imax = self._top = self._rows = self._packed = None
-
-    def imax(self):
-        if self._imax is None:
-            self._imax = max(i for (i, _), _ in self.terms)
-        return self._imax
-
-    def top(self):
-        if self._top is None:
-            self._top = max(abs(v) for _, v in self.terms)
-        return self._top
-
-    def rows(self):
-        if self._rows is None:
-            self._rows = [(i, [(j, v) for (_, j), v in row])
-                          for i, row in groupby(sorted(self.terms),
-                                                key=lambda t: t[0][0])]
-        return self._rows
+        # One pass of plain comparisons: this runs for every operand.
+        imax = jmax = top = 0
+        for (i, j), v in terms:
+            if i > imax:
+                imax = i
+            if j > jmax:
+                jmax = j
+            if v > top:
+                top = v
+            elif -v > top:
+                top = -v
+        self.imax, self.jmax, self.top = imax, jmax, top
+        self._packed = None
 
     def packed(self, stride, bits):
         if self._packed is None:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,21 @@ def count_fractions(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     return built
+
+
+def valid(r):
+    """r is in canonical form, and is what the validating constructor
+    makes of its own coefficients."""
+    assert isinstance(r, BiSeries)
+    assert type(r.den) is int and r.den > 0
+    assert gcd(r.den, *r.num.values()) == 1
+    for (i, j), v in r.num.items():
+        assert type(v) is int and v
+        assert i >= 0 and j >= 0
+        assert r.exact or (i < r.tx and j < r.ty)
+    v = BiSeries(r.coeffs, r.tx, r.ty, exact=r.exact)
+    assert (r.num, r.den) == (v.num, v.den)
+    assert (r.tx, r.ty, r.exact) == (v.tx, v.ty, v.exact)
 
 
 def report_changes(old, new):

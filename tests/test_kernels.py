@@ -7,12 +7,12 @@ window-zero and mixed operands, exact zeros with differing nominal orders
 included.  A single product with an exact monic monomial factor moves the
 other factor's numerators and keeps its denominator, with no gcd; every
 other single-term factor goes through the accumulating loop, which ends
-in one gcd.  Large sums of products are packed, each operand into one
-integer (series._pack): over large operands, at the slot-width bound, at
-the crossover and on a sum that cancels on its window, the packed result
-equals the reference and, field for field, the term-pair loop's, and
-sparse exact operands stay on the loop.  The constant-matrix kernels of
-the order-by-order solvers, qlinalg.dot and qlinalg.sylvester_solver,
+in one gcd.  A sum of products whose exponents fit in no more slots than
+it has term pairs is packed, each operand into one integer
+(series._pack): over large operands, at the slot-width bound and on a
+sum that cancels on its window, the result equals the reference and is
+in canonical form, and sparse exact operands stay on the term-pair
+loop.  The constant-matrix kernels of the order-by-order solvers, qlinalg.dot and qlinalg.sylvester_solver,
 must give the same matrices as the add/mul chains and the two-rref
 Sylvester solve they replaced, singular operators (None) included.  qlinalg.dot reads each QMatrix's
 stored integer rows, so it is also checked over chains of calls that
@@ -20,7 +20,8 @@ reuse operands on either side, feed results back in and take operands
 from every QMatrix constructor.  SeriesMatrix.dot, the signed sum of
 matrix products that computes all entries in one call and packs each
 operand entry once, must equal the reference products and, field for
-field, one series.dot per entry and the term-pair loop.
+field, one series.dot per entry, over sums that pack and sums that take
+the term-pair loop.
 """
 
 import random
@@ -31,6 +32,7 @@ from unittest.mock import patch
 from hypothesis import given, settings, strategies as st
 
 import oracle_kernels as oracle
+from conftest import valid
 from pfaffred import qlinalg, series
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.ods import _split_order
@@ -262,14 +264,30 @@ def counting_packs():
         yield calls
 
 
+@contextmanager
+def counting_paths():
+    """{"packed": p, "loop": l}: the sums of dots inside the block that
+    were packed (series._packed_sums) and those summed outside it, on the
+    term-pair loop."""
+    ran = {"packed": 0, "loop": 0}
+    summed, packed_sums = series._summed, series._packed_sums
+
+    def counting_summed(*args):
+        ran["loop"] += 1
+        return summed(*args)
+
+    def counting_packed(packed, out):
+        ran["packed"] += len(packed)
+        ran["loop"] -= len(packed)
+        return packed_sums(packed, out)
+
+    with patch.object(series, "_summed", counting_summed), \
+            patch.object(series, "_packed_sums", counting_packed):
+        yield ran
+
+
 def fields(s):
     return (s.num, s.den, s.tx, s.ty, s.exact)
-
-
-def loop_dot(pairs):
-    """dot with every call kept on the term-pair loop."""
-    with patch.object(series, "_PACK_PAIRS", float("inf")):
-        return dot(pairs)
 
 
 @st.composite
@@ -291,20 +309,21 @@ def large_series(draw):
 def test_packed_dot_matches_sequential_sum():
     # Sums of up to three products of large operands: both paths of dot
     # run over the examples, and each result equals the sequential sum of
-    # reference products and, field for field, the term-pair loop's.
-    packed = []
+    # reference products and is in canonical form.
+    ran = {"packed": 0, "loop": 0}
 
     @given(st.lists(st.tuples(large_series(), large_series()), min_size=1,
                     max_size=3))
     def check(pairs):
-        with counting_packs() as calls:
+        with counting_paths() as paths:
             got = dot(pairs)
-        packed.append(bool(calls))
+        for path, count in paths.items():
+            ran[path] += count
         same_bi(got, reference_dot(pairs))
-        assert fields(got) == fields(loop_dot(pairs))
+        valid(got)
 
     check()
-    assert any(packed) and not all(packed)
+    assert ran["packed"] and ran["loop"]
 
 
 def _row(coeff, count):
@@ -313,13 +332,13 @@ def _row(coeff, count):
 
 
 def check_packed(pairs, packs):
-    """dot(pairs) packs `packs` operands, equals the reference and the
-    term-pair loop's result field for field; returns it."""
+    """dot(pairs) packs `packs` operands, equals the reference and is in
+    canonical form; returns it."""
     with counting_packs() as calls:
         got = dot(pairs)
     assert len(calls) == packs
     same_bi(got, reference_dot(pairs))
-    assert fields(got) == fields(loop_dot(pairs))
+    valid(got)
     return got
 
 
@@ -348,21 +367,15 @@ def test_sum_cancelling_on_the_window():
     assert got.num == {} and got.den == 1 and got.window == (4, 4)
 
 
-def test_crossover():
-    # One pair short of the crossover stays on the loop; at the crossover
-    # it packs.
-    c = series._PACK_PAIRS
-    three = BiSeries.const(3, 1, 1)
-    check_packed([(three, _row(Fraction(1, 2), c - 1))], 0)
-    check_packed([(three, _row(Fraction(1, 2), c))], 2)
-
-
 def test_sparse_exact_operands_stay_on_the_loop():
-    # As many term pairs as the crossover, but spread over more slots than
-    # term pairs: exponents 10 k in x.
-    c = series._PACK_PAIRS
-    a = BiSeries({(10 * k, 0): k + 1 for k in range(c)}, 1, 1, exact=True)
+    # Products spread over more slots than term pairs: 64 terms at
+    # exponents 10 k in x times a constant, and c + k x^121 y^120 times
+    # another such series (4 term pairs in 243 x 241 slots).
+    a = BiSeries({(10 * k, 0): k + 1 for k in range(64)}, 1, 1, exact=True)
     check_packed([(a, BiSeries.const(Fraction(-5, 3), 1, 1))], 0)
+    f = BiSeries({(0, 0): 2, (121, 120): Fraction(-7, 3)}, 1, 1, exact=True)
+    g = BiSeries({(0, 0): Fraction(1, 5), (121, 120): 4}, 1, 1, exact=True)
+    check_packed([(f, g)], 0)
 
 
 # -- the matrix-level sum of products --------------------------------------------
@@ -370,8 +383,9 @@ def test_sparse_exact_operands_stay_on_the_loop():
 
 @st.composite
 def dense_series(draw):
-    """Exact or truncated, with up to 16 terms in the box [0, 4) x [0, 4):
-    products of two of them pack once they have 64 term pairs."""
+    """Exact or truncated, with 8 to 16 terms in the box [0, 4) x [0, 4):
+    the 64 or more term pairs of a product of two of them fit in 49
+    slots, so it packs unless a window cuts it."""
     exact = draw(st.booleans())
     tx, ty = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     coeffs = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -448,28 +462,21 @@ def test_matrix_sum_matches_reference_and_per_entry_dot():
     # and, field for field, against one series.dot per entry and sign;
     # both the term-pair loop and the packed path run over the examples.
     ran = {"loop": 0, "packed": 0}
-    rows = series._Operand.rows
-
-    def counting_rows(self):
-        ran["loop"] += 1
-        return rows(self)
 
     @settings(max_examples=100)
     @given(matrix_terms())
     def check(terms):
-        with counting_packs() as packs, \
-                patch.object(series._Operand, "rows", counting_rows):
+        with counting_paths() as paths:
             got = SeriesMatrix.dot(terms)
-        ran["packed"] += bool(packs)
+        for path, count in paths.items():
+            ran[path] += count
         assert (got.rows, got.cols) == (terms[0][1].rows, terms[0][2].cols)
         want = reference_sum(terms)
         for g, w in zip(got.entries, want.entries):
             same_bi(g, w)
+            valid(g)
         assert ([fields(e) for e in got.entries]
                 == [fields(e) for e in per_entry_sum(terms).entries])
-        with patch.object(series, "_PACK_PAIRS", float("inf")):
-            loop = SeriesMatrix.dot(terms)
-        assert [fields(e) for e in got.entries] == [fields(e) for e in loop.entries]
 
     check()
     assert ran["loop"] and ran["packed"]
@@ -478,7 +485,8 @@ def test_matrix_sum_matches_reference_and_per_entry_dot():
 def test_packed_sums_of_one_call_share_the_widest_slots():
     # f times [g, h]: both entries pack, g's numerators need slots of 13
     # bytes, h's of 2, and h reaches a longer stride in y.  Packed at one
-    # width and stride, each entry equals its own series.dot and the loop.
+    # width and stride, each entry equals its own series.dot and the
+    # reference product.
     f = BiSeries({(i, j): 1 + i - j for i in range(4) for j in range(4)}, 1, 1,
                  exact=True)
     g = BiSeries({(i, j): (-1) ** j * (10**30 + i) for i in range(4)
@@ -489,10 +497,10 @@ def test_packed_sums_of_one_call_share_the_widest_slots():
     with counting_packs() as packs:
         got = a * b
     assert len(packs) == 3
-    with patch.object(series, "_PACK_PAIRS", float("inf")):
-        loop = a * b
-    for e, l, other in zip(got.entries, loop.entries, (g, h)):
-        assert fields(e) == fields(dot([(f, other)])) == fields(l)
+    for e, other in zip(got.entries, (g, h)):
+        assert fields(e) == fields(dot([(f, other)]))
+        same_bi(e, oracle.bi_mul(f, other))
+        valid(e)
 
 
 @given(st.lists(st.tuples(monic, partners(), st.booleans()), min_size=1,

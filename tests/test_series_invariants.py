@@ -17,11 +17,10 @@ packs its operands into one integer each or multiplies term pairs.
 
 import random
 from fractions import Fraction
-from math import gcd
 
 from hypothesis import assume, given, strategies as st
 
-from conftest import count_fractions, random_integrable_system
+from conftest import count_fractions, random_integrable_system, valid
 from pfaffred import series
 from pfaffred.errors import PfaffredError, TruncationExhausted
 from pfaffred.matrices import SeriesMatrix
@@ -46,21 +45,6 @@ def bi_series(draw, max_order=5, min_order=0):
 
 
 axes = st.sampled_from(("x", "y"))
-
-
-def valid(r):
-    """r is in canonical form, and is what the validating constructor
-    makes of its own coefficients."""
-    assert isinstance(r, BiSeries)
-    assert type(r.den) is int and r.den > 0
-    assert gcd(r.den, *r.num.values()) == 1
-    for (i, j), v in r.num.items():
-        assert type(v) is int and v
-        assert i >= 0 and j >= 0
-        assert r.exact or (i < r.tx and j < r.ty)
-    v = BiSeries(r.coeffs, r.tx, r.ty, exact=r.exact)
-    assert (r.num, r.den) == (v.num, v.den)
-    assert (r.tx, r.ty, r.exact) == (v.tx, v.ty, v.exact)
 
 
 @given(bi_series(), bi_series())
@@ -210,11 +194,16 @@ def test_series_kernel_builds_no_fraction(monkeypatch):
     # into one integer each and term pair by term pair), sums,
     # differences, negation, scalings, Euler derivatives, shifts, window
     # cuts, a unit inverse and the integrability check run on the stored
-    # integers alone, and give canonical results.
+    # integers alone, and give canonical results.  The sparse exact
+    # entries c + k x^121 y^120 spread their products over more slots than
+    # term pairs, so their product is multiplied term pair by term pair.
     sys_obj = random_integrable_system(random.Random(4), n=4, p=1, q=1)
     a, b = sys_obj.amat.truncated(6, 6), sys_obj.bmat.truncated(6, 6)
     half = Fraction(1, 2)
     unit = BiSeries.const(3, 6, 6) + a.at(0, 1).shift(1, 0)
+    sparse = SeriesMatrix(2, 2, [
+        BiSeries({(0, 0): c, (121, 120): Fraction(k, 3)}, 1, 1, exact=True)
+        for c, k in ((1, 2), (-2, 5), (3, -1), (0, 4))])
     inner, packs = series._pack, []
     monkeypatch.setattr(series, "_pack",
                         lambda *args: packs.append(args) or inner(*args))
@@ -222,9 +211,9 @@ def test_series_kernel_builds_no_fraction(monkeypatch):
     ab = a * b
     exact_ab = sys_obj.amat * sys_obj.bmat
     packed = len(packs)
-    small_ab = a.truncated(2, 1) * b.truncated(2, 1)
+    sparse_sq = sparse * sparse
     assert packed and len(packs) == packed
-    results = [ab, exact_ab, small_ab, a + b, a - b, -a, a.scale(3),
+    results = [ab, exact_ab, sparse_sq, a + b, a - b, -a, a.scale(3),
                a.scale(half), b.delta("x"), b.delta("y"), a.shift(1, 2),
                ab.truncated(4, 5), a * b - b * a]
     inverse = unit.invert()
@@ -234,5 +223,6 @@ def test_series_kernel_builds_no_fraction(monkeypatch):
     assert built == []
     assert integrable
     assert inverse * unit == BiSeries.const(1, 6, 6)
+    assert all(e.num for e in sparse_sq.entries)
     for e in [inverse] + [e for m in results for e in m.entries]:
         valid(e)
