@@ -236,8 +236,9 @@ def cmd_solve(args):
         "blocked": data.blocked,
     }
     if data.lambda1 is not None:
-        res["lambda1"] = [[rat_str(c) for c in row] for row in data.lambda1]
-        res["lambda2"] = [[rat_str(c) for c in row] for row in data.lambda2]
+        res["lambda1"], res["lambda2"] = (
+            [[rat_str(c) for c in row] for row in lam.fraction_rows()]
+            for lam in (data.lambda1, data.lambda2))
     if data.retained:
         res["retained"] = [
             {"i": i, "j": j, "row": k, "col": l,
@@ -251,8 +252,8 @@ def cmd_solve(args):
         print(f"solution {i}: Q1 = {_q_poly_str(q1, 'x')}, "
               f"Q2 = {_q_poly_str(q2, 'y')}")
     if data.lambda1 is not None:
-        print("lambda1 =", [[rat_str(c) for c in row] for row in data.lambda1])
-        print("lambda2 =", [[rat_str(c) for c in row] for row in data.lambda2])
+        print("lambda1 =", res["lambda1"])
+        print("lambda2 =", res["lambda2"])
     if data.blocked:
         print(f"partial result; blocked at: {data.blocked}")
         if data.blocked == "joint-resonance":

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .matrices import LaurentMatrix, SeriesMatrix
 from .moser import reduce_axis, theta_poly
-from .polyq import factor_rational, rational_roots
+from .polyq import factor_rational
 from .series import BiSeries, exponent, other
 from .system import GaugeTransform, PfaffianSystem, apply_gauge
 
@@ -82,19 +82,17 @@ def _split_system(sys: PfaffianSystem, axis, groups):
     """
     lead = sys.side(axis).constant_part()
     n = sys.n
-    basis_cols = []
-    sizes = []
+    kernels = []
     for fc, mult in groups:
         # The kernel of fc(lead)^mult, the generalized eigenspace.
         f = power = qlinalg.poly_eval_matrix(fc, lead)
         for _ in range(mult - 1):
             power = qlinalg.mul(power, f)
-        ker = qlinalg.kernel(power)
-        basis_cols.extend(ker)
-        sizes.append(len(ker))
+        kernels.append(qlinalg.kernel(power))
+    sizes = [len(ker) for ker in kernels]
     if sum(sizes) != n:
         raise ReductionError("kernel projections do not fill the space")
-    vmat = qlinalg.transpose(basis_cols)
+    vmat = qlinalg.transpose(qlinalg.vstack(kernels))
     tx, ty = sys.window
     const_gauge = GaugeTransform.of_constant(vmat, tx, ty, kind="splitting")
     work = apply_gauge(sys, const_gauge).to_system()
@@ -259,42 +257,6 @@ def unipotent_gauge(t_coeffs, n, tx, ty, kind) -> GaugeTransform:
     return GaugeTransform._of(
         LaurentMatrix(SeriesMatrix.from_coefficients(t_coeffs, n, tx, ty)),
         LaurentMatrix(SeriesMatrix.from_coefficients(u_coeffs, n, tx, ty)), kind)
-
-
-def _triangular_solve(equations, n):
-    """Solve (L - shift) X - X L = R for X, one entry at a time, over the
-    equations [(L, shift, R)], each L upper triangular.
-
-    Entries run rows bottom-up, columns left to right, so that the
-    couplings through L's off-diagonal entries are known when an entry is
-    reached.  Each entry is taken from the first equation whose
-    coefficient L[k][k] - L[l][l] - shift is nonzero.  An entry that no
-    equation determines is 0 in X and kept: the equations then hold with
-    (L - shift) X - X L - K = R, and K[k][l] is its value in each.
-    Returns (X, {(k, l): (K value per equation)}), the kept entries with a
-    nonzero value, in elimination order.
-    """
-    equations = [(list(lam), shift, list(r)) for lam, shift, r in equations]
-    x = [[0] * n for _ in range(n)]
-    kept = {}
-    for k in range(n - 1, -1, -1):
-        for l in range(n):
-            values = []
-            for lam, shift, r in equations:
-                acc = r[k][l]
-                for m in range(k + 1, n):
-                    acc -= lam[k][m] * x[m][l]
-                for m in range(l):
-                    acc += x[k][m] * lam[m][l]
-                coef = lam[k][k] - lam[l][l] - shift
-                if coef != 0:
-                    x[k][l] = acc / coef
-                    break
-                values.append(-acc)
-            else:
-                if any(values):
-                    kept[(k, l)] = tuple(values)
-    return qlinalg.QMatrix(x), kept
 
 
 # -- eigenvalue shifting ----------------------------------------------------------
@@ -546,7 +508,7 @@ def first_kind_fundamental_ods(sys: PfaffianSystem, axis: str) -> FirstKindSolut
     retained = {}           # the retained terms, as the S~ of _known_terms
     # Each order is a triangular solve in a rational eigenbasis of Lambda0,
     # if any, else a Sylvester solve, which a resonant order cannot take.
-    tri = _common_triangularize([lam0])
+    tri = qlinalg.common_triangularize([lam0])
     for m in range(1, mat.window[0 if axis == "x" else 1]):
         key = exponent(axis, m)
         r = qlinalg.dot(_known_terms(s_coeffs, t_coeffs, retained, key), (n, n))
@@ -561,80 +523,11 @@ def first_kind_fundamental_ods(sys: PfaffianSystem, axis: str) -> FirstKindSolut
             continue
         u, uinv, (lam_t,) = tri
         rr = qlinalg.mul(qlinalg.mul(uinv, r), u)
-        t_m, kept = _triangular_solve([(lam_t, m, rr)], n)
+        t_m, kept = qlinalg.triangular_solve([(lam_t, m, rr)], n)
         t_coeffs[key] = qlinalg.mul(qlinalg.mul(u, t_m), uinv)
         if kept:
-            keep = [[kept.get((i, j), (0,))[0] for j in range(n)] for i in range(n)]
-            retained[key] = qlinalg.mul(qlinalg.mul(u, keep), uinv)
+            retained[key] = qlinalg.mul(qlinalg.mul(u, kept[0]), uinv)
     phi = SeriesMatrix.from_coefficients(t_coeffs, n, *mat.window)
     return FirstKindSolution(
         phi=phi, exponent=lam0,
         retained=tuple((sum(e), mat) for e, mat in retained.items()))
-
-
-def _common_triangularize(mats):
-    """Simultaneous upper triangularization of commuting matrices with
-    rational eigenvalues; None when an irrational eigenvalue blocks it."""
-    n = len(mats[0])
-    u_cols = []
-    # Build the flag one common eigenvector at a time, working in the
-    # original coordinates with a shrinking complement.
-    while len(u_cols) < n:
-        sub_basis = _complement(u_cols, n)
-        reps = [_restrict(m, u_cols, sub_basis) for m in mats]
-        vec_sub = _common_eigvec(reps)
-        if vec_sub is None:
-            return None
-        u_cols.append(qlinalg.mul([vec_sub], sub_basis)[0])
-    u = qlinalg.transpose(u_cols)
-    uinv = qlinalg.inverse(u)
-    tris = [qlinalg.mul(qlinalg.mul(uinv, m), u) for m in mats]
-    for t in tris:
-        if any(any(row[:i]) for i, row in enumerate(t.num)):
-            raise ReductionError("triangularization failed")
-    return u, uinv, tris
-
-
-def _complement(u_cols, n):
-    """Coordinate vectors completing u_cols to a basis."""
-    pivots = qlinalg.rref(u_cols)[1] if u_cols else []
-    return [e for j, e in enumerate(qlinalg.identity(n)) if j not in pivots]
-
-
-def _restrict(mat, u_cols, sub_basis):
-    """Matrix of the action induced on span(sub_basis) modulo span(u_cols)."""
-    inv = qlinalg.inverse(qlinalg.transpose(list(u_cols) + list(sub_basis)))
-    coords = qlinalg.mul(qlinalg.mul(inv, mat), qlinalg.transpose(sub_basis))
-    return qlinalg.submatrix(coords, range(len(u_cols), len(coords)),
-                             range(len(sub_basis)))
-
-
-def _common_eigvec(mats):
-    """A common eigenvector with rational eigenvalues; None if blocked."""
-    space = list(qlinalg.identity(len(mats[0])))
-    for m in mats:
-        rep = _matrix_on_span(m, space)
-        if rep is None:
-            return None
-        roots = rational_roots(qlinalg.charpoly(rep))
-        if not roots:
-            return None
-        lam = roots[0][0]
-        shifted = qlinalg.sub(rep, qlinalg.scale(qlinalg.identity(len(rep)), lam))
-        ker = qlinalg.kernel(shifted)
-        if not ker:
-            return None
-        # The vectors sum_j c_j space[j], one per kernel vector c.
-        space = list(qlinalg.mul(ker, space))
-    return space[0]
-
-
-def _matrix_on_span(mat, span_cols):
-    """Matrix of `mat` restricted to the span of the independent vectors
-    span_cols; None when the span is not invariant."""
-    basis, k = qlinalg.transpose(span_cols), len(span_cols)
-    img = qlinalg.mul(mat, basis)
-    # rref(basis) = [I; 0]: the first k rows of its transform invert it.
-    left = qlinalg.submatrix(qlinalg.rref(basis)[2], range(k), range(len(basis)))
-    rep = qlinalg.mul(left, img)
-    return rep if qlinalg.mul(basis, rep) == img else None

@@ -6,11 +6,13 @@ den, in the canonical form of a BiSeries (den > 0, gcd(den, every entry)
 QMatrix(rows) is the one validating constructor; it returns a QMatrix as
 it is, so add, sub, scale, dot, transpose, the elimination functions and
 sylvester_solver also take plain rows.  Results are built with the
-trusted QMatrix._reduced, which divides by one gcd.  All but
-elimination (rref, kernel, inverse) runs on the stored integers; indexing
-or iterating a QMatrix gives rows of Fraction, for the callers that
-divide.  charpoly is division-free and so also serves matrices of series
-(the criterion polynomial, the Katz Newton polygon).
+trusted QMatrix._reduced, which divides by one gcd.  Every function runs
+on the stored integers: elimination (rref, rank, kernel, inverse) is
+Bareiss's fraction-free elimination, whose rows over one denominator are
+those of elimination over Q.  A QMatrix is neither indexed nor iterated;
+fraction_rows() is the one read of its values as Fractions, for printing
+and substitution.  charpoly is division-free and so also serves matrices
+of series (the criterion polynomial, the Katz Newton polygon).
 
 Two kernels carry the order-by-order solvers (splitting, the regular
 solve, the first-kind solve), which multiply the same coefficient
@@ -23,6 +25,10 @@ matrices at every order:
 - sylvester_solver inverts the Kronecker operator of a X - X b once, with
   one rref, and returns a solver that costs one integer product per
   right-hand side.
+
+common_triangularize finds a triangular eigenbasis of commuting leading
+constants; there the regular and first-kind solves take each order from
+triangular_solve instead, entry by entry, on the equations' integers.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, ReductionError, SingularMatrix
+from .polyq import rational_roots
 from .series import ONE, BiSeries, dots, q
 
 
@@ -64,14 +71,15 @@ class QMatrix:
     def __len__(self):
         return len(self.num)
 
-    def __getitem__(self, i):
-        return tuple(Fraction(v, self.den) for v in self.num[i])
-
     def __eq__(self, other):
         if isinstance(other, QMatrix):
             return self.num == other.num and self.den == other.den
-        # A tuple of rows compares by value.
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+        return NotImplemented
+
+    def fraction_rows(self):
+        """The rows as tuples of Fraction: the one read of a QMatrix's
+        values, for printing and for substitution into series."""
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.num)
 
 
 def zeros(r, c):
@@ -154,66 +162,111 @@ def is_zero(a):
     return not any(map(any, a.num))
 
 
-def _rref(rows):
-    """rref of rows of Fraction, as lists (reduced rows, pivots, transform)."""
-    m = [list(row) for row in rows]
+def vstack(mats):
+    """The rows of the matrices mats, in order, over one denominator."""
+    den = lcm(*[m.den for m in mats])
+    return QMatrix._reduced([[v * (den // m.den) for v in row]
+                             for m in mats for row in m.num], den)
+
+
+def _rref(rows, nc):
+    """Gauss-Jordan elimination of integer rows, pivots sought in the first
+    nc columns, by Bareiss's one-step fraction-free elimination (E. H.
+    Bareiss, Math. Comp. 22, 1968).
+
+    The pivot of a column is its first nonzero entry at or below the pivot
+    row, as over Q.  Every other row becomes (p * row - f * pivot row) / d,
+    p the pivot, f the row's entry in the pivot column and d the previous
+    pivot (1 at first); each entry is then a minor of the input, so the
+    division is exact.  Returns (rows, pivots, d), d > 0: rows / d are the
+    rows that elimination over Q, dividing each pivot row by its pivot,
+    makes of the same input.
+    """
+    m = [list(r) for r in rows]
     nr = len(m)
-    nc = len(m[0]) if nr else 0
-    t = [[int(i == j) for j in range(nr)] for i in range(nr)]
     pivots = []
-    row = 0
+    d = 1
     for col in range(nc):
-        piv = next((r for r in range(row, nr) if m[r][col] != 0), None)
+        row = len(pivots)
+        piv = next((r for r in range(row, nr) if m[r][col]), None)
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        t[row], t[piv] = t[piv], t[row]
-        inv = 1 / m[row][col]
-        m[row] = [c * inv for c in m[row]]
-        t[row] = [c * inv for c in t[row]]
+        top = m[row]
+        p = top[col]
         for r in range(nr):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [c - f * d for c, d in zip(m[r], m[row])]
-                t[r] = [c - f * d for c, d in zip(t[r], t[row])]
+            if r == row:
+                continue
+            f = m[r][col]
+            if f:
+                m[r] = [(p * c - f * t) // d for c, t in zip(m[r], top)]
+            elif p != d:
+                m[r] = [p * c // d for c in m[r]]
         pivots.append(col)
-        row += 1
-        if row == nr:
+        d = p
+        if row + 1 == nr:
             break
-    return m, pivots, t
+    if d < 0:
+        m = [[-v for v in r] for r in m]
+        d = -d
+    return m, pivots, d
+
+
+def _cols(a):
+    return len(a.num[0]) if a.num else 0
+
+
+def _require_square(a):
+    if any(len(row) != len(a) for row in a.num):
+        raise DimensionMismatch(f"{len(a)}x{_cols(a)} matrix is not square")
 
 
 def rref(a):
-    """Reduced row echelon form; returns (rref, pivot columns, transform)."""
-    m, pivots, t = _rref(QMatrix(a))
-    return QMatrix(m), pivots, QMatrix(t)
+    """Reduced row echelon form; returns (rref, pivot columns, transform),
+    the transform T with T a = rref."""
+    a = QMatrix(a)
+    nr, nc = len(a), _cols(a)
+    m, pivots, d = _rref([[*row, *(int(i == j) for j in range(nr))]
+                          for i, row in enumerate(a.num)], nc)
+    # T num = rref too: a's transform rows that take a pivot are den times
+    # those of T, the rest equal them.
+    k = len(pivots)
+    return (QMatrix._reduced([row[:nc] for row in m], d), pivots,
+            QMatrix._reduced([[v * a.den for v in row[nc:]] if i < k else row[nc:]
+                              for i, row in enumerate(m)], d))
 
 
 def rank(a):
-    return len(_rref(QMatrix(a))[1])
+    a = QMatrix(a)
+    return len(_rref(a.num, _cols(a))[1])
 
 
 def kernel(a):
-    """Basis of the right kernel, as a list of column vectors (tuples)."""
-    r, pivots, _ = _rref(QMatrix(a))
-    nc = len(r[0]) if r else 0
+    """Basis of the right kernel, as the rows of a QMatrix: per column f
+    without a pivot, the vector with 1 at f and minus the rref's column f
+    at the pivot columns."""
+    a = QMatrix(a)
+    nc = _cols(a)
+    r, pivots, d = _rref(a.num, nc)
     basis = []
     for f in range(nc):
         if f in pivots:
             continue
         v = [0] * nc
-        v[f] = 1
+        v[f] = d
         for row, p in zip(r, pivots):
             v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
+        basis.append(v)
+    return QMatrix._reduced(basis, d)
 
 
 def inverse(a):
-    _, pivots, t = _rref(QMatrix(a))
+    a = QMatrix(a)
+    _require_square(a)
+    _, pivots, t = rref(a)
     if len(pivots) != len(t):
         raise SingularMatrix("constant matrix not invertible")
-    return QMatrix(t)
+    return t
 
 
 def charpoly(a, one=Fraction(1)):
@@ -290,6 +343,8 @@ def sylvester_solver(a, b):
     solve is then one integer product with the inverse.
     """
     a, b = QMatrix(a), QMatrix(b)
+    _require_square(a)
+    _require_square(b)
     n, m = len(a), len(b)
     # Row-major vectorization: unknowns X[i][j] at index i*m + j.
     rows = []
@@ -312,6 +367,132 @@ def sylvester_solver(a, b):
                                 op_inv.den * c.den)
 
     return solution
+
+
+def triangular_solve(equations, n):
+    """Solve (L - shift) X - X L = R for X, one entry at a time, over the
+    equations [(L, shift, R)], each L an upper triangular QMatrix.
+
+    Entries run rows bottom-up, columns left to right, so that the
+    couplings through L's off-diagonal entries are known when an entry is
+    reached.  Each entry is taken from the first equation whose
+    coefficient L[k][k] - L[l][l] - shift is nonzero.  An entry that no
+    equation determines is 0 in X and kept: the equations then hold with
+    (L - shift) X - X L - K = R, and K[k][l] is its value in each.
+    X is solved as integers over one denominator, which grows to the lcm
+    of its entries' denominators as they are reached.  Returns (X, K),
+    K the tuple of K per equation, or None when no entry is kept with a
+    nonzero value.
+    """
+    d = lcm(*[r.den for _, _, r in equations])
+    x = [[0] * n for _ in range(n)]         # X = x / d
+    kept = []                               # (k, l, values, d then)
+    for k in range(n - 1, -1, -1):
+        for l in range(n):
+            values = []
+            for lam, shift, r in equations:
+                ln, ld = lam.num, lam.den
+                # The known side, times ld * d.
+                acc = (r.num[k][l] * (d // r.den) * ld
+                       - sum(ln[k][m] * x[m][l] for m in range(k + 1, n))
+                       + sum(x[k][m] * ln[m][l] for m in range(l)))
+                coef = ln[k][k] - ln[l][l] - shift * ld
+                if coef:
+                    # X[k][l] = acc / (d * coef): d grows by the least c
+                    # that makes acc * c / coef an integer.
+                    c = abs(coef) // gcd(acc, coef)
+                    if c != 1:
+                        x = [[v * c for v in row] for row in x]
+                        d *= c
+                    x[k][l] = acc * c // coef
+                    break
+                values.append(-acc)
+            else:
+                if any(values):
+                    kept.append((k, l, values, d))
+    if not kept:
+        return QMatrix._reduced(x, d), None
+    # A value over L.den * d' is (d / d') times that over L.den * d.
+    nums = [[[0] * n for _ in range(n)] for _ in equations]
+    for k, l, values, then in kept:
+        for num, v in zip(nums, values):
+            num[k][l] = v * (d // then)
+    return QMatrix._reduced(x, d), tuple(
+        QMatrix._reduced(num, lam.den * d)
+        for num, (lam, _, _) in zip(nums, equations))
+
+
+def common_triangularize(mats):
+    """Simultaneous upper triangularization of commuting matrices with
+    rational eigenvalues; None when an irrational eigenvalue blocks it."""
+    n = len(mats[0])
+    u_rows = []
+    # Build the flag one common eigenvector (a 1 x n QMatrix) at a time,
+    # working in the original coordinates with a shrinking complement.
+    while len(u_rows) < n:
+        sub_basis = _complement(u_rows, n)
+        reps = [_restrict(m, u_rows, sub_basis) for m in mats]
+        vec_sub = _common_eigvec(reps)
+        if vec_sub is None:
+            return None
+        u_rows.append(mul(vec_sub, sub_basis))
+    u = transpose(vstack(u_rows))
+    uinv = inverse(u)
+    tris = [mul(mul(uinv, m), u) for m in mats]
+    for t in tris:
+        if any(any(row[:i]) for i, row in enumerate(t.num)):
+            raise ReductionError("triangularization failed")
+    return u, uinv, tris
+
+
+def _complement(u_rows, n):
+    """The coordinate vectors completing the vectors u_rows to a basis, as
+    the rows of a QMatrix."""
+    pivots = _rref(vstack(u_rows).num, n)[1] if u_rows else []
+    return submatrix(identity(n), [j for j in range(n) if j not in pivots],
+                     range(n))
+
+
+def _restrict(mat, u_rows, sub_basis):
+    """Matrix of the action induced on the span of sub_basis's rows modulo
+    the span of u_rows."""
+    inv = inverse(transpose(vstack([*u_rows, sub_basis])))
+    coords = mul(mul(inv, mat), transpose(sub_basis))
+    return submatrix(coords, range(len(u_rows), len(coords)),
+                     range(len(sub_basis)))
+
+
+def _common_eigvec(mats):
+    """A common eigenvector with rational eigenvalues, as a 1 x n QMatrix;
+    None if blocked."""
+    n = len(mats[0])
+    space = identity(n)
+    for m in mats:
+        rep = _matrix_on_span(m, space)
+        if rep is None:
+            return None
+        roots = rational_roots(charpoly(rep))
+        if not roots:
+            return None
+        lam = roots[0][0]
+        shifted = sub(rep, scale(identity(len(rep)), lam))
+        ker = kernel(shifted)
+        if not ker:
+            return None
+        # The vectors sum_j c_j space[j], one per kernel vector c.
+        space = mul(ker, space)
+    return submatrix(space, [0], range(n))
+
+
+def _matrix_on_span(mat, span):
+    """Matrix of `mat` restricted to the span of the independent rows of
+    the QMatrix span; None when the span is not invariant."""
+    basis, k = transpose(span), len(span)
+    img = mul(mat, basis)
+    # rref(basis) = [I; 0]: the first k rows of its transform invert it.
+    left = submatrix(rref(basis)[2], range(k), range(len(basis)))
+    rep = mul(left, img)
+    return rep if mul(basis, rep) == img else None
 
 
 def submatrix(a, rows, cols):

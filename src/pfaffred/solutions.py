@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import qlinalg
 from .errors import (
@@ -29,7 +30,6 @@ from .errors import (
 from .matrices import LaurentMatrix, SeriesMatrix, embed_block
 from .moser import _rank_reduce
 from .ods import (
-    _common_triangularize,
     _eigen_groups,
     _katz,
     _known_terms,
@@ -37,7 +37,6 @@ from .ods import (
     _reduce_ods,
     _split_system,
     _subtract_scalar,
-    _triangular_solve,
     associated_ods,
     exponential_parts_ods,
     unipotent_gauge,
@@ -200,7 +199,7 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
         raise IntegrabilityViolation(
             "leading constants do not commute", window=sys.window
         )
-    tri = _common_triangularize([a00, b00])
+    tri = qlinalg.common_triangularize([a00, b00])
     if tri is None:
         raise AlgebraicExtensionRequired(
             "regular solve needs rational eigenvalues of both leading "
@@ -217,8 +216,9 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
     at_coeffs = {(0, 0): l1}
     bt_coeffs = {(0, 0): l2}
     retained = []
-    diag = [row[k] for k, row in enumerate(l1)]
-    diffs = {a - b for a in diag for b in diag}     # x-eigenvalue differences
+    diag = [row[k] for k, row in enumerate(l1.num)]
+    # The x-eigenvalue differences, times l1.den.
+    diffs = {a - b for a in diag for b in diag}
     for total in range(1, tx + ty - 1):
         for i in range(max(0, total - ty + 1), min(total, tx - 1) + 1):
             j = total - i
@@ -226,17 +226,17 @@ def _regular_fundamental(sys: PfaffianSystem) -> RegularSolution:
                 _known_terms(a_coeffs, t_coeffs, at_coeffs, (i, j)), (n, n)))]
             # The y-equation is read only for an entry that the x-equation
             # leaves undetermined.
-            if i in diffs:
+            if i * l1.den in diffs:
                 equations.append((l2, j, qlinalg.dot(
                     _known_terms(b_coeffs, t_coeffs, bt_coeffs, (i, j)), (n, n))))
-            t_new, kept = _triangular_solve(equations, n)
-            for (k, l), (vx, vy) in kept.items():
-                retained.append((i, j, k, l, vx, vy))
+            t_new, kept = qlinalg.triangular_solve(equations, n)
             if kept:
-                for st, side in ((at_coeffs, 0), (bt_coeffs, 1)):
-                    st[(i, j)] = qlinalg.QMatrix([[kept.get((k, l), (0, 0))[side]
-                                                   for l in range(n)]
-                                                  for k in range(n)])
+                # Only an entry that the y-equation was read for is kept.
+                at_coeffs[(i, j)], bt_coeffs[(i, j)] = kept
+                kx, ky = (m.fraction_rows() for m in kept)
+                retained += [(i, j, k, l, kx[k][l], ky[k][l])
+                             for k in range(n - 1, -1, -1) for l in range(n)
+                             if kx[k][l] or ky[k][l]]
             if not qlinalg.is_zero(t_new):
                 t_coeffs[(i, j)] = t_new
     if retained:
@@ -348,13 +348,14 @@ def _embed_gauge(gauge: GaugeTransform, coords, n, tx, ty) -> GaugeTransform:
 def _block_diagonal(n, blocks, k):
     """The n x n matrix that holds block[k] of each block (coords, lambda1,
     lambda2) on its coordinates, and 0 elsewhere."""
+    den = lcm(*[block[k].den for block in blocks])
     rows = [[0] * n for _ in range(n)]
     for block in blocks:
-        coords = block[0]
-        for i, row in zip(coords, block[k]):
+        coords, lam = block[0], block[k]
+        for i, row in zip(coords, lam.num):
             for j, v in zip(coords, row):
-                rows[i][j] = v
-    return qlinalg.QMatrix(rows)
+                rows[i][j] = v * (den // lam.den)
+    return qlinalg.QMatrix._reduced(rows, den)
 
 
 def _assemble(sys: PfaffianSystem, coords, data: SolutionData, lambdas,
@@ -460,7 +461,7 @@ def verify_solution(sys: PfaffianSystem, data: SolutionData) -> bool:
                 f"the gauge trace exhausts the window of the {axis}-side",
                 window=res.window,
             )
-        for i, lam_row in enumerate(lam):
+        for i, lam_row in enumerate(lam.fraction_rows()):
             for j in range(n):
                 expect = {}
                 if i == j:

@@ -94,7 +94,8 @@ def serialize_system(sys) -> dict:
 
     def side(coeffs):
         return [{"i": i, "j": j,
-                 "matrix": [[rat_str(c) for c in row] for row in coeffs[(i, j)]]}
+                 "matrix": [[rat_str(c) for c in row]
+                            for row in coeffs[(i, j)].fraction_rows()]}
                 for (i, j) in sorted(coeffs)]
 
     return {

@@ -21,7 +21,8 @@ the library's own products, so they differ from the fused forms only in
 how the sums are grouped.
 
 sylvester_solve is the Sylvester solve that qlinalg.sylvester_solver
-replaced (two rrefs of the Kronecker operator per right-hand side), and
+replaced (two rrefs of the Kronecker operator per right-hand side, by
+the Fraction elimination of tests/oracle_qlinalg.py), and
 accumulate is the chain of qlinalg add/sub/scale over products by which
 the order-by-order solvers summed their known parts before qlinalg.dot.
 """
@@ -30,7 +31,8 @@ import operator
 from fractions import Fraction
 
 from pfaffred.errors import TruncationExhausted, ZeroConstantTerm
-from pfaffred.qlinalg import QMatrix, add, rank, rref, scale, sub, zeros
+from oracle_qlinalg import _rref, rows_of
+from pfaffred.qlinalg import QMatrix, add, scale, sub, zeros
 from pfaffred.matrices import SeriesMatrix
 from pfaffred.series import INF_ORDER, BiSeries, exponent
 
@@ -87,11 +89,13 @@ def integrability(sys_obj):
 
 
 def qmul(a, b):
-    """Product of constant Fraction matrices."""
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """Product of constant matrices, summed entry by entry over their
+    Fraction rows."""
+    bt = list(zip(*rows_of(b)))
+    return QMatrix(tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+        for row in rows_of(a)
+    ))
 
 
 def _graded(support):
@@ -141,7 +145,7 @@ def solve(a, b):
     qlinalg.solve that the Sylvester solve called."""
     nr, nc = len(a), len(a[0])
     aug = [list(a[i]) + [b[i]] for i in range(nr)]
-    r, pivots, _ = rref(aug)
+    r, pivots, _ = _rref(aug)
     if nc in pivots:
         return None
     x = [Fraction(0)] * nc
@@ -151,7 +155,9 @@ def solve(a, b):
 
 
 def sylvester_solve(a, b, c):
-    """Solve a X - X b = c exactly; None if the operator is singular."""
+    """Solve a X - X b = c exactly, as a QMatrix; None if the operator is
+    singular."""
+    a, b, c = rows_of(a), rows_of(b), rows_of(c)
     n, m = len(a), len(b)
     # Row-major vectorization: unknowns X[i][j] at index i*m + j.
     rows = []
@@ -165,15 +171,15 @@ def sylvester_solve(a, b, c):
                 row[i * m + k] -= b[k][j]
             rows.append(tuple(row))
             rhs.append(c[i][j])
-    sol = solve(QMatrix(rows), tuple(rhs))
+    sol = solve(rows, tuple(rhs))
     if sol is None:
         return None
     # The operator is square; consistency without uniqueness cannot happen
     # unless it is singular, which callers treat as resonance.
-    aug_rank = rank(QMatrix(rows))
+    aug_rank = len(_rref(rows)[1])
     if aug_rank != n * m:
         return None
-    return tuple(tuple(sol[i * m + j] for j in range(m)) for i in range(n))
+    return QMatrix([[sol[i * m + j] for j in range(m)] for i in range(n)])
 
 
 def charpoly(a, one):

@@ -22,6 +22,7 @@ from pfaffred.polyq import factor_rational
 from pfaffred.series import BiSeries
 from pfaffred.system import GaugeTransform, apply_gauge
 
+import oracle_qlinalg
 from conftest import ods_system
 
 
@@ -72,7 +73,7 @@ def split_leading(ods, var):
     basis_cols = []
     sizes = []
     for _, power in groups:
-        ker = qlinalg.kernel(qlinalg.poly_eval_matrix(power, a0))
+        ker = oracle_qlinalg.kernel(qlinalg.poly_eval_matrix(power, a0))
         basis_cols.extend(ker)
         sizes.append(len(ker))
     if sum(sizes) != n:
@@ -163,8 +164,8 @@ def _coeffs_to_matrix(coeffs, n, tx, ty) -> SeriesMatrix:
         for j in range(n):
             terms = {}
             for e, mat in coeffs.items():
-                if mat[i][j]:
-                    terms[e] = mat[i][j]
+                if mat.num[i][j]:
+                    terms[e] = mat.fraction_rows()[i][j]
             row.append(BiSeries(terms, tx, ty))
         rows.append(row)
     return SeriesMatrix.from_rows(rows)

@@ -137,8 +137,8 @@ def test_criterion_6_regular_solve(capsys):
     )
     u_sys = PfaffianSystem.make(2, 0, 0, a, b)
     reg = regular_fundamental(u_sys)
-    assert sorted(reg.lambda1[i][i] for i in range(2)) == [-2, 1]
-    assert sorted(reg.lambda2[i][i] for i in range(2)) == [-2, -1]
+    assert sorted(reg.lambda1.fraction_rows()[i][i] for i in range(2)) == [-2, 1]
+    assert sorted(reg.lambda2.fraction_rows()[i][i] for i in range(2)) == [-2, -1]
     # The external involution gauge passes the substitution check: it maps
     # the normal form to constant diagonals on both sides.
     t = SeriesMatrix.from_rows(

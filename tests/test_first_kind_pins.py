@@ -62,7 +62,8 @@ def seeded_ods(seed):
                   for _ in range(n))
         if qlinalg.rank(c) == n:
             break
-    lead = qlinalg.mul(qlinalg.mul(c, qlinalg.QMatrix(upper)), qlinalg.inverse(c))
+    lead = qlinalg.mul(qlinalg.mul(c, qlinalg.QMatrix(upper)),
+                       qlinalg.inverse(c)).fraction_rows()
     entries = []
     for i in range(n):
         row = []
@@ -87,7 +88,7 @@ def frac(c):
 
 
 def qmat_doc(m):
-    return [[frac(c) for c in row] for row in m]
+    return [[frac(c) for c in row] for row in m.fraction_rows()]
 
 
 def outcome(case):

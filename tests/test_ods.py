@@ -107,7 +107,7 @@ def test_split_leading_quadratic_factor_stays_rational():
 
     cmat = random_invertible_const(c, 3)
     lead = qlinalg.mul(qlinalg.mul(cmat, qlinalg.QMatrix(a0)),
-                       qlinalg.inverse(cmat))
+                       qlinalg.inverse(cmat)).fraction_rows()
     terms = [[{0: lead[i][j], 1: Fraction((i + j) % 3 - 1)} for j in range(3)]
              for i in range(3)]
     ods = ods_system("x", terms, 1)
@@ -294,8 +294,8 @@ def test_first_kind_constant_diag():
     ods = ods_system("x", [[{0: -2}, {}], [{}, {0: 1}]], 0)
     sol = first_kind_fundamental_ods(ods, "x")
     assert sol.phi == SeriesMatrix.identity(2, T, T)
-    assert sol.exponent == ((Fraction(-2), Fraction(0)),
-                            (Fraction(0), Fraction(1)))
+    assert sol.exponent == qlinalg.QMatrix(((Fraction(-2), Fraction(0)),
+                                            (Fraction(0), Fraction(1))))
     assert not sol.retained
 
 
@@ -313,7 +313,7 @@ def test_first_kind_scalar_exponential_series():
     c = Fraction(5)
     ods = ods_system("x", [[{0: c, 1: 1}]], 0)
     sol = first_kind_fundamental_ods(ods, "x")
-    assert sol.exponent == ((c,),)
+    assert sol.exponent == qlinalg.QMatrix([[c]])
     fact = 1
     for k in range(1, T):
         fact *= k
@@ -341,7 +341,7 @@ def test_first_kind_irrational_eigenvalues_solve():
     # rational eigenbasis every order is a Sylvester solve.
     ods = ods_system("x", sqrt2_entries(), 0)
     sol = first_kind_fundamental_ods(ods, "x")
-    assert sol.exponent == ((0, 2), (1, 0))
+    assert sol.exponent == qlinalg.QMatrix([[0, 2], [1, 0]])
     assert not sol.retained
     assert first_kind_residual(ods, sol)
 

@@ -11,6 +11,7 @@ from pfaffred.errors import (
     TruncationExhausted,
 )
 from pfaffred.matrices import LaurentMatrix, SeriesMatrix
+from pfaffred.qlinalg import QMatrix
 from pfaffred.series import BiSeries
 from pfaffred.solutions import (
     bivariate_shift,
@@ -125,7 +126,7 @@ def test_bivariate_splitting_diagonalizes():
         assert mat.at(0, 1).is_zero()
         assert mat.at(1, 0).is_zero()
     # Leading constant pair is preserved blockwise.
-    assert {res.amat.constant_part()[i][i] for i in range(2)} == {1, 2}
+    assert {res.amat.constant_part().fraction_rows()[i][i] for i in range(2)} == {1, 2}
 
 
 def test_bivariate_splitting_nilpotent_rejected():
@@ -143,7 +144,7 @@ def test_bivariate_splitting_already_diagonal():
     # No series corrections are needed: the gauge reduces to a constant
     # permutation-like conjugation (zero couplings stay zero).
     assert (m.px, m.py) == (0, 0)
-    const = m.series.constant_part()
+    const = m.series.constant_part().fraction_rows()
     for i in range(2):
         for j in range(2):
             assert m.series.at(i, j) == BiSeries.const(const[i][j], T, T)
@@ -172,8 +173,8 @@ def test_bivariate_shift_identity_and_guard(exm):
 
 def test_regular_fundamental_u_system():
     reg = regular_fundamental(u_system())
-    spec1 = sorted(reg.lambda1[i][i] for i in range(2))
-    spec2 = sorted(reg.lambda2[i][i] for i in range(2))
+    spec1 = sorted(reg.lambda1.fraction_rows()[i][i] for i in range(2))
+    spec2 = sorted(reg.lambda2.fraction_rows()[i][i] for i in range(2))
     assert spec1 == [Fraction(-2), Fraction(1)]
     assert spec2 == [Fraction(-2), Fraction(-1)]
 
@@ -201,8 +202,8 @@ def test_regular_fundamental_constant_diagonal():
         2, 0, 0, const_mat([[2, 0], [0, -1]]), const_mat([[1, 0], [0, 3]])
     )
     reg = regular_fundamental(sys_obj)
-    assert sorted(reg.lambda1[i][i] for i in range(2)) == [-1, 2]
-    assert sorted(reg.lambda2[i][i] for i in range(2)) == [1, 3]
+    assert sorted(reg.lambda1.fraction_rows()[i][i] for i in range(2)) == [-1, 2]
+    assert sorted(reg.lambda2.fraction_rows()[i][i] for i in range(2)) == [1, 3]
 
 
 def test_regular_fundamental_random_nonresonant():
@@ -214,8 +215,8 @@ def test_regular_fundamental_random_nonresonant():
         g = random_unimodular(rng)
         sys_obj = apply_gauge(seed, g).to_system()
         reg = regular_fundamental(sys_obj)  # internally substitution-checked
-        assert sorted(reg.lambda1[i][i] for i in range(2)) == [0, Fraction(1, 3)]
-        assert sorted(reg.lambda2[i][i] for i in range(2)) == [0, Fraction(1, 2)]
+        assert sorted(reg.lambda1.fraction_rows()[i][i] for i in range(2)) == [0, Fraction(1, 3)]
+        assert sorted(reg.lambda2.fraction_rows()[i][i] for i in range(2)) == [0, Fraction(1, 2)]
 
 
 def test_regular_fundamental_joint_resonance():
@@ -244,16 +245,16 @@ def test_formal_fundamental_paper(exm):
         assert entry == {Fraction(1): Fraction(-1)}
     for entry in data.q2:
         assert entry == {Fraction(1): Fraction(2), Fraction(2): Fraction(3)}
-    assert sorted(data.lambda1[i][i] for i in range(2)) == [-2, 1]
-    assert sorted(data.lambda2[i][i] for i in range(2)) == [-2, -1]
+    assert sorted(data.lambda1.fraction_rows()[i][i] for i in range(2)) == [-2, 1]
+    assert sorted(data.lambda2.fraction_rows()[i][i] for i in range(2)) == [-2, -1]
     assert verify_solution(exm, data)
 
 
 def _with_entry(matrix, i, j, value):
     """A copy of the constant matrix `matrix` with entry (i, j) set."""
-    rows = [list(row) for row in matrix]
+    rows = [list(row) for row in QMatrix(matrix).fraction_rows()]
     rows[i][j] = value
-    return tuple(tuple(row) for row in rows)
+    return QMatrix(rows)
 
 
 def _with_q_term(q, k, c):
@@ -275,7 +276,7 @@ def test_verify_solution_refuses_wrong_data(exm):
         dataclasses.replace(data, lambda1=None),
         dataclasses.replace(data, q1=_with_q_term(data.q1, Fraction(1, 2), 1)),
         dataclasses.replace(data, q1=_with_q_term(data.q1, Fraction(2), 1)),
-        dataclasses.replace(data, lambda1=_with_entry(lam, 0, 0, lam[0][0] + 1)),
+        dataclasses.replace(data, lambda1=_with_entry(lam, 0, 0, lam.fraction_rows()[0][0] + 1)),
         dataclasses.replace(data, lambda1=_with_entry(lam, 0, 1, Fraction(1))),
     ]
     assert [verify_solution(exm, w) for w in wrong] == [False] * len(wrong)
@@ -312,8 +313,8 @@ def test_formal_fundamental_scalar_closed_form():
     assert check_integrability(sys_obj)[0]
     data = formal_fundamental(sys_obj)
     assert data.complete()
-    assert data.lambda1 == ((Fraction(2),),)
-    assert data.lambda2 == ((Fraction(-1),),)
+    assert data.lambda1 == QMatrix([[2]])
+    assert data.lambda2 == QMatrix([[-1]])
     phi = data.phi()
     fact = 1
     for k in range(1, T):
@@ -330,8 +331,8 @@ def test_formal_fundamental_scalar_with_poles():
     assert data.complete()
     assert data.q1[0] == {Fraction(1): Fraction(-3)}
     assert data.q2[0] == {Fraction(1): Fraction(2)}
-    assert data.lambda1 == ((Fraction(1),),)
-    assert data.lambda2 == ((Fraction(4),),)
+    assert data.lambda1 == QMatrix([[1]])
+    assert data.lambda2 == QMatrix([[4]])
     assert verify_solution(sys_obj, data)
 
 
@@ -339,15 +340,15 @@ def test_lambda_spectrum_invariance_under_constant_conjugation():
     rng = random.Random(41)
     base = u_system()
     reg0 = regular_fundamental(base)
-    spec1 = sorted(reg0.lambda1[i][i] for i in range(2))
-    spec2 = sorted(reg0.lambda2[i][i] for i in range(2))
+    spec1 = sorted(reg0.lambda1.fraction_rows()[i][i] for i in range(2))
+    spec2 = sorted(reg0.lambda2.fraction_rows()[i][i] for i in range(2))
     for _ in range(5):
         c = random_invertible_const(rng)
         g = GaugeTransform.of_constant(c, T, T)
         moved = apply_gauge(base, g).to_system()
         reg = regular_fundamental(moved)
-        assert sorted(reg.lambda1[i][i] for i in range(2)) == spec1
-        assert sorted(reg.lambda2[i][i] for i in range(2)) == spec2
+        assert sorted(reg.lambda1.fraction_rows()[i][i] for i in range(2)) == spec1
+        assert sorted(reg.lambda2.fraction_rows()[i][i] for i in range(2)) == spec2
 
 
 def test_commutation_lambda_q(exm):
@@ -356,7 +357,7 @@ def test_commutation_lambda_q(exm):
     for lam, qd in ((data.lambda1, data.q1), (data.lambda2, data.q2)):
         for i in range(n):
             for j in range(n):
-                if lam[i][j] != 0:
+                if lam.num[i][j] != 0:
                     assert qd[i] == qd[j]
 
 

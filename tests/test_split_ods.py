@@ -69,7 +69,7 @@ def test_existing_split_inputs():
     cmat = random_invertible_const(random.Random(11), 3)
     lead = qlinalg.mul(qlinalg.mul(cmat, qlinalg.QMatrix([[0, -1, 0], [1, 0, 0],
                                                        [0, 0, 1]])),
-                       qlinalg.inverse(cmat))
+                       qlinalg.inverse(cmat)).fraction_rows()
     quadratic = ods_system("x", [[{0: lead[i][j], 1: Fraction((i + j) % 3 - 1)}
                                   for j in range(3)] for i in range(3)], 1)
     nilpotent = ods_system("x", [[{}, {0: 1}], [{}, {}]], 1)
@@ -103,7 +103,8 @@ def splittable_ods(draw, var, n):
                Fraction(int(j == i + 1 and eigs[i] == eigs[j] and rng.random() < 0.5))
                for j in range(n)] for i in range(n)]
     c = random_invertible_const(rng, n)
-    lead = qlinalg.mul(qlinalg.mul(c, qlinalg.QMatrix(jordan)), qlinalg.inverse(c))
+    lead = qlinalg.mul(qlinalg.mul(c, qlinalg.QMatrix(jordan)),
+                       qlinalg.inverse(c)).fraction_rows()
     orders = draw(st.lists(st.integers(1, t), max_size=2 * n))
     rows = []
     for i in range(n):

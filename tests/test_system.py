@@ -7,6 +7,7 @@ import oracle_kernels
 
 from pfaffred.errors import InvariantViolation
 from pfaffred.matrices import LaurentMatrix, SeriesMatrix
+from pfaffred.qlinalg import QMatrix
 from pfaffred.series import BiSeries
 from pfaffred.system import (
     GaugeTransform,
@@ -54,13 +55,13 @@ def test_leading_data_rank_one_example(exmnaive):
     assert a0.at(1, 0) == BiSeries.const(-1, T, T)
     # B0 = [[0, 0], [-2, 0]] by exact elimination: rank 1.
     assert exmnaive.rank_y == 1
-    assert b0.constant_part() == ((0, 0), (-2, 0))
+    assert b0.constant_part() == QMatrix([[0, 0], [-2, 0]])
 
 
 def test_leading_data_constant_system():
     c = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
     sys_obj = PfaffianSystem.make(2, 0, 0, const_mat(c), const_mat(c))
-    assert sys_obj.leading[0].constant_part() == tuple(tuple(r) for r in c)
+    assert sys_obj.leading[0].constant_part() == QMatrix(c)
 
 
 def test_integrability_fixtures(exm, exmnaive):
